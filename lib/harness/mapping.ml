@@ -4,9 +4,12 @@
     freshly initialised machine state; the monitor intercepts each
     segmentation fault, validates the faulting address, maps the page
     (onto the single shared physical frame, or a fresh frame in the
-    ablation mode) and restarts execution from the beginning with all
-    registers, memory and flags reinitialised — guaranteeing the final
-    measured run computes an identical address trace. *)
+    ablation mode) and restarts execution from the beginning with
+    registers and flags re-initialised. Memory is not re-filled: bytes
+    an earlier attempt stored, including the part of a page-crossing
+    store that landed before its fault, stay in the frames for the next
+    attempt to read. The attempts are deterministic, so the final
+    measured run's address trace is too. *)
 
 open X86
 
@@ -29,7 +32,6 @@ type success = {
   steps : Xsem.Executor.step list;  (** the final, complete execution *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;
-  events : Xsem.Semantics.event list;
 }
 
 (* One fresh measuring-process state, as (re)initialised before every
@@ -39,6 +41,11 @@ let fresh_state (env : Environment.t) =
   Xsem.Machine_state.init_constant st (Environment.fill_value_u64 env);
   st.ftz <- env.disable_underflow;
   st
+
+let div_by_zero steps =
+  List.exists
+    (fun (s : Xsem.Executor.step) -> List.mem Xsem.Semantics.Div_by_zero s.events)
+    steps
 
 let run (env : Environment.t) (block : Inst.t list) ~unroll :
     (success, failure) result =
@@ -61,8 +68,7 @@ let run (env : Environment.t) (block : Inst.t list) ~unroll :
     let st = fresh_state env in
     match Xsem.Executor.run_unrolled st mmu block ~unroll with
     | Xsem.Executor.Completed steps ->
-      let events = List.concat_map (fun (s : Xsem.Executor.step) -> s.events) steps in
-      if List.mem Xsem.Semantics.Div_by_zero events then Error Arithmetic_fault
+      if div_by_zero steps then Error Arithmetic_fault
       else
         Ok
           {
@@ -70,12 +76,10 @@ let run (env : Environment.t) (block : Inst.t list) ~unroll :
             steps;
             faults = num_faults;
             distinct_frames = Memsim.Page_table.distinct_frames (Memsim.Mmu.table mmu);
-            events;
           }
     | Faulted { fault; steps; _ } ->
       (* A division fault can precede the memory fault. *)
-      let events = List.concat_map (fun (s : Xsem.Executor.step) -> s.events) steps in
-      if List.mem Xsem.Semantics.Div_by_zero events then Error Arithmetic_fault
+      if div_by_zero steps then Error Arithmetic_fault
       else begin
         let addr = Memsim.Fault.address fault in
         match env.mapping with

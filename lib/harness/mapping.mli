@@ -1,7 +1,8 @@
 (** The monitor/measure page-mapping algorithm (paper, Figure 2): run the
-    unrolled block from a re-initialised state, intercept each page
-    fault, map the page, restart; give up on unmappable addresses or
-    when the fault budget is exhausted. *)
+    unrolled block from re-initialised registers and flags, intercept
+    each page fault, map the page, restart; give up on unmappable
+    addresses or when the fault budget is exhausted. Restarts do not
+    re-fill memory: what earlier attempts stored stays in the frames. *)
 
 type failure =
   | Unmappable_address of int64
@@ -18,7 +19,6 @@ type success = {
   steps : Xsem.Executor.step list;  (** the final, complete execution *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;  (** 1 under single-physical-page aliasing *)
-  events : Xsem.Semantics.event list;
 }
 
 (** [run env block ~unroll] maps and executes [unroll] copies of

@@ -139,18 +139,20 @@ let measure_point_untraced (env : Environment.t)
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points:
-       [~fresh] flushes the caches, which restores exactly the state a
-       newly created machine would have. *)
-    let batch = Pipeline.Batch.for_descriptor descriptor in
-    let machine = Pipeline.Batch.machine batch in
+       [reset] flushes the caches, which restores exactly the state a
+       newly created machine would have. The warm-up and the timed run
+       execute the same steps, so they simulate one trace. *)
+    let machine = Pipeline.Machine.for_descriptor descriptor in
+    let trace = Pipeline.Machine.trace machine mapped.steps in
+    Pipeline.Machine.reset machine;
     (* Discarded warm-up execution: fills L1D/L1I. *)
-    ignore (Pipeline.Batch.run ~fresh:true batch mapped.steps);
+    ignore (Pipeline.Machine.simulate machine trace);
     (* Steady-state timed executions. The simulated machine is
        deterministic once warm, so one simulation gives the noise-free
        cycle count; each of the [env.timings] measurements then sees its
        own independently sampled OS noise, exactly what the repeat-and-
        filter protocol exists to reject. *)
-    let base = Pipeline.Machine.run machine mapped.steps in
+    let base = Pipeline.Machine.simulate machine trace in
     let timings =
       List.init env.timings (fun _ ->
           let cycles, counters =

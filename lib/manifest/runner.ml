@@ -423,8 +423,9 @@ let print_ground_truth_schedule fmt uarch block =
       (Harness.Mapping.failure_to_string f)
   | Ok mapped ->
     let machine = Pipeline.Machine.create uarch in
-    ignore (Pipeline.Machine.run machine mapped.steps);
-    let r = Pipeline.Machine.run ~record_schedule:true machine mapped.steps in
+    let trace = Pipeline.Machine.trace machine mapped.steps in
+    ignore (Pipeline.Machine.simulate machine trace);
+    let r = Pipeline.Machine.simulate ~record_schedule:true machine trace in
     let insts = Array.of_list block in
     Format.fprintf fmt "@.ground-truth schedule (4 unrolled iterations, warm):@.";
     List.iter

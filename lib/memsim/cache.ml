@@ -12,9 +12,10 @@ type t = {
   sets : int;
   ways : int;
   line_bytes : int;
-  (* tags.(set) is an array of line tags, -1L when invalid;
-     lru.(set).(way) is the last-use stamp. *)
-  tags : int64 array array;
+  (* tags.(set) is an array of line tags, -1 when invalid;
+     lru.(set).(way) is the last-use stamp. Lines are native ints:
+     physical addresses stay far below 2^62. *)
+  tags : int array array;
   lru : int array array;
   mutable clock : int;
   mutable hits : int;
@@ -29,7 +30,7 @@ let create ~size_bytes ~ways ~line_bytes =
     sets;
     ways;
     line_bytes;
-    tags = Array.init sets (fun _ -> Array.make ways (-1L));
+    tags = Array.init sets (fun _ -> Array.make ways (-1));
     lru = Array.init sets (fun _ -> Array.make ways 0);
     clock = 0;
     hits = 0;
@@ -39,26 +40,30 @@ let create ~size_bytes ~ways ~line_bytes =
 (* Standard Intel L1: 32 KiB, 8-way, 64-byte lines. *)
 let l1_default () = create ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64
 
-let line_of_addr t addr = Int64.div addr (Int64.of_int t.line_bytes)
+(* First and last line touched by [size] bytes at [addr]. *)
+let first_line t addr = Int64.to_int addr / t.line_bytes
 
-let set_of_line t line = Int64.to_int (Int64.rem line (Int64.of_int t.sets))
+let last_line t addr ~size =
+  (Int64.to_int addr + (if size > 1 then size - 1 else 0)) / t.line_bytes
+
+(* Way of [tags] holding [line], or -1. *)
+let rec find_way tags line w =
+  if w >= Array.length tags then -1
+  else if tags.(w) = line then w
+  else find_way tags line (w + 1)
 
 (* Access one line; returns true on hit. *)
 let access_line t line =
   t.clock <- t.clock + 1;
-  let set = set_of_line t line in
+  let set = line mod t.sets in
   let tags = t.tags.(set) and lru = t.lru.(set) in
-  let rec find w =
-    if w >= t.ways then None
-    else if Int64.equal tags.(w) line then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
+  let w = find_way tags line 0 in
+  if w >= 0 then begin
     lru.(w) <- t.clock;
     t.hits <- t.hits + 1;
     true
-  | None ->
+  end
+  else begin
     (* Evict the least recently used way. *)
     let victim = ref 0 in
     for w = 1 to t.ways - 1 do
@@ -68,26 +73,20 @@ let access_line t line =
     lru.(!victim) <- t.clock;
     t.misses <- t.misses + 1;
     false
+  end
 
 (** Access [size] bytes at physical address [addr]; returns the number of
     line misses (0, 1 or 2 — an access crossing a line boundary touches
     two lines, the event BHive's MISALIGNED_MEM_REFERENCE filter
     detects). *)
 let access t ~addr ~size =
-  let first = line_of_addr t addr in
-  let last = line_of_addr t (Int64.add addr (Int64.of_int (max 1 size - 1))) in
   let misses = ref 0 in
-  let line = ref first in
-  while Int64.compare !line last <= 0 do
-    if not (access_line t !line) then incr misses;
-    line := Int64.add !line 1L
+  for line = first_line t addr to last_line t addr ~size do
+    if not (access_line t line) then incr misses
   done;
   !misses
 
-let crosses_line t ~addr ~size =
-  let first = line_of_addr t addr in
-  let last = line_of_addr t (Int64.add addr (Int64.of_int (max 1 size - 1))) in
-  Int64.compare first last < 0
+let crosses_line t ~addr ~size = first_line t addr < last_line t addr ~size
 
 let hits t = t.hits
 let misses t = t.misses
@@ -97,7 +96,7 @@ let reset_stats t =
   t.misses <- 0
 
 let flush t =
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1L)) t.tags;
+  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) t.tags;
   Array.iter (fun set -> Array.fill set 0 (Array.length set) 0) t.lru;
   t.clock <- 0;
   reset_stats t

@@ -12,7 +12,7 @@ val create : size_bytes:int -> ways:int -> line_bytes:int -> t
 val l1_default : unit -> t
 
 (** Access one line by index; returns [true] on hit. *)
-val access_line : t -> int64 -> bool
+val access_line : t -> int -> bool
 
 (** Access [size] bytes at [addr]; returns the number of line misses
     (0-2: an access crossing a line boundary touches two lines). *)

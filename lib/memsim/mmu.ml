@@ -24,47 +24,48 @@ let create () = { phys = Phys_mem.create (); table = Page_table.create () }
 let phys t = t.phys
 let table t = t.table
 
-(* Translate one byte address; raises [Fault.Fault] when unmapped. *)
-let translate t vaddr =
+(* Physical page backing [vaddr]; raises [Fault.Fault] when unmapped.
+   Every byte of a page gets the same verdict, because the mappable
+   range is page-aligned at both ends. *)
+let translate_page t vaddr =
   if not (Fault.is_valid_address vaddr) then
     raise (Fault.Fault (Fault.Non_canonical vaddr));
-  let vpn = Fault.page_of_address vaddr in
-  match Page_table.translate_page t.table vpn with
-  | Some pfn ->
-    Int64.add (Fault.address_of_page pfn) (Int64.of_int (Fault.offset_in_page vaddr))
+  match Page_table.translate_page t.table (Fault.page_of_address vaddr) with
+  | Some pfn -> pfn
   | None -> raise (Fault.Fault (Fault.Segfault vaddr))
 
-(* Byte-wise rw crossing page boundaries correctly. *)
+(* Move [Bytes.length buf] bytes between [buf] and the frames backing
+   [vaddr], one translation and one blit per page, in address order: a
+   fault raised at a page boundary leaves the earlier pages' bytes
+   moved, and names the first byte of the faulting page — the first
+   faulting byte. Returns the first byte's physical address. *)
+let transfer t vaddr buf ~store =
+  let size = Bytes.length buf in
+  let paddr = ref 0L and k = ref 0 in
+  while !k < size do
+    let va = Int64.add vaddr (Int64.of_int !k) in
+    let pfn = translate_page t va and off = Fault.offset_in_page va in
+    let n = min (size - !k) (Fault.page_size - off) in
+    let frame = Phys_mem.frame t.phys pfn in
+    if store then Bytes.blit buf !k frame off n else Bytes.blit frame off buf !k n;
+    if !k = 0 then paddr := Int64.add (Fault.address_of_page pfn) (Int64.of_int off);
+    k := !k + n
+  done;
+  !paddr
+
 let read_bytes t vaddr size : bytes * access list =
   let out = Bytes.create size in
-  let accesses = ref [] in
-  let first_paddr = ref None in
-  for k = 0 to size - 1 do
-    let va = Int64.add vaddr (Int64.of_int k) in
-    let pa = translate t va in
-    if !first_paddr = None then first_paddr := Some pa;
-    let pfn = Fault.page_of_address pa and off = Fault.offset_in_page pa in
-    Bytes.set out k (Char.chr (Phys_mem.read_byte t.phys pfn off))
-  done;
-  (match !first_paddr with
-  | Some paddr ->
-    accesses := [ { vaddr; paddr; size; is_store = false } ]
-  | None -> ());
-  (out, !accesses)
+  if size = 0 then (out, [])
+  else
+    let paddr = transfer t vaddr out ~store:false in
+    (out, [ { vaddr; paddr; size; is_store = false } ])
 
 let write_bytes t vaddr (data : bytes) : access list =
   let size = Bytes.length data in
-  let first_paddr = ref None in
-  for k = 0 to size - 1 do
-    let va = Int64.add vaddr (Int64.of_int k) in
-    let pa = translate t va in
-    if !first_paddr = None then first_paddr := Some pa;
-    let pfn = Fault.page_of_address pa and off = Fault.offset_in_page pa in
-    Phys_mem.write_byte t.phys pfn off (Char.code (Bytes.get data k))
-  done;
-  match !first_paddr with
-  | Some paddr -> [ { vaddr; paddr; size; is_store = true } ]
-  | None -> []
+  if size = 0 then []
+  else
+    let paddr = transfer t vaddr data ~store:true in
+    [ { vaddr; paddr; size; is_store = true } ]
 
 let read_u64 t vaddr =
   let b, _ = read_bytes t vaddr 8 in

@@ -13,9 +13,12 @@
 
     The cycle loop is allocation-free: uops are consumed as int-packed
     codes ({!Uarch.Flat}), machine state lives in mutable scratch arrays
-    reused across simulated blocks ({!Scratch}), and the store-forwarding
+    reused across simulated blocks ({!Scratch}), the store-forwarding
     table is an epoch-stamped open-addressed int table rather than a
-    fresh [Hashtbl] per simulation. *)
+    fresh [Hashtbl] per simulation, and cache lookups and port claims
+    allocate nothing. A call allocates a constant (counters, result,
+    loop closures), whatever the trace length; test/test_batch.ml pins
+    this. *)
 
 open Uarch
 
@@ -248,11 +251,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       let line0 = di.code_addr / 64
       and line1 = (di.code_addr + st.s_code_len - 1) / 64 in
       for line = line0 to line1 do
-        if not (Memsim.Cache.access_line l1i (Int64.of_int line)) then begin
+        if not (Memsim.Cache.access_line l1i line) then begin
           c.l1i_misses <- c.l1i_misses + 1;
           (* instruction lines refill from the unified L2; tag them into
              a distinct address range so they do not alias data lines *)
-          let l2_line = Int64.add 0x4000000L (Int64.of_int line) in
+          let l2_line = 0x4000000 + line in
           let extra =
             if Memsim.Cache.access_line l2 l2_line then 0
             else begin

@@ -33,20 +33,31 @@ let reset t =
   Memsim.Cache.flush t.l1i;
   Memsim.Cache.flush t.l2
 
-(* Simulate the timing of one completed architectural execution. The
-   telemetry span wraps the whole decode+simulate step; the branch on
-   [Trace.enabled] keeps the traced path (closure, attribute thunk) off
-   the hot path when no sink is installed. *)
-let run ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
+(* [f ()], its wall time added to [pipeline.sim_ns]. *)
+let timed f =
+  let t0 = Telemetry.Trace.now_ns () in
+  let r = f () in
+  Telemetry.Metrics.add m_sim_ns
+    (Int64.to_int (Int64.sub (Telemetry.Trace.now_ns ()) t0));
+  r
+
+(* Build the trace of [steps] for this machine's descriptor. Its time
+   counts towards [pipeline.sim_ns]: a simulated block's cost includes
+   the trace it runs on, built once however often it is simulated. *)
+let trace t (steps : Xsem.Executor.step list) : Trace.dyn_inst list =
+  timed (fun () -> Trace.of_steps t.descriptor steps)
+
+(* Simulate the timing of one completed architectural execution, given
+   as its trace. The telemetry span wraps the core cycle loop; the
+   branch on [Telemetry.Trace.enabled] keeps the traced path (closure,
+   attribute thunk) off the hot path when no sink is installed. *)
+let simulate ?record_schedule t (trace : Trace.dyn_inst list) : Core.result =
   let simulate () =
-    let t0 = Telemetry.Trace.now_ns () in
-    let trace = Trace.of_steps t.descriptor steps in
     let r =
-      Core.simulate ?record_schedule ~scratch:t.scratch t.descriptor
-        ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace
+      timed (fun () ->
+          Core.simulate ?record_schedule ~scratch:t.scratch t.descriptor
+            ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace)
     in
-    Telemetry.Metrics.add m_sim_ns
-      (Int64.to_int (Int64.sub (Telemetry.Trace.now_ns ()) t0));
     Telemetry.Metrics.incr m_blocks;
     r
   in
@@ -77,3 +88,21 @@ let run ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
       (fun () -> result := Some (simulate ()));
     match !result with Some r -> r | None -> assert false
   end
+
+let run ?record_schedule t steps = simulate ?record_schedule t (trace t steps)
+
+(* Per-domain machine cache, keyed by descriptor physical identity. The
+   shipped descriptors are module-level constants, so this holds at most
+   a few entries per domain; domains never share a machine, keeping the
+   mutable scratch state race-free. *)
+let dls_cache : (Uarch.Descriptor.t * t) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let for_descriptor (d : Uarch.Descriptor.t) =
+  let cache = Domain.DLS.get dls_cache in
+  match List.assq_opt d !cache with
+  | Some m -> m
+  | None ->
+    let m = create d in
+    cache := (d, m) :: !cache;
+    m

@@ -17,6 +17,21 @@ val create : Uarch.Descriptor.t -> t
 (** Flush both caches. *)
 val reset : t -> unit
 
-(** Simulate the timing of one completed architectural execution;
-    deterministic given the machine state. *)
+(** Build the dynamic trace of [steps] under the machine's descriptor.
+    Its build time counts towards [pipeline.sim_ns], so a caller that
+    simulates one trace several times pays, and accounts, one build. *)
+val trace : t -> Xsem.Executor.step list -> Trace.dyn_inst list
+
+(** Simulate the timing of one completed architectural execution, given
+    as its trace; deterministic given the machine state. The trace is
+    not modified, so it can be simulated again. *)
+val simulate : ?record_schedule:bool -> t -> Trace.dyn_inst list -> Core.result
+
+(** [trace] followed by [simulate]. *)
 val run : ?record_schedule:bool -> t -> Xsem.Executor.step list -> Core.result
+
+(** The calling domain's machine for [d], created on first use and
+    reused afterwards (keyed by descriptor physical identity). Domains
+    never share one, so its mutable scratch state needs no lock. Call
+    [reset] before a run that must not see earlier runs' caches. *)
+val for_descriptor : Uarch.Descriptor.t -> t

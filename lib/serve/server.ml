@@ -19,7 +19,7 @@
      (Engine.run_batch's memo cache is submitting-thread-only, and an
      engine created with [~jobs:1] executes its batch inline on the
      calling domain, so each dispatcher domain gets its own
-     [Pipeline.Batch] machine through the existing Domain.DLS
+     machine ([Pipeline.Machine.for_descriptor]) through the Domain.DLS
      discipline): it pops up to [batch_max] queued entries, sheds the
      expired ones, answers warm ones via Engine.peek, micro-batches
      the rest through [Engine.run_batch], and fulfils every waiter.

@@ -92,23 +92,24 @@ let rec find p ~epoch c =
 (** First free cycle >= [ready] on port [p], without claiming it. *)
 let peek t ~port ~ready = find t.ports.(port) ~epoch:t.epoch (max 0 ready)
 
+(* First occupied cycle among [start+k .. start+busy-1], or -1 when all
+   are free (cycles are non-negative, so -1 flags a clean run). *)
+let rec first_blocked p ~epoch ~busy start k =
+  if k >= busy then -1
+  else
+    let c = find p ~epoch (start + k) in
+    if c = start + k then first_blocked p ~epoch ~busy start (k + 1) else c
+
+(* Earliest free cycle >= [start] that begins [busy] free cycles. *)
+let rec find_run p ~epoch ~busy start =
+  let blocked = first_blocked p ~epoch ~busy start 1 in
+  if blocked < 0 then start else find_run p ~epoch ~busy (find p ~epoch blocked)
+
 (** Claim [busy] consecutive free cycles, the first starting at or after
     [ready] on [port]; returns the start cycle. *)
 let claim t ~port ~ready ~busy =
   let p = t.ports.(port) and epoch = t.epoch in
-  let rec find_run start =
-    (* verify cells start .. start+busy-1 are all free; cycles are
-       non-negative, so -1 can flag a clean run *)
-    let rec check k =
-      if k >= busy then -1
-      else
-        let c = find p ~epoch (start + k) in
-        if c = start + k then check (k + 1) else c
-    in
-    let blocked = check 1 in
-    if blocked < 0 then start else find_run (find p ~epoch blocked)
-  in
-  let start = find_run (find p ~epoch (max 0 ready)) in
+  let start = find_run p ~epoch ~busy (find p ~epoch (max 0 ready)) in
   for c = start to start + busy - 1 do
     set p ~epoch c (c + 1)
   done;

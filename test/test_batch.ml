@@ -174,6 +174,94 @@ let test_batch_mixed_block () =
           (Pipeline.simulate_batch d [ mapped.steps; mapped.steps ]))
       uarches
 
+(* One trace simulated twice on a machine == two [Machine.run]s of its
+   steps on a fresh one: the profiler's warm-up and timed run share a
+   trace, so simulating it must leave it reusable and each run must see
+   exactly the cache state a rebuilt trace would. *)
+let trace_reuse_matches_run =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"one trace twice == two runs" ~count:25
+       (QCheck.make ~print:print_block block_gen)
+       (fun block ->
+         match Harness.Mapping.run Harness.Environment.default block ~unroll:4 with
+         | Error _ -> true
+         | Ok mapped ->
+           List.for_all
+             (fun d ->
+               let m = Pipeline.Machine.create d in
+               let trace = Pipeline.Machine.trace m mapped.steps in
+               let shared = List.init 2 (fun _ -> Pipeline.Machine.simulate m trace) in
+               let m = Pipeline.Machine.create d in
+               let runs = List.init 2 (fun _ -> Pipeline.Machine.run m mapped.steps) in
+               List.for_all2
+                 (fun (a : Pipeline.Core.result) (b : Pipeline.Core.result) ->
+                   a.cycles = b.cycles && counters_equal a.counters b.counters)
+                 shared runs)
+             uarches))
+
+(* Minor-heap words [f ()] allocates, less what measuring a call that
+   allocates nothing reads. *)
+let minor_words f =
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  int_of_float (words f -. words ignore)
+
+(* The cycle loop's allocation contract: a cache access and a port
+   claim allocate nothing, and [Core.simulate] on a warm reused machine
+   allocates a per-call constant that does not grow with the trace. *)
+let test_allocation_contract () =
+  let c = Memsim.Cache.l1_default () in
+  let addrs = Array.init 1000 (fun k -> Int64.of_int (k * 60)) in
+  let accesses () =
+    for k = 0 to Array.length addrs - 1 do
+      ignore (Memsim.Cache.access c ~addr:addrs.(k) ~size:8);
+      ignore (Memsim.Cache.crosses_line c ~addr:addrs.(k) ~size:8)
+    done
+  in
+  Alcotest.(check int) "Cache.access words" 0 (minor_words accesses);
+  let ps = Uarch.Port_schedule.create ~n_ports:4 in
+  let claims () =
+    Uarch.Port_schedule.reset ps;
+    for k = 0 to 999 do
+      ignore (Uarch.Port_schedule.claim ps ~port:(k land 3) ~ready:(k / 3) ~busy:(1 + (k mod 5)))
+    done
+  in
+  claims ();
+  Alcotest.(check int) "Port_schedule.claim words" 0 (minor_words claims);
+  let block =
+    Parser.block_exn
+      "mov $7, %rcx\n\
+       xor %rdx, %rdx\n\
+       mov (%rbx), %rax\n\
+       add $3, %rax\n\
+       divq %rcx\n\
+       mov %rax, 8(%rbx)"
+  in
+  let steps unroll =
+    match Harness.Mapping.run Harness.Environment.default block ~unroll with
+    | Ok m -> m.steps
+    | Error f -> Alcotest.failf "%s" (Harness.Mapping.failure_to_string f)
+  in
+  List.iter
+    (fun (d : Uarch.Descriptor.t) ->
+      let m = Pipeline.Machine.create d in
+      let simulate trace () =
+        ignore
+          (Pipeline.Core.simulate ~scratch:m.scratch d ~l1d:m.l1d ~l1i:m.l1i ~l2:m.l2 trace)
+      in
+      let t8 = Pipeline.Trace.of_steps d (steps 8) and t64 = Pipeline.Trace.of_steps d (steps 64) in
+      (* grow the machine's tables to the longer trace first *)
+      simulate t64 ();
+      simulate t8 ();
+      Alcotest.(check int)
+        (d.short ^ " Core.simulate words, unroll 8 vs 64")
+        (minor_words (simulate t8))
+        (minor_words (simulate t64)))
+    uarches
+
 let suite =
   [
     batch_matches_fresh;
@@ -182,4 +270,6 @@ let suite =
     Alcotest.test_case "flat table digests golden" `Quick
       test_flat_digest_golden;
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
+    trace_reuse_matches_run;
+    Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
   ]

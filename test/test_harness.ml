@@ -148,6 +148,28 @@ let test_reinitialization_identical_trace () =
       in
       Alcotest.(check (list int64)) "identical traces" (addrs m1) (addrs m2))
 
+(* Each measure point simulates one trace twice, the warm-up and the
+   timed run, and counts both in [pipeline.blocks], so
+   [perf.blocks_per_sec] keeps its meaning. *)
+let test_blocks_per_point () =
+  let blocks = Telemetry.Metrics.counter "pipeline.blocks" in
+  List.iter
+    (fun ((env : Harness.Environment.t), block) ->
+      let f = Harness.Unroll.choose env.unroll block in
+      let points = if f.small = 0 then 1 else 2 in
+      let before = Telemetry.Metrics.value blocks in
+      (match Harness.Profiler.profile env Uarch.All.haswell block with
+      | Ok _ -> ()
+      | Error f -> Alcotest.failf "%s" (Harness.Profiler.failure_to_string f));
+      Alcotest.(check int)
+        (Printf.sprintf "%d points" points)
+        (2 * points)
+        (Telemetry.Metrics.value blocks - before))
+    [
+      (default, Corpus.Paper_blocks.gzip_crc);
+      ({ default with unroll = Harness.Environment.Naive 100 }, Parser.block_exn "add $1, %rax");
+    ]
+
 let suite =
   [
     Alcotest.test_case "mapping crc block" `Quick test_mapping_crc;
@@ -165,4 +187,5 @@ let suite =
     Alcotest.test_case "noise rejects" `Quick test_noisy_environment_rejects;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "reinitialisation" `Quick test_reinitialization_identical_trace;
+    Alcotest.test_case "two blocks per measure point" `Quick test_blocks_per_point;
   ]

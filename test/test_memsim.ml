@@ -103,6 +103,122 @@ let prop_cache_miss_bound =
       let m = Memsim.Cache.access c ~addr:(Int64.of_int addr) ~size in
       m >= 1 && m <= 2)
 
+(* The byte-at-a-time MMU that the page-granular one must match:
+   translate every byte on its own and fault at the first byte that
+   cannot be translated. *)
+module Bytewise = struct
+  open Memsim
+
+  let translate mmu va =
+    if not (Fault.is_valid_address va) then raise (Fault.Fault (Fault.Non_canonical va));
+    match Page_table.translate_page (Mmu.table mmu) (Fault.page_of_address va) with
+    | Some pfn -> Int64.add (Fault.address_of_page pfn) (Int64.of_int (Fault.offset_in_page va))
+    | None -> raise (Fault.Fault (Fault.Segfault va))
+
+  (* Visit each byte's physical address in order; the access record
+     names the first one. *)
+  let each_byte mmu vaddr size ~is_store f : Mmu.access list =
+    let first = ref None in
+    for k = 0 to size - 1 do
+      let pa = translate mmu (Int64.add vaddr (Int64.of_int k)) in
+      if !first = None then first := Some pa;
+      f k (Fault.page_of_address pa) (Fault.offset_in_page pa)
+    done;
+    match !first with Some paddr -> [ { vaddr; paddr; size; is_store } ] | None -> []
+
+  let read_bytes mmu vaddr size =
+    let out = Bytes.create size in
+    let accesses =
+      each_byte mmu vaddr size ~is_store:false (fun k pfn off ->
+          Bytes.set out k (Char.chr (Phys_mem.read_byte (Mmu.phys mmu) pfn off)))
+    in
+    (out, accesses)
+
+  let write_bytes mmu vaddr data =
+    each_byte mmu vaddr (Bytes.length data) ~is_store:true (fun k pfn off ->
+        Phys_mem.write_byte (Mmu.phys mmu) pfn off (Char.code (Bytes.get data k)))
+end
+
+(* A window of four consecutive virtual pages from [base], each
+   unmapped (0), aliased onto one shared frame (1) or given a fresh
+   frame (2). Frames hold distinct fill patterns. Returns the MMU and
+   its frames. *)
+let mmu_window ~base kinds =
+  let mmu = Memsim.Mmu.create () in
+  let phys = Memsim.Mmu.phys mmu in
+  let shared = Memsim.Phys_mem.allocate phys in
+  Memsim.Phys_mem.fill_const phys shared 0x12345600l;
+  let frames = ref [ shared ] in
+  List.iteri
+    (fun i kind ->
+      let vpn = Int64.add base (Int64.of_int i) in
+      match kind with
+      | 1 -> Memsim.Mmu.map_aliased mmu ~vpn ~pfn:shared
+      | 2 ->
+        let pfn = Memsim.Mmu.map_fresh mmu vpn in
+        Memsim.Phys_mem.fill_const phys pfn (Int32.of_int (0x01020304 * (i + 1)));
+        frames := pfn :: !frames
+      | _ -> ())
+    kinds;
+  (mmu, !frames)
+
+let mmu_case_gen =
+  QCheck.Gen.(
+    (* windows across the zero page, in the middle of user space, and
+       across the top of the canonical range, so some pages are
+       non-canonical whether mapped or not *)
+    let* base = oneofl [ 0L; 0x12344L; 0x7FFFFFFFDL ] in
+    let* kinds = list_repeat 4 (int_bound 2) in
+    let* page = int_bound 3 in
+    (* most accesses start within 32 bytes of a page end, so they
+       straddle the edge *)
+    let* off = frequency [ (3, map (fun d -> 4096 - d) (int_range 1 32)); (1, int_bound 4095) ] in
+    let* size = int_bound 32 in
+    let* store = bool in
+    let+ fill = char in
+    (base, kinds, page, off, size, store, fill))
+
+let print_mmu_case (base, kinds, page, off, size, store, fill) =
+  Printf.sprintf "base=0x%Lx kinds=[%s] page=%d off=%d size=%d %s fill=%C" base
+    (String.concat ";" (List.map string_of_int kinds))
+    page off size
+    (if store then "write" else "read")
+    fill
+
+(* Page-granular read_bytes/write_bytes against the byte-by-byte
+   reference: the same bytes and access records, the same fault, and
+   the same frame contents afterwards — a write that faults part-way
+   leaves the bytes before the faulting page written. *)
+let prop_mmu_matches_bytewise =
+  QCheck.Test.make ~name:"page-granular mmu == byte-by-byte" ~count:2000
+    (QCheck.make ~print:print_mmu_case mmu_case_gen)
+    (fun ((base, kinds, page, off, size, store, fill) as case) ->
+      let run read write =
+        let mmu, frames = mmu_window ~base kinds in
+        let vaddr =
+          Int64.add (Memsim.Fault.address_of_page (Int64.add base (Int64.of_int page)))
+            (Int64.of_int off)
+        in
+        let data = Bytes.init size (fun i -> Char.chr ((Char.code fill + (7 * i)) land 0xFF)) in
+        let result =
+          match
+            if store then (None, write mmu vaddr data)
+            else
+              let data, accesses = read mmu vaddr size in
+              (Some data, accesses)
+          with
+          | r -> Ok r
+          | exception Memsim.Fault.Fault f -> Error f
+        in
+        let contents =
+          List.map (fun pfn -> Bytes.to_string (Memsim.Phys_mem.frame (Memsim.Mmu.phys mmu) pfn)) frames
+        in
+        (result, contents)
+      in
+      run Memsim.Mmu.read_bytes Memsim.Mmu.write_bytes
+      = run Bytewise.read_bytes Bytewise.write_bytes
+      || QCheck.Test.fail_reportf "differs on %s" (print_mmu_case case))
+
 let suite =
   [
     Alcotest.test_case "valid addresses" `Quick test_valid_addresses;
@@ -117,4 +233,5 @@ let suite =
     Alcotest.test_case "cache capacity/LRU" `Quick test_cache_capacity;
     Alcotest.test_case "single page fits L1" `Quick test_cache_single_page_fits;
     QCheck_alcotest.to_alcotest prop_cache_miss_bound;
+    QCheck_alcotest.to_alcotest prop_mmu_matches_bytewise;
   ]

@@ -18,7 +18,8 @@
     Simulator throughput is reported in the summary's [perf] object
     ([blocks_per_sec]: simulated blocks per in-simulator core-second)
     and gated in CI against bench/baseline_summary.json with
-    [bhive_bench_diff --min-speedup]. The flat-table/zero-allocation
+    [bhive_bench_diff --gate 'perf.blocks_per_sec >= 0.8x']. The
+    flat-table/zero-allocation
     fast path (DESIGN.md §9) measured 5.15x over the original cycle
     loop on this manifest (211.7 -> 1090.2 blocks/sec, matched
     back-to-back runs at BHIVE_JOBS=2), against a 3x target. *)

@@ -1,239 +1,109 @@
 (* bhive_bench_diff: compare two bench_summary.json files and exit
    non-zero when the perf trajectory regressed — the CI gate.
 
-     bhive_bench_diff baseline.json current.json [thresholds]
+     bhive_bench_diff [--identical] [--gate GATE]... BASELINE CURRENT
 
-   Exit codes: 0 pass (warnings allowed), 1 regression, 2 unreadable /
-   unparseable / too-old-schema input, 3 the two summaries come from
-   different experiments (manifest experiment ids differ) and are not
-   comparable at all. See Telemetry.Bench_diff for the comparison
-   rules. *)
+   See Telemetry.Bench_diff for the gate language and the fixed
+   checks; --help shows the gate grammar and the exit codes. *)
 
 open Cmdliner
+module Bench_diff = Telemetry.Bench_diff
+module Json = Telemetry.Json
 
-let read_summary what path =
+let fail msg =
+  prerr_endline msg;
+  exit 2
+
+(* Read, parse and schema-check one summary (pre-v5 summaries cannot
+   prove they measured the same experiment), or exit 2. *)
+let read what path =
+  let checked j = Result.map (fun () -> j) (Bench_diff.check_schema j) in
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg ->
-    Error (Printf.sprintf "cannot read %s summary %s: %s" what path msg)
-  | contents -> (
-    match Telemetry.Json.parse contents with
-    | Ok v -> Ok v
-    | Error msg ->
-      Error (Printf.sprintf "cannot parse %s summary %s: %s" what path msg))
+    fail (Printf.sprintf "cannot read %s summary: %s" what msg)
+  | text -> (
+    match Result.bind (Json.parse text) checked with
+    | Error msg -> fail (Printf.sprintf "%s summary %s: %s" what path msg)
+    | Ok j ->
+      let field k =
+        Option.fold ~none:"?" ~some:(Json.to_string ~compact:true)
+          (Json.member k j)
+      in
+      Printf.printf "%-8s: scale=%s rev=%s\n" what (field "scale")
+        (field "rev");
+      j)
 
-let describe what j =
-  let field name =
-    Option.bind (Telemetry.Json.member name j) (fun v ->
-        match v with
-        | Telemetry.Json.String s -> Some s
-        | Telemetry.Json.Number n -> Some (Telemetry.Json.number_to_string n)
-        | _ -> None)
+let run identical gates baseline current =
+  (* every gate is parsed before any summary is read *)
+  let gates =
+    List.map
+      (fun g ->
+        match Bench_diff.parse_gate g with Ok g -> g | Error e -> fail e)
+      gates
   in
-  Printf.printf "%s: scale=%s rev=%s\n" what
-    (Option.value ~default:"?" (field "scale"))
-    (Option.value ~default:"?" (field "rev"))
+  let baseline = read "baseline" baseline in
+  let current = read "current" current in
+  let report =
+    Bench_diff.compare_summaries ~identical ~gates ~baseline ~current ()
+  in
+  Bench_diff.pp_report Format.std_formatter report;
+  exit (Bench_diff.exit_code report)
 
-let run baseline_path current_path executed_rel executed_abs hit_rate_rel
-    wall_rel wall_abs wall_fails identical min_store_hit_rate min_speedup
-    min_coalesce max_p99_ms min_rps max_refine_error min_refine_hit_rate =
-  match
-    (read_summary "baseline" baseline_path, read_summary "current" current_path)
-  with
-  | Error msg, _ | _, Error msg ->
-    prerr_endline msg;
-    exit 2
-  | Ok baseline, Ok current ->
-    (* pre-manifest summaries (schema < 5: no manifest ids, counters
-       not yet classified volatile) cannot be compared: say so
-       precisely instead of failing on a missing field *)
-    (match
-       ( Telemetry.Bench_diff.check_schema baseline,
-         Telemetry.Bench_diff.check_schema current )
-     with
-    | Error msg, _ ->
-      Printf.eprintf
-        "baseline %s: %s\nRegenerate it with the current bench harness (see \
-         bench/README.md).\n"
-        baseline_path msg;
-      exit 2
-    | _, Error msg ->
-      Printf.eprintf "current %s: %s\n" current_path msg;
-      exit 2
-    | Ok (), Ok () -> ());
-    describe "baseline" baseline;
-    describe "current " current;
-    let thresholds =
-      {
-        Telemetry.Bench_diff.executed_rel;
-        executed_abs;
-        hit_rate_rel;
-        wall_rel;
-        wall_abs;
-        wall_fails;
-      }
-    in
-    let report =
-      Telemetry.Bench_diff.compare_summaries ~thresholds
-        ~require_identical:identical ?min_store_hit_rate ?min_speedup
-        ?min_coalesce ?max_p99_ms ?min_rps ?max_refine_error
-        ?min_refine_hit_rate ~baseline ~current ()
-    in
-    Telemetry.Bench_diff.pp_report Format.std_formatter report;
-    exit (Telemetry.Bench_diff.exit_code report)
+let man =
+  [
+    `S "GATES";
+    `P
+      "A gate is $(b,[warn ]PATH OP BOUND). PATH is a dotted JSON path; \
+       $(b,sections.*.F) applies F to each baseline section, matched by \
+       name. OP is <=, >= or ==; a value exactly at its bound passes. \
+       BOUND is N, Kx (K times the baseline's value at PATH) or Kx + N, \
+       with finite JSON numbers. $(b,warn) makes a violation a warning.";
+    `P
+      "A gate fails where the current summary has no number at PATH. A Kx \
+       bound also fails where the baseline has none, or has 0 and no \
+       nonzero + N. Examples:";
+    `Pre
+      "  --gate 'perf.blocks_per_sec >= 0.8x'\n\
+      \  --gate 'warn perf.blocks_per_sec >= 1x'\n\
+      \  --gate 'serving.lost == 0'\n\
+      \  --gate 'refine.final_error <= 0.005'\n\
+      \  --gate 'sections.*.wall_seconds <= 1.5x + 1'";
+    `P
+      "Unless $(b,--identical) is given, these default gates apply, each \
+       skipped where it cannot be evaluated:";
+    `Pre
+      (String.concat "\n"
+         (List.map (fun g -> "  " ^ Bench_diff.gate_text g)
+            Bench_diff.default_gates));
+    `S Manpage.s_exit_status;
+    `P
+      "1 on a regression, 2 on a malformed gate or an unreadable or pre-v5 \
+       summary, 3 when the manifest experiment ids differ.";
+  ]
 
 let cmd =
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline bench_summary.json.")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Freshly generated bench_summary.json.")
-  in
-  let d = Telemetry.Bench_diff.default_thresholds in
-  let executed_rel =
-    Arg.(
-      value
-      & opt float d.executed_rel
-      & info [ "executed-threshold" ]
-          ~doc:"Allowed relative increase in executed job counts.")
-  in
-  let executed_abs =
-    Arg.(
-      value
-      & opt float d.executed_abs
-      & info [ "executed-slack" ]
-          ~doc:"Absolute slack on executed job counts (covers tiny sections).")
-  in
-  let hit_rate_rel =
-    Arg.(
-      value
-      & opt float d.hit_rate_rel
-      & info [ "hit-rate-threshold" ]
-          ~doc:"Allowed relative drop in cache-hit rate.")
-  in
-  let wall_rel =
-    Arg.(
-      value
-      & opt float d.wall_rel
-      & info [ "wall-threshold" ]
-          ~doc:"Allowed relative increase in wall seconds.")
-  in
-  let wall_abs =
-    Arg.(
-      value
-      & opt float d.wall_abs
-      & info [ "wall-slack" ] ~doc:"Absolute slack on wall seconds.")
-  in
-  let wall_fails =
-    Arg.(
-      value & flag
-      & info [ "fail-on-wall" ]
-          ~doc:
-            "Treat wall-time violations as regressions instead of warnings \
-             (leave off on shared CI runners).")
+  let summary n docv doc =
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc)
   in
   let identical =
     Arg.(
       value & flag
       & info [ "identical" ]
           ~doc:
-            "Require the two summaries to be structurally identical after \
-             stripping volatile fields (wall times, utilization, store/cache \
-             traffic, telemetry snapshot). The warm-cache and kill-resume \
-             CI gate: the second run must reproduce the first run's \
-             experiment output byte-for-byte. Relative counter thresholds \
-             are not gated in this mode (those fields are volatile by its \
-             contract); absolute invariants still are.")
+            "Require the summaries to be identical after stripping volatile \
+             fields, in place of the default gates.")
   in
-  let min_store_hit_rate =
+  let gates =
     Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-store-hit-rate" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's store hit rate \
-             ($(b,store.hit_rate)) is at least RATE — e.g. 0.95 for the \
-             warm-cache job.")
-  in
-  let min_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's simulator throughput \
-             ($(b,perf.blocks_per_sec), simulated blocks per in-simulator \
-             core-second) is at least RATE times the baseline's — e.g. 0.8 \
-             for the CI perf job. Ratios between RATE and 1.0 warn.")
-  in
-  let min_coalesce =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-coalesce" ] ~docv:"RATIO"
-          ~doc:
-            "Fail unless the current run's request coalesce ratio \
-             ($(b,serving.coalesce_ratio), requests answered per engine \
-             submission) is at least RATIO — e.g. 1.05 for the CI serve \
-             job, which replays duplicate blocks concurrently.")
-  in
-  let max_p99_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-p99-ms" ] ~docv:"MS"
-          ~doc:
-            "Fail if the current run's p99 request latency \
-             ($(b,serving.p99_ms)) exceeds MS milliseconds.")
-  in
-  let min_rps =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-rps" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's serving throughput \
-             ($(b,serving.requests_per_sec), answered requests per replay \
-             second) is at least RATE times the baseline's — e.g. 0.8 for \
-             the CI serve-perf job. A baseline without the field fails \
-             cleanly.")
-  in
-  let max_refine_error =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-refine-error" ] ~docv:"ERR"
-          ~doc:
-            "Fail if the current run's descriptor-refinement final error \
-             ($(b,refine.final_error), schema v9) exceeds ERR — the CI \
-             refine job's recovery gate. A pre-v9 summary fails cleanly.")
-  in
-  let min_refine_hit_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-refine-hit-rate" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's cross-eval refinement store hit \
-             rate ($(b,refine.store_hit_rate), schema v9) is at least RATE \
-             — e.g. 0.5 to prove candidate evaluations re-simulate only the \
-             blocks their patch touches.")
-  in
-  let term =
-    Term.(
-      const run $ baseline $ current $ executed_rel $ executed_abs
-      $ hit_rate_rel $ wall_rel $ wall_abs $ wall_fails $ identical
-      $ min_store_hit_rate $ min_speedup $ min_coalesce $ max_p99_ms
-      $ min_rps $ max_refine_error $ min_refine_hit_rate)
+      value & opt_all string []
+      & info [ "gate" ] ~docv:"GATE" ~doc:"Add a gate (see GATES); repeatable.")
   in
   Cmd.v
-    (Cmd.info "bhive_bench_diff"
+    (Cmd.info "bhive_bench_diff" ~man
        ~doc:"Gate on bench_summary.json regressions between two revisions.")
-    term
+    Term.(
+      const run $ identical $ gates
+      $ summary 0 "BASELINE" "Baseline bench_summary.json."
+      $ summary 1 "CURRENT" "Freshly generated bench_summary.json.")
 
 let () = exit (Cmd.eval cmd)

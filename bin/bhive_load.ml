@@ -14,13 +14,13 @@
    same job (always over v1 single predicts — so a batched load run
    plus --verify crosses the two wire versions against one server).
 
-   The summary (--summary) is a schema-v8 bench_summary.json carrying
-   a [serving] object, gated in CI by bhive_bench_diff:
-   [serving.lost] and [serving.shed_after_accept] must be zero,
-   --min-coalesce / --max-p99-ms bound the service-level numbers, and
-   --min-rps floors [serving.requests_per_sec] against a baseline. The
-   manifest identity is [Manifest.Spec.bench] at the replayed scale
-   (or the spec loaded from --manifest), so a load summary and a
+   The summary (--summary) is a bench_summary.json carrying a
+   [serving] object, gated in CI by bhive_bench_diff:
+   [serving.lost] and [serving.shed_after_accept] must be zero, and
+   gates such as --gate 'serving.p99_ms <= 1000' or --gate
+   'serving.requests_per_sec >= 0.8x' bound the service-level numbers.
+   The manifest identity is [Manifest.Spec.bench] at the replayed
+   scale (or the spec loaded from --manifest), so a load summary and a
    serving baseline from the same scale agree on their experiment id.
 
    Exit codes: 0 success; 1 lost requests or verification mismatches;
@@ -499,7 +499,8 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     let doc =
       Json.Object
         [
-          ("schema_version", Json.Number 9.0);
+          ( "schema_version",
+            Json.Number Telemetry.Bench_diff.schema_version );
           ("scale", Json.Number (float_of_int config.Corpus.Suite.scale));
           ("rev", Json.String rev);
           ("name", Json.String "serve-load");
@@ -593,8 +594,8 @@ let cmd =
       & opt (some string) None
       & info [ "summary" ] ~docv:"PATH"
           ~doc:
-            "Write a schema-v8 bench_summary.json with a $(b,serving) \
-             object (gate it with bhive_bench_diff).")
+            "Write a bench_summary.json with a $(b,serving) object (gate \
+             it with bhive_bench_diff --gate).")
   in
   let term =
     Term.(

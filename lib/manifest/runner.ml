@@ -619,8 +619,9 @@ let summary_json ~(spec : Spec.t) ~manifest_id ~experiment_id ~journal_digest
     (* Simulator throughput, from the pipeline's always-on counters.
        [blocks_per_sec] is simulated blocks over cumulative in-simulator
        core-seconds — a machine-load-insensitive rate the CI perf job
-       gates on (bhive_bench_diff --min-speedup). The wall breakdown is
-       informational and volatile, like every other timing field. *)
+       gates on (bhive_bench_diff --gate 'perf.blocks_per_sec >= 0.8x').
+       The wall breakdown is informational and volatile, like every
+       other timing field. *)
     let perf =
       let value name =
         Telemetry.Metrics.value (Telemetry.Metrics.counter name)
@@ -651,7 +652,7 @@ let summary_json ~(spec : Spec.t) ~manifest_id ~experiment_id ~journal_digest
         ]
     in
     Json.Object
-      (("schema_version", Json.Number 9.0)
+      (("schema_version", Json.Number Telemetry.Bench_diff.schema_version)
       :: ("scale", Json.Number (float_of_int spec.corpus.scale))
       :: ("rev", Json.String rev)
       :: ("name", Json.String spec.name)

@@ -1,23 +1,6 @@
 (* See bench_diff.mli. *)
 
-type thresholds = {
-  executed_rel : float;
-  executed_abs : float;
-  hit_rate_rel : float;
-  wall_rel : float;
-  wall_abs : float;
-  wall_fails : bool;
-}
-
-let default_thresholds =
-  {
-    executed_rel = 0.10;
-    executed_abs = 4.0;
-    hit_rate_rel = 0.05;
-    wall_rel = 0.50;
-    wall_abs = 1.0;
-    wall_fails = false;
-  }
+let schema_version = 9.0
 
 type severity = Info | Warning | Regression
 
@@ -34,55 +17,151 @@ type verdict = Pass | Warn | Fail | Mismatch
 
 type report = { findings : finding list; verdict : verdict }
 
-let num_field name j = Option.bind (Json.member name j) Json.number
+let num_path path j = Option.bind (Json.path path j) Json.number
 
 (* v5: the first schema carrying the manifest/experiment identity and
    the journal digest; anything older cannot prove the two runs
    executed the same experiment. *)
-let min_schema_version = 5.0
-
 let check_schema j =
-  match num_field "schema_version" j with
-  | None ->
+  match num_path [ "schema_version" ] j with
+  | Some v when v >= 5.0 -> Ok ()
+  | v ->
+    let v = Option.fold ~none:"1 (no field)" ~some:Json.number_to_string v in
     Error
-      "summary has no schema_version field (schema v1, before the telemetry \
-       snapshot): schema too old to compare"
-  | Some v when v < min_schema_version ->
-    Error
-      (Printf.sprintf
-         "summary schema version %s is too old to compare (minimum %s)"
-         (Json.number_to_string v)
-         (Json.number_to_string min_schema_version))
-  | Some _ -> Ok ()
+      (Printf.sprintf "summary schema v%s is too old to compare (minimum v5)" v)
 
-(* One comparison: [violated] decides against the limit; findings at or
-   below the limit become Info entries so CI logs show what was checked. *)
-let check ~severity ~metric ~baseline ~current ~limit ~violated ~detail acc =
-  let f =
-    if violated then { severity; metric; baseline; current; limit; detail }
-    else { severity = Info; metric; baseline; current; limit; detail = "ok" }
+(* --- the gate language ------------------------------------------------ *)
+
+type gate = {
+  text : string;
+  warn : bool;
+  path : string list;
+  cmp : float -> float -> bool;
+  ratio : float option;  (* K of a [Kx] bound *)
+  offset : float;  (* N of an [N] or [Kx + N] bound, else 0 *)
+}
+
+let gate_text g = g.text
+
+(* A finite JSON number, read by the JSON parser so that [nan], [inf],
+   [0x10] and [1_000] are refused exactly as inside a summary. *)
+let json_number s =
+  match Json.parse s with
+  | Ok (Json.Number v) when Float.is_finite v -> Some v
+  | _ -> None
+
+let parse_bound s =
+  match String.split_on_char 'x' s with
+  | [ n ] -> Option.map (fun n -> (None, n)) (json_number n)
+  | [ k; slack ] -> (
+    let n =
+      match String.trim slack with
+      | "" -> Some 0.0
+      | t when t.[0] = '+' ->
+        json_number (String.sub t 1 (String.length t - 1))
+      | _ -> None
+    in
+    match (json_number k, n) with
+    | Some k, Some n -> Some (Some k, n)
+    | _ -> None)
+  | _ -> None
+
+let parse_gate text =
+  let s = String.trim text in
+  let err why = Error (Printf.sprintf "invalid gate %S: %s" s why) in
+  let warn = String.starts_with ~prefix:"warn " s in
+  let body = if warn then String.sub s 5 (String.length s - 5) else s in
+  let rec find_op i =
+    if i + 1 >= String.length body then None
+    else
+      match (body.[i], body.[i + 1]) with
+      | '<', '=' -> Some (i, ( <= ))
+      | '>', '=' -> Some (i, ( >= ))
+      | '=', '=' -> Some (i, ( = ))
+      | _ -> find_op (i + 1)
   in
-  f :: acc
+  match find_op 0 with
+  | None -> err "no operator (expected <=, >= or ==)"
+  | Some (i, cmp) -> (
+    let path = String.split_on_char '.' (String.trim (String.sub body 0 i)) in
+    let bound = String.sub body (i + 2) (String.length body - i - 2) in
+    match parse_bound bound with
+    | _ when List.mem "" path -> err "empty path component"
+    | None -> err "bound is not N, Kx or Kx + N with finite JSON numbers"
+    | Some (ratio, offset) -> Ok { text = s; warn; path; cmp; ratio; offset })
 
-let check_executed t ~metric ~baseline ~current acc =
-  let limit = (baseline *. (1.0 +. t.executed_rel)) +. t.executed_abs in
-  check ~severity:Regression ~metric ~baseline ~current ~limit
-    ~violated:(current > limit)
-    ~detail:"more profiler executions than baseline (cache effectiveness regressed)"
-    acc
+let constant s = match parse_gate s with Ok g -> g | Error e -> invalid_arg e
 
-let check_hit_rate t ~metric ~baseline ~current acc =
-  let limit = baseline *. (1.0 -. t.hit_rate_rel) in
-  check ~severity:Regression ~metric ~baseline ~current ~limit
-    ~violated:(current < limit)
-    ~detail:"cache-hit rate dropped past threshold" acc
+(* Relative thresholds, applied unless [~identical]: more profiler
+   executions than the baseline means the memo cache or batch plan
+   regressed; wall time is noisy on shared runners, so it only warns. *)
+let default_gates =
+  List.map constant
+    [
+      "executed <= 1.1x + 4";
+      "cache_hit_rate >= 0.95x";
+      "warn engine_wall_seconds <= 1.5x + 1";
+      "store.hit_rate >= 0.95x";
+      "sections.*.executed <= 1.1x + 4";
+      "sections.*.cache_hit_rate >= 0.95x";
+      "warn sections.*.wall_seconds <= 1.5x + 1";
+    ]
 
-let check_wall t ~metric ~baseline ~current acc =
-  let limit = (baseline *. (1.0 +. t.wall_rel)) +. t.wall_abs in
-  let severity = if t.wall_fails then Regression else Warning in
-  check ~severity ~metric ~baseline ~current ~limit
-    ~violated:(current > limit)
-    ~detail:"wall time regressed past threshold" acc
+(* Absolute invariants of any run that reports them: a job or request
+   is never lost, and an accepted request is never shed. *)
+let invariant_gates =
+  List.map constant
+    [
+      "faults.lost == 0"; "serving.lost == 0"; "serving.shed_after_accept == 0";
+    ]
+
+(* One gate at one place; [b] and [c] are the baseline's and the current
+   summary's numbers there. Where a value the gate needs is missing, or
+   a [Kx] bound with no slack would rest on a zero baseline, an explicit
+   gate fails and an [optional] one is skipped. *)
+let eval ~optional g ~metric b c =
+  let value = Option.value ~default:Float.nan in
+  let finding ?(severity = if g.warn then Warning else Regression) limit detail
+      =
+    { severity; metric; baseline = value b; current = value c; limit; detail }
+  in
+  let cannot why =
+    if optional then []
+    else [ finding Float.nan (Printf.sprintf "%s (%s)" why g.text) ]
+  in
+  match (c, g.ratio, b) with
+  | None, _, _ -> cannot "missing or not a number in the current summary"
+  | _, Some _, None -> cannot "missing or not a number in the baseline"
+  | _, Some _, Some b when b = 0.0 && g.offset = 0.0 ->
+    cannot "zero in the baseline, which anchors no ratio"
+  | Some c, ratio, b ->
+    let scaled = match (ratio, b) with Some k, Some b -> k *. b | _ -> 0.0 in
+    let limit = scaled +. g.offset in
+    if g.cmp c limit then [ finding ~severity:Info limit "ok" ]
+    else [ finding limit ("violates " ^ g.text) ]
+
+let sections j =
+  let named s = Option.bind (Json.member "section" s) Json.string_value in
+  Option.value ~default:[]
+    (Option.bind (Json.member "sections" j) Json.list_value)
+  |> List.filter_map (fun s -> Option.map (fun n -> (n, s)) (named s))
+
+(* [sections.*.F] applies [F] to each baseline section, matched by name
+   in the current summary. *)
+let apply ~optional ~baseline ~current g =
+  match g.path with
+  | "sections" :: "*" :: field ->
+    let cur = sections current in
+    List.concat_map
+      (fun (name, bs) ->
+        eval ~optional g
+          ~metric:(String.concat "." ("sections" :: name :: field))
+          (num_path field bs)
+          (Option.bind (List.assoc_opt name cur) (num_path field)))
+      (sections baseline)
+  | path ->
+    eval ~optional g ~metric:(String.concat "." path) (num_path path baseline)
+      (num_path path current)
 
 (* --- identical-mode support (warm-cache CI gate) ---------------------- *)
 
@@ -118,7 +197,7 @@ let volatile_keys =
     "generated_unix_time";
     (* schema v7: the serving object is all latency/throughput/traffic
        measurement — volatile by nature; its absolute invariants (lost,
-       shed_after_accept) are gated explicitly instead *)
+       shed_after_accept) are checked on their own instead *)
     "serving";
   ]
 
@@ -142,551 +221,140 @@ let rec strip_volatile (j : Json.t) : Json.t =
    absolute invariants get explicit gates instead. (Below the top
    level the blocklist above still applies: section objects mix
    deterministic digests with volatile timings.) *)
-let identity_keys = [ "schema_version"; "scale"; "name"; "manifest"; "sections" ]
+let identity_keys =
+  [ "schema_version"; "scale"; "name"; "manifest"; "sections" ]
 
 let strip_top (j : Json.t) : Json.t =
-  match j with
-  | Json.Object kvs ->
-    Json.Object
-      (List.filter_map
-         (fun (k, v) ->
-           if List.mem k identity_keys then Some (k, strip_volatile v)
-           else None)
-         kvs)
-  | other -> strip_volatile other
+  strip_volatile
+    (match j with
+    | Json.Object kvs ->
+      Json.Object (List.filter (fun (k, _) -> List.mem k identity_keys) kvs)
+    | other -> other)
 
-(* Structural diff of the stripped trees; collects dotted paths of the
-   first [limit] mismatches. *)
-let diff_paths ~limit a b =
-  let out = ref [] and count = ref 0 in
-  let emit path what =
-    if !count < limit then
-      out := (String.concat "." (List.rev path), what) :: !out;
-    incr count
-  in
-  let rec go path (a : Json.t) (b : Json.t) =
-    match (a, b) with
-    | Json.Object ka, Json.Object kb ->
-      List.iter
-        (fun (k, va) ->
-          match List.assoc_opt k kb with
-          | None -> emit (k :: path) "missing from current"
-          | Some vb -> go (k :: path) va vb)
-        ka;
-      List.iter
+(* Structural diff of the stripped trees: the dotted path of every
+   mismatch, with what differs there. *)
+let rec diff_paths prefix (a : Json.t) (b : Json.t) =
+  let at k = if prefix = "" then k else prefix ^ "." ^ k in
+  match (a, b) with
+  | Json.Object ka, Json.Object kb ->
+    List.concat_map
+      (fun (k, va) ->
+        match List.assoc_opt k kb with
+        | None -> [ (at k, "missing from current") ]
+        | Some vb -> diff_paths (at k) va vb)
+      ka
+    @ List.filter_map
         (fun (k, _) ->
-          if not (List.mem_assoc k ka) then
-            emit (k :: path) "absent from baseline")
+          if List.mem_assoc k ka then None
+          else Some (at k, "absent from baseline"))
         kb
-    | Json.List la, Json.List lb ->
-      if List.length la <> List.length lb then
-        emit path
-          (Printf.sprintf "list length %d vs %d" (List.length la)
-             (List.length lb))
-      else
-        List.iteri
-          (fun i (va, vb) -> go (string_of_int i :: path) va vb)
-          (List.combine la lb)
-    | a, b -> if a <> b then emit path "value differs"
-  in
-  go [] a b;
-  (List.rev !out, !count)
+  | Json.List la, Json.List lb when List.length la = List.length lb ->
+    List.concat
+      (List.mapi
+         (fun i (va, vb) -> diff_paths (at (string_of_int i)) va vb)
+         (List.combine la lb))
+  | Json.List la, Json.List lb ->
+    let n = List.length in
+    [ (prefix, Printf.sprintf "list length %d vs %d" (n la) (n lb)) ]
+  | a, b -> if a = b then [] else [ (prefix, "value differs") ]
 
-let sections j =
-  match Option.bind (Json.member "sections" j) Json.list_value with
-  | None -> []
-  | Some items ->
-    List.filter_map
-      (fun s ->
-        match Option.bind (Json.member "section" s) Json.string_value with
-        | Some name -> Some (name, s)
-        | None -> None)
-      items
+(* --- the comparison --------------------------------------------------- *)
 
-let manifest_field doc name =
-  Option.bind (Json.path [ "manifest"; name ] doc) Json.string_value
+let note ?(severity = Info) ?(baseline = 0.) ?(current = 1.) metric detail =
+  { severity; metric; baseline; current; limit = baseline; detail }
 
-let compare_summaries ?(thresholds = default_thresholds)
-    ?(require_identical = false) ?min_store_hit_rate ?min_speedup
-    ?min_coalesce ?max_p99_ms ?min_rps ?max_refine_error
-    ?min_refine_hit_rate ~baseline ~current () =
-  let t = thresholds in
-  (* Same experiment? Two summaries with different experiment ids were
-     produced by manifests that measure different things — comparing
-     their numbers would gate CI on an apples-to-oranges diff, so this
-     is a distinct verdict, not a threshold failure. A different
-     manifest id under the same experiment id (e.g. the chaos manifest:
-     same corpus/sections, different fault injection) is fine and only
-     worth a note. *)
-  match (manifest_field baseline "experiment", manifest_field current "experiment") with
-  | Some b, Some c when b <> c ->
+let identity_findings ~baseline ~current =
+  List.map
+    (fun (p, what) -> note ~severity:Regression ("identical:" ^ p) what)
+    (diff_paths "" (strip_top baseline) (strip_top current))
+
+let compare_summaries ?(identical = false) ?(gates = []) ~baseline ~current
+    () =
+  let both path = (Json.path path baseline, Json.path path current) in
+  (* Two summaries with different experiment ids were produced by
+     manifests that measure different things, so this is a distinct
+     verdict, not a threshold failure. *)
+  match both [ "manifest"; "experiment" ] with
+  | Some (Json.String b), Some (Json.String c) when b <> c ->
+    let short s = String.sub s 0 (min 12 (String.length s)) in
+    let detail =
+      Printf.sprintf
+        "different experiments: baseline %s vs current %s — these runs \
+         are not comparable"
+        (short b) (short c)
+    in
     {
-      findings =
-        [
-          {
-            severity = Regression;
-            metric = "manifest.experiment";
-            baseline = 0.0;
-            current = 1.0;
-            limit = 0.0;
-            detail =
-              Printf.sprintf
-                "different experiments: baseline %s vs current %s — these \
-                 runs are not comparable"
-                (String.sub b 0 (min 12 (String.length b)))
-                (String.sub c 0 (min 12 (String.length c)));
-          };
-        ];
+      findings = [ note ~severity:Regression "manifest.experiment" detail ];
       verdict = Mismatch;
     }
   | _ ->
-  let acc = ref [] in
-  (match (manifest_field baseline "id", manifest_field current "id") with
-  | Some b, Some c when b <> c ->
-    acc :=
-      {
-        severity = Info;
-        metric = "manifest.id";
-        baseline = 0.0;
-        current = 1.0;
-        limit = 0.0;
-        detail =
-          "manifest ids differ (same experiment, different execution \
-           configuration)";
-      }
-      :: !acc
-  | _ -> ());
-  (* identical mode declares the counter fields volatile (a resumed or
-     warm run legitimately shifts memo hits into store hits and moves
-     submissions between sections), so gating them against relative
-     thresholds would contradict the mode's own contract — the identity
-     check and the absolute invariants below are the gate instead. *)
-  let gate_thresholds = not require_identical in
-  let top name checker =
-    match (num_field name baseline, num_field name current) with
-    | Some b, Some c -> acc := checker t ~metric:name ~baseline:b ~current:c !acc
-    | _ -> ()
-  in
-  if gate_thresholds then begin
-    top "executed" check_executed;
-    top "cache_hit_rate" check_hit_rate;
-    top "engine_wall_seconds" check_wall
-  end;
-  (* a submitted-count change is not a regression, but it explains
-     executed-count drift, so surface it *)
-  (match (num_field "submitted" baseline, num_field "submitted" current) with
-  | Some b, Some c when b <> c ->
-    acc :=
-      {
-        severity = Info;
-        metric = "submitted";
-        baseline = b;
-        current = c;
-        limit = b;
-        detail = "workload size changed — regenerate the baseline if intended";
-      }
-      :: !acc
-  | _ -> ());
-  (* fault accounting (schema v3): a lost job is an absolute invariant
-     violation, and quarantining more jobs than the baseline means the
-     engine's recovery regressed *)
-  let fault_num doc name = Option.bind (Json.path [ "faults"; name ] doc) Json.number in
-  (match fault_num current "lost" with
-  | Some l ->
-    acc :=
-      check ~severity:Regression ~metric:"faults.lost" ~baseline:0.0
-        ~current:l ~limit:0.0 ~violated:(l <> 0.0)
-        ~detail:"jobs lost (completed + quarantined <> submitted)" !acc
-  | None -> ());
-  (match fault_num current "quarantined_jobs" with
-  | Some c ->
-    let b = Option.value (fault_num baseline "quarantined_jobs") ~default:0.0 in
-    acc :=
-      check ~severity:Regression ~metric:"faults.quarantined_jobs" ~baseline:b
-        ~current:c ~limit:b ~violated:(c > b)
-        ~detail:"more quarantined jobs than baseline (recovery regressed)" !acc
-  | None -> ());
-  (* store tier (schema v4): hit-rate regressions against the baseline,
-     and an optional absolute floor for the warm-cache CI job *)
-  let store_num doc name =
-    Option.bind (Json.path [ "store"; name ] doc) Json.number
-  in
-  (match (store_num baseline "hit_rate", store_num current "hit_rate") with
-  | Some b, Some c when b > 0.0 && gate_thresholds ->
-    acc := check_hit_rate t ~metric:"store.hit_rate" ~baseline:b ~current:c !acc
-  | _ -> ());
-  (match min_store_hit_rate with
-  | None -> ()
-  | Some floor ->
-    let c = Option.value (store_num current "hit_rate") ~default:0.0 in
-    acc :=
-      check ~severity:Regression ~metric:"store.hit_rate" ~baseline:floor
-        ~current:c ~limit:floor ~violated:(c < floor)
-        ~detail:
-          "store hit rate below required floor (warm run re-profiled too much)"
-        !acc);
-  (* simulator throughput (schema v6): [perf.blocks_per_sec] is simulated
-     blocks over cumulative in-simulator core-seconds, so it is far less
-     runner-noise-sensitive than wall time. The gate fails below
-     [min_speedup] x baseline and warns below parity. Read before
-     stripping — the perf object is volatile for the identity check
-     (its wall breakdown genuinely varies) but is exactly what this
-     gate exists to compare. *)
-  (match min_speedup with
-  | None -> ()
-  | Some floor ->
-    let bps doc =
-      Option.bind (Json.path [ "perf"; "blocks_per_sec" ] doc) Json.number
+    (* a different manifest id under the same experiment (the chaos
+       manifest: same corpus and sections, injected faults) and a
+       changed workload size are worth a note, not a verdict *)
+    let differs path detail =
+      match both path with
+      | Some b, Some c when b <> c ->
+        let num j d = Option.value (Json.number j) ~default:d in
+        [
+          note ~baseline:(num b 0.0) ~current:(num c 1.0)
+            (String.concat "." path) detail;
+        ]
+      | _ -> []
     in
-    (match (bps baseline, bps current) with
-    | Some b, Some _ when b = 0.0 ->
-      (* present but zero: a zero-block baseline run (empty corpus or
-         fully warm store) cannot anchor a ratio — distinct from a
-         pre-v6 summary that lacks the field entirely *)
-      acc :=
-        {
-          severity = Regression;
-          metric = "perf.blocks_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "baseline perf.blocks_per_sec is zero (zero-block run?) — \
-             cannot compute a throughput ratio; regenerate the baseline \
-             from a run that simulates blocks";
-        }
-        :: !acc
-    | Some b, Some c when b > 0.0 ->
-      let ratio = c /. b in
-      if ratio < floor then
-        acc :=
-          {
-            severity = Regression;
-            metric = "perf.blocks_per_sec";
-            baseline = b;
-            current = c;
-            limit = b *. floor;
-            detail =
-              Printf.sprintf
-                "simulator throughput regressed to %.2fx baseline (floor %.2fx)"
-                ratio floor;
-          }
-          :: !acc
-      else if ratio < 1.0 then
-        acc :=
-          {
-            severity = Warning;
-            metric = "perf.blocks_per_sec";
-            baseline = b;
-            current = c;
-            limit = b;
-            detail =
-              Printf.sprintf
-                "simulator throughput at %.2fx baseline (above the %.2fx \
-                 floor, below parity)"
-                ratio floor;
-          }
-          :: !acc
-      else
-        acc :=
-          check ~severity:Regression ~metric:"perf.blocks_per_sec" ~baseline:b
-            ~current:c ~limit:(b *. floor) ~violated:false ~detail:"ok" !acc
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "perf.blocks_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "perf.blocks_per_sec missing (summary predates schema v6?) — \
-             cannot gate simulator throughput";
-        }
-        :: !acc));
-  (* serving object (schema v7, written by bhive_load): the absolute
-     invariants hold for any load run — an accepted request is always
-     answered (lost = 0) and, absent client deadlines and drains,
-     never shed after acceptance. The optional floors gate the
-     service-level numbers the CI serve job cares about. *)
-  let serving_num doc name =
-    Option.bind (Json.path [ "serving"; name ] doc) Json.number
-  in
-  (match serving_num current "lost" with
-  | Some l ->
-    acc :=
-      check ~severity:Regression ~metric:"serving.lost" ~baseline:0.0
-        ~current:l ~limit:0.0 ~violated:(l <> 0.0)
-        ~detail:
-          "requests lost (sent but never answered) — accept-then-hang or \
-           connection drop under load"
-        !acc
-  | None -> ());
-  (match serving_num current "shed_after_accept" with
-  | Some s ->
-    acc :=
-      check ~severity:Regression ~metric:"serving.shed_after_accept"
-        ~baseline:0.0 ~current:s ~limit:0.0 ~violated:(s <> 0.0)
-        ~detail:
-          "requests shed after admission (deadline expiry or drain cut) — \
-           admission control let in more than the server could finish"
-        !acc
-  | None -> ());
-  (match min_coalesce with
-  | None -> ()
-  | Some floor -> (
-    match serving_num current "coalesce_ratio" with
-    | Some c ->
-      acc :=
-        check ~severity:Regression ~metric:"serving.coalesce_ratio"
-          ~baseline:floor ~current:c ~limit:floor ~violated:(c < floor)
-          ~detail:
-            "coalesce ratio below floor (concurrent duplicate requests are \
-             not sharing in-flight runs)"
-          !acc
-    | None ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.coalesce_ratio";
-          baseline = floor;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "serving.coalesce_ratio missing (not a bhive_load summary?) — \
-             cannot gate coalescing";
-        }
-        :: !acc));
-  (* serving throughput (schema v8): [serving.requests_per_sec] is
-     answered requests over replay wall time — the end-to-end daemon
-     number the serve-perf CI job gates. Like the simulator gate, the
-     floor is a ratio against the checked-in baseline, and a baseline
-     that cannot anchor the ratio (zero, missing field, or no serving
-     object at all) is a clean failure, not a silent pass. *)
-  (match min_rps with
-  | None -> ()
-  | Some floor ->
-    let rps doc = serving_num doc "requests_per_sec" in
-    (match (rps baseline, rps current) with
-    | Some b, Some _ when b = 0.0 ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.requests_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "baseline serving.requests_per_sec is zero — cannot compute a \
-             throughput ratio; regenerate the serving baseline from a real \
-             load run";
-        }
-        :: !acc
-    | Some b, Some c when b > 0.0 ->
-      let ratio = c /. b in
-      if ratio < floor then
-        acc :=
-          {
-            severity = Regression;
-            metric = "serving.requests_per_sec";
-            baseline = b;
-            current = c;
-            limit = b *. floor;
-            detail =
-              Printf.sprintf
-                "serving throughput regressed to %.2fx baseline (floor %.2fx)"
-                ratio floor;
-          }
-          :: !acc
-      else
-        acc :=
-          check ~severity:Regression ~metric:"serving.requests_per_sec"
-            ~baseline:b ~current:c ~limit:(b *. floor) ~violated:false
-            ~detail:"ok" !acc
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.requests_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "serving.requests_per_sec missing (not a schema v8 bhive_load \
-             summary?) — cannot gate serving throughput";
-        }
-        :: !acc));
-  (match max_p99_ms with
-  | None -> ()
-  | Some ceiling -> (
-    match serving_num current "p99_ms" with
-    | Some c ->
-      acc :=
-        check ~severity:Regression ~metric:"serving.p99_ms" ~baseline:ceiling
-          ~current:c ~limit:ceiling ~violated:(c > ceiling)
-          ~detail:"p99 latency above ceiling" !acc
-    | None ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.p99_ms";
-          baseline = ceiling;
-          current = 0.0;
-          limit = ceiling;
-          detail =
-            "serving.p99_ms missing (not a bhive_load summary?) — cannot \
-             gate tail latency";
-        }
-        :: !acc));
-  (* descriptor refinement (schema v9, the [refine] summary object):
-     absolute gates on the search outcome. The refine numbers only
-     exist from schema v9 on, so either flag on an older summary is a
-     clean failure — the same refusal the schema floor applies to
-     pre-v5 documents, just stated per-gate. *)
-  let refine_num doc name =
-    Option.bind (Json.path [ "refine"; name ] doc) Json.number
-  in
-  let refine_gate ~metric ~limit ~field ~violated ~detail =
-    match num_field "schema_version" current with
-    | Some v when v >= 9.0 -> (
-      match refine_num current field with
+    (* more quarantined jobs than the baseline means the engine's
+       recovery regressed; a baseline without faults quarantined none *)
+    let quarantine =
+      let q = num_path [ "faults"; "quarantined_jobs" ] in
+      match q current with
+      | None -> []
       | Some c ->
-        acc :=
-          check ~severity:Regression ~metric ~baseline:limit ~current:c ~limit
-            ~violated:(violated c) ~detail !acc
-      | None ->
-        acc :=
-          {
-            severity = Regression;
-            metric;
-            baseline = limit;
-            current = 0.0;
-            limit;
-            detail =
-              "refine object missing from the current summary (manifest has \
-               no refine section?) — cannot gate refinement";
-          }
-          :: !acc)
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric;
-          baseline = limit;
-          current = 0.0;
-          limit;
-          detail =
-            "refine gates require a schema v9 summary — regenerate it with \
-             the current harness";
-        }
-        :: !acc
-  in
-  (match max_refine_error with
-  | None -> ()
-  | Some ceiling ->
-    refine_gate ~metric:"refine.final_error" ~limit:ceiling
-      ~field:"final_error"
-      ~violated:(fun c -> c > ceiling)
-      ~detail:
-        "refinement final error above ceiling (the search failed to recover \
-         the descriptor)");
-  (match min_refine_hit_rate with
-  | None -> ()
-  | Some floor ->
-    refine_gate ~metric:"refine.store_hit_rate" ~limit:floor
-      ~field:"store_hit_rate"
-      ~violated:(fun c -> c < floor)
-      ~detail:
-        "candidate evaluations re-simulated too many blocks (incremental \
-         re-simulation through block generations regressed)");
-  (* identical mode: after stripping volatile fields, the two summaries
-     must be structurally equal — the warm-run byte-identity gate *)
-  if require_identical then begin
-    let a = strip_top baseline and b = strip_top current in
-    if a = b then
-      acc :=
-        check ~severity:Regression ~metric:"identical" ~baseline:0.0
-          ~current:0.0 ~limit:0.0 ~violated:false ~detail:"ok" !acc
-    else begin
-      let paths, total = diff_paths ~limit:16 a b in
-      List.iter
-        (fun (path, what) ->
-          acc :=
-            {
-              severity = Regression;
-              metric = "identical:" ^ path;
-              baseline = 0.0;
-              current = 1.0;
-              limit = 0.0;
-              detail = what;
-            }
-            :: !acc)
-        paths;
-      if total > 16 then
-        acc :=
-          {
-            severity = Regression;
-            metric = "identical";
-            baseline = 0.0;
-            current = float_of_int total;
-            limit = 0.0;
-            detail = Printf.sprintf "%d differing paths in total" total;
-          }
-          :: !acc
-    end
-  end;
-  let base_sections = sections baseline in
-  let cur_sections = sections current in
-  List.iter
-    (fun (name, bs) ->
-      match List.assoc_opt name cur_sections with
-      | None ->
-        acc :=
-          {
-            severity = Regression;
-            metric = name;
-            baseline = 1.0;
-            current = 0.0;
-            limit = 1.0;
-            detail = "section present in baseline but missing from current run";
-          }
-          :: !acc
-      | Some cs ->
-        let sec field checker =
-          match (num_field field bs, num_field field cs) with
-          | Some b, Some c ->
-            acc :=
-              checker t ~metric:(name ^ "." ^ field) ~baseline:b ~current:c
-                !acc
-          | _ -> ()
+        let b = Option.value (q baseline) ~default:0.0 in
+        let severity, detail =
+          if c > b then (Regression, "more quarantined jobs than baseline")
+          else (Info, "ok")
         in
-        if gate_thresholds then begin
-          sec "executed" check_executed;
-          sec "cache_hit_rate" check_hit_rate;
-          sec "wall_seconds" check_wall
-        end)
-    base_sections;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name base_sections) then
-        acc :=
-          {
-            severity = Info;
-            metric = name;
-            baseline = 0.0;
-            current = 1.0;
-            limit = 0.0;
-            detail = "new section (absent from baseline)";
-          }
-          :: !acc)
-    cur_sections;
-  let findings = List.rev !acc in
-  let verdict =
-    if List.exists (fun f -> f.severity = Regression) findings then Fail
-    else if List.exists (fun f -> f.severity = Warning) findings then Warn
-    else Pass
-  in
-  { findings; verdict }
+        [
+          note ~severity ~baseline:b ~current:c "faults.quarantined_jobs"
+            detail;
+        ]
+    in
+    let missing =
+      let cur = sections current in
+      List.filter_map
+        (fun (name, _) ->
+          if List.mem_assoc name cur then None
+          else
+            Some
+              (note ~severity:Regression ~baseline:1.0 ~current:0.0
+                 ("sections." ^ name)
+                 "section present in baseline but missing from current run"))
+        (sections baseline)
+    in
+    let run ~optional = List.concat_map (apply ~optional ~baseline ~current) in
+    let findings =
+      List.concat
+        [
+          differs [ "manifest"; "id" ]
+            "manifest ids differ (same experiment, different execution \
+             configuration)";
+          differs [ "submitted" ]
+            "workload size changed — regenerate the baseline if intended";
+          quarantine;
+          missing;
+          run ~optional:true invariant_gates;
+          (* identical mode declares the counters volatile (a resumed or
+             warm run shifts memo hits into store hits), so the default
+             relative gates would contradict its contract *)
+          (if identical then identity_findings ~baseline ~current
+           else run ~optional:true default_gates);
+          run ~optional:false gates;
+        ]
+    in
+    let has s = List.exists (fun f -> f.severity = s) findings in
+    let verdict =
+      if has Regression then Fail else if has Warning then Warn else Pass
+    in
+    { findings; verdict }
 
 let severity_tag = function
   | Info -> "info"
@@ -710,15 +378,13 @@ let pp_report fmt r =
           (Json.number_to_string f.limit)
           f.detail)
     r.findings;
-  let checked = List.length r.findings in
-  let bad =
-    List.length (List.filter (fun f -> f.severity = Regression) r.findings)
+  let count s =
+    List.length (List.filter (fun f -> f.severity = s) r.findings)
   in
-  let warned =
-    List.length (List.filter (fun f -> f.severity = Warning) r.findings)
-  in
-  Format.fprintf fmt "bench-diff: %s (%d comparisons, %d regressions, %d warnings)@."
-    (verdict_tag r.verdict) checked bad warned
+  Format.fprintf fmt
+    "bench-diff: %s (%d comparisons, %d regressions, %d warnings)@."
+    (verdict_tag r.verdict) (List.length r.findings) (count Regression)
+    (count Warning)
 
 let exit_code r =
   match r.verdict with Fail -> 1 | Mismatch -> 3 | Pass | Warn -> 0

@@ -2,54 +2,61 @@
     documents (a checked-in baseline and a fresh run) and decide
     whether the perf trajectory regressed.
 
-    Three families of metrics are compared, at the top level and per
-    section (matched by section name):
+    Thresholds are stated in one gate language, [[warn ]PATH OP BOUND]:
 
-    - {b executed} job counts — more profiler executions than the
-      baseline means the memo cache or the batch plan regressed; the
-      gate fails when [current > baseline * (1 + executed_rel) +
-      executed_abs]. Counts are deterministic at a fixed
-      [BHIVE_SCALE], so the slack only absorbs intentional drift.
-    - {b cache-hit rate} — fails when
-      [current < baseline * (1 - hit_rate_rel)].
-    - {b wall seconds} — noisy on shared CI runners, so violations of
-      [current > baseline * (1 + wall_rel) + wall_abs] are warnings
-      unless [wall_fails] is set.
+    - [PATH] is a dotted JSON path; [sections.*.F] applies [F] to each
+      baseline section, matched by its [section] name;
+    - [OP] is [<=], [>=] or [==]; a value exactly at its bound passes;
+    - [BOUND] is [N], [Kx] ([K] times the baseline's value at [PATH])
+      or [Kx + N], with finite JSON numbers;
+    - [warn] turns a violation into a warning.
 
-    A section present in the baseline but missing from the current
-    summary is a failure; a new section is reported as info. All
-    comparisons use strict inequality: a value exactly at its limit
-    passes. *)
+    A gate fails when the current summary lacks [PATH] or holds a
+    non-number there. A [Kx] bound also fails when the baseline lacks
+    [PATH], or holds zero there with no nonzero [+ N], since a zero
+    anchors no ratio.
 
-(** Oldest summary schema the comparison understands (5.0, the first
-    carrying the manifest/experiment identity and journal digest).
-    Older summaries cannot answer "did these two runs execute the same
-    experiment?", so they are rejected rather than half-compared. *)
-val min_schema_version : float
+    Fixed checks are code, not gates: different experiment ids give
+    [Mismatch]; [faults.lost], [serving.lost] and
+    [serving.shed_after_accept] must be zero wherever the current
+    summary has them; [faults.quarantined_jobs] must not exceed the
+    baseline's (zero without a [faults] object); and every baseline
+    section must be present in the current summary. *)
 
-(** Reject a summary whose [schema_version] predates
-    {!min_schema_version} — or is absent entirely (schema v1) — with a
-    "schema too old" message suitable for the CLI's exit-2 path. *)
+(** The schema version every summary writer stamps into
+    [schema_version]. *)
+val schema_version : float
+
+(** Reject a summary whose [schema_version] predates 5 — the first
+    schema carrying the manifest/experiment identity and journal
+    digest — or is absent entirely (schema v1), with a "schema too
+    old" message suitable for the CLI's exit-2 path. Older summaries
+    cannot answer "did these two runs execute the same experiment?",
+    so they are rejected rather than half-compared. *)
 val check_schema : Json.t -> (unit, string) result
 
-type thresholds = {
-  executed_rel : float;  (** relative slack on executed counts *)
-  executed_abs : float;  (** absolute slack on executed counts *)
-  hit_rate_rel : float;  (** relative drop allowed on cache-hit rate *)
-  wall_rel : float;  (** relative slack on wall seconds *)
-  wall_abs : float;  (** absolute slack on wall seconds *)
-  wall_fails : bool;  (** wall violations fail instead of warning *)
-}
+type gate
 
-(** [executed_rel = 0.10], [executed_abs = 4], [hit_rate_rel = 0.05],
-    [wall_rel = 0.50], [wall_abs = 1.0], [wall_fails = false]. *)
-val default_thresholds : thresholds
+(** Parse one gate. The error is a one-line message naming the gate. *)
+val parse_gate : string -> (gate, string) result
+
+(** The gate as written, trimmed. *)
+val gate_text : gate -> string
+
+(** Applied unless [~identical]; each is skipped where an explicit
+    gate would fail for want of a value (see above):
+    [executed <= 1.1x + 4], [cache_hit_rate >= 0.95x],
+    [warn engine_wall_seconds <= 1.5x + 1], [store.hit_rate >= 0.95x]
+    and the three per-section forms [sections.*.executed <= 1.1x + 4],
+    [sections.*.cache_hit_rate >= 0.95x] and
+    [warn sections.*.wall_seconds <= 1.5x + 1]. *)
+val default_gates : gate list
 
 type severity = Info | Warning | Regression
 
 type finding = {
   severity : severity;
-  metric : string;  (** e.g. "table5.executed" or "engine_wall_seconds" *)
+  metric : string;  (** e.g. "sections.table5.executed" or "executed" *)
   baseline : float;
   current : float;
   limit : float;  (** the violated (or respected) bound *)
@@ -70,73 +77,26 @@ type report = { findings : finding list; verdict : verdict }
     must be byte-identical between a cold and a warm run. *)
 val strip_volatile : Json.t -> Json.t
 
-(** What [?require_identical] actually compares: at the top level only
-    an allowlist of identity-defining fields survives ([schema_version],
+(** What [~identical] actually compares: at the top level only an
+    allowlist of identity-defining fields survives ([schema_version],
     [scale], [name], [manifest], [sections]) — an unknown extra
     top-level object (the schema-v9 [refine] summary, or anything a
     future schema adds) is volatile rather than a mismatch — and below
     the top level {!strip_volatile} applies. *)
 val strip_top : Json.t -> Json.t
 
-(** [compare_summaries ?thresholds ?require_identical
-    ?min_store_hit_rate ~baseline ~current ()].
+(** [compare_summaries ?identical ?gates ~baseline ~current ()] runs
+    the fixed checks and every gate in [gates].
 
-    Beyond the threshold checks above, schema v4 summaries carry a
-    [store] object: its [hit_rate] is compared like the cache-hit rate
-    whenever the baseline consulted a store. [?min_store_hit_rate]
-    additionally imposes an absolute floor on the {e current} run's
-    store hit rate (the warm-cache CI gate). [?require_identical]
-    demands the two summaries be structurally equal after
-    {!strip_volatile}; each differing path fails as
-    [identical:<path>]. In identical mode the relative threshold
-    checks on counters are skipped — those fields are volatile by the
-    mode's own contract (a warm or resumed run shifts memo hits into
-    store hits) — while the absolute invariants ([faults.lost],
-    quarantine regressions, the store-hit-rate floor) still gate.
-
-    [?min_speedup] gates simulator throughput (schema v6):
-    [perf.blocks_per_sec] — simulated blocks over cumulative
-    in-simulator core-seconds, far less runner-noise-sensitive than
-    wall time — must be at least [min_speedup] x the baseline's, or
-    the gate fails; a ratio between [min_speedup] and parity is a
-    warning. A summary without the field fails the gate outright. A
-    baseline whose [perf.blocks_per_sec] is zero (a zero-block run)
-    also fails: no throughput ratio is computable from it.
-
-    Summaries written by [bhive_load] (schema v7) carry a [serving]
-    object. Whenever the current summary has one, two absolute
-    invariants gate unconditionally: [serving.lost] and
-    [serving.shed_after_accept] must both be zero — a request the
-    server accepted must be answered, not dropped. [?min_coalesce]
-    additionally imposes a floor on [serving.coalesce_ratio] (the CI
-    serve job's duplicate-sharing gate) and [?max_p99_ms] a ceiling on
-    [serving.p99_ms]; either flag fails outright when the current
-    summary lacks the field.
-
-    [?min_rps] gates end-to-end serving throughput (schema v8):
-    [serving.requests_per_sec] must be at least [min_rps] x the
-    baseline's. Like [?min_speedup], a baseline that cannot anchor the
-    ratio — a zero value, a missing field, or no [serving] object at
-    all in either summary — fails cleanly rather than passing
-    silently.
-
-    [?max_refine_error] and [?min_refine_hit_rate] gate the
-    descriptor-refinement summary (schema v9, the top-level [refine]
-    object): the search's [final_error] must not exceed the ceiling,
-    and its cross-eval [store_hit_rate] — the incremental
-    re-simulation measure — must reach the floor. Either flag against
-    a pre-v9 summary, or a v9 summary without a [refine] object, fails
-    cleanly. *)
+    [~identical:true] demands the two summaries be structurally equal
+    after {!strip_top}; each differing path fails as
+    [identical:<path>]. It replaces {!default_gates}: the counters
+    they read are volatile by the mode's own contract (a warm or
+    resumed run shifts memo hits into store hits). The fixed checks
+    and [gates] still apply. *)
 val compare_summaries :
-  ?thresholds:thresholds ->
-  ?require_identical:bool ->
-  ?min_store_hit_rate:float ->
-  ?min_speedup:float ->
-  ?min_coalesce:float ->
-  ?max_p99_ms:float ->
-  ?min_rps:float ->
-  ?max_refine_error:float ->
-  ?min_refine_hit_rate:float ->
+  ?identical:bool ->
+  ?gates:gate list ->
   baseline:Json.t -> current:Json.t -> unit -> report
 
 val pp_report : Format.formatter -> report -> unit

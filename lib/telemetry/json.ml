@@ -220,18 +220,34 @@ let parse s =
     in
     go ()
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num s.[!pos] do
+  (* The RFC 8259 grammar: an optional minus, then 0 or a digit run
+     without a leading zero, an optional fraction and an optional
+     exponent, each with at least one digit. Checked here because
+     [float_of_string] also takes "+1", ".5", "1." and "0x10". A
+     leading zero ends the integer part, so "01" leaves trailing
+     data. *)
+  let is c = !pos < n && Char.equal s.[!pos] c in
+  let digits () =
+    let first = !pos in
+    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
       incr pos
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "invalid number"
+    if !pos = first then fail "invalid number"
+  in
+  let parse_number () =
+    let start = !pos in
+    if is '-' then incr pos;
+    if is '0' then incr pos else digits ();
+    if is '.' then begin
+      incr pos;
+      digits ()
+    end;
+    if is 'e' || is 'E' then begin
+      incr pos;
+      if is '+' || is '-' then incr pos;
+      digits ()
+    end;
+    float_of_string (String.sub s start (!pos - start))
   in
   (* A depth bound turns pathological nesting ("[[[[...") into a
      Parse_error instead of a stack overflow — this parser reads

@@ -29,11 +29,12 @@ val number_to_string : float -> string
 val to_string : ?compact:bool -> t -> string
 
 (** Parse a complete JSON document. Trailing garbage is an error.
-    [\u] escapes require exactly four hex digits and are decoded to
-    UTF-8; surrogate pairs combine into one supplementary-plane code
-    point (4-byte UTF-8), and unpaired surrogates are an error.
-    Nesting deeper than 512 levels is an error rather than a stack
-    overflow. *)
+    Numbers follow the RFC 8259 grammar: [+1], [.5], [1.], [01] and
+    [0x10] are errors. [\u] escapes require exactly four hex digits
+    and are decoded to UTF-8; surrogate pairs combine into one
+    supplementary-plane code point (4-byte UTF-8), and unpaired
+    surrogates are an error. Nesting deeper than 512 levels is an
+    error rather than a stack overflow. *)
 val parse : string -> (t, string) result
 
 (** [parse] or [invalid_arg]. *)

@@ -356,6 +356,10 @@ let test_resume_matrix () =
   let spec = resume_spec root in
   let reference = run_ok ~overrides:(jobs 2) spec in
   Alcotest.(check bool) "reference run completes" false reference.Runner.interrupted;
+  let summary = Json.parse_exn (read_file (root / "summary.json")) in
+  Alcotest.(check (option (float 0.0))) "summary stamps the shared schema"
+    (Some Telemetry.Bench_diff.schema_version)
+    (Option.bind (Json.member "schema_version" summary) Json.number);
   let ref_summary = stripped (root / "summary.json") in
   let ref_digest = Option.get reference.Runner.journal_digest in
   let n0 = reference.Runner.stats.Engine.profiler_calls in

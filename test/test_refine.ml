@@ -630,7 +630,7 @@ let test_refine_spec_validation () =
   invalid "uarch outside manifest set" (refine_spec ~uarch:"hsw" ())
     "not in the manifest's uarch set"
 
-(* --- bench-diff: schema v9 refine gates ---------------------------------- *)
+(* --- bench-diff: gates on the refine object ----------------------------- *)
 
 let base_summary ?schema ?refine () =
   Json.Object
@@ -674,46 +674,46 @@ let test_strip_top_allowlist () =
     && Json.member "sections" stripped <> None);
   (* two summaries differing only in the refine object are identical *)
   let report =
-    Bench_diff.compare_summaries ~require_identical:true
+    Bench_diff.compare_summaries ~identical:true
       ~baseline:(base_summary ~schema:9.0 ())
       ~current:s ()
   in
   check_verdict "refine object volatile for identity" Bench_diff.Pass report
 
 let test_refine_gates () =
-  let gate ?max_refine_error ?min_refine_hit_rate current =
-    Bench_diff.compare_summaries ?max_refine_error ?min_refine_hit_rate
+  let max_error = "refine.final_error <= 0.005"
+  and min_hit_rate = "refine.store_hit_rate >= 0.5" in
+  let gate gates current =
+    let gates =
+      List.map (fun g -> Result.get_ok (Bench_diff.parse_gate g)) gates
+    in
+    Bench_diff.compare_summaries ~gates
       ~baseline:(base_summary ~schema:9.0 ~refine:(0.001, 0.9) ())
       ~current ()
   in
   check_verdict "within both floors" Bench_diff.Pass
-    (gate ~max_refine_error:0.005 ~min_refine_hit_rate:0.5
+    (gate [ max_error; min_hit_rate ]
        (base_summary ~schema:9.0 ~refine:(0.001, 0.9) ()));
   check_verdict "error above ceiling fails" Bench_diff.Fail
-    (gate ~max_refine_error:0.005
-       (base_summary ~schema:9.0 ~refine:(0.01, 0.9) ()));
+    (gate [ max_error ] (base_summary ~schema:9.0 ~refine:(0.01, 0.9) ()));
   check_verdict "hit rate below floor fails" Bench_diff.Fail
-    (gate ~min_refine_hit_rate:0.5
-       (base_summary ~schema:9.0 ~refine:(0.001, 0.2) ()));
+    (gate [ min_hit_rate ] (base_summary ~schema:9.0 ~refine:(0.001, 0.2) ()));
   check_verdict "exactly at the ceiling passes" Bench_diff.Pass
-    (gate ~max_refine_error:0.005
-       (base_summary ~schema:9.0 ~refine:(0.005, 0.9) ()));
-  (* the gates refuse to read pre-v9 summaries *)
-  let report =
-    gate ~max_refine_error:0.005
-      (base_summary ~schema:8.0 ~refine:(0.001, 0.9) ())
-  in
-  check_verdict "pre-v9 summary refused" Bench_diff.Fail report;
-  Alcotest.(check bool) "refusal names the schema" true
+    (gate [ max_error ] (base_summary ~schema:9.0 ~refine:(0.005, 0.9) ()));
+  (* a summary that predates schema v9 has no refine object either *)
+  let report = gate [ max_error ] (base_summary ~schema:8.0 ()) in
+  check_verdict "summary without a refine object fails" Bench_diff.Fail report;
+  Alcotest.(check bool) "failure names the missing path" true
     (List.exists
        (fun (f : Bench_diff.finding) ->
-         contains ~needle:"schema v9" f.Bench_diff.detail)
+         f.Bench_diff.metric = "refine.final_error"
+         && contains ~needle:"missing" f.Bench_diff.detail)
        report.Bench_diff.findings);
   check_verdict "v9 summary without a refine object fails" Bench_diff.Fail
-    (gate ~max_refine_error:0.005 (base_summary ~schema:9.0 ()));
-  (* without the flags nothing is gated *)
+    (gate [ max_error ] (base_summary ~schema:9.0 ()));
+  (* without the gates nothing is gated *)
   check_verdict "no flags, no gate" Bench_diff.Pass
-    (gate (base_summary ~schema:8.0 ()))
+    (gate [] (base_summary ~schema:8.0 ()))
 
 let suite =
   [

@@ -210,7 +210,10 @@ let test_json_parse_errors () =
   bad "{";
   bad "[1,]";
   bad "{\"a\":1} trailing";
-  bad "nul"
+  bad "nul";
+  (* RFC 8259 number grammar: float_of_string accepts all of these *)
+  List.iter bad [ "+1"; ".5"; "1."; "01"; "-.5"; "1.e3" ];
+  List.iter bad [ "[+1]"; "{\"a\":01}"; "-"; "1e"; "0x10"; "1_000" ]
 
 (* Escape-sequence edge cases: escaped quotes and backslashes inside
    strings, strict \uXXXX handling (including surrogate pairs and the
@@ -341,6 +344,11 @@ let json_roundtrip_prop =
 
 (* --- Bench_diff --- *)
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
 let summary ?(executed = 1000.) ?(hit_rate = 0.5) ?(wall = 10.)
     ?(sections = [ ("corpus", 100., 0.2, 1.0) ]) () =
   let section (name, ex, hr, w) =
@@ -361,8 +369,14 @@ let summary ?(executed = 1000.) ?(hit_rate = 0.5) ?(wall = 10.)
       ("sections", Json.List (List.map section sections));
     ]
 
-let diff ?thresholds baseline current =
-  Bench_diff.compare_summaries ?thresholds ~baseline ~current ()
+let gate text =
+  match Bench_diff.parse_gate text with
+  | Ok g -> g
+  | Error msg -> Alcotest.fail msg
+
+let diff ?identical ?(gates = []) baseline current =
+  Bench_diff.compare_summaries ?identical ~gates:(List.map gate gates)
+    ~baseline ~current ()
 
 let check_verdict what expected report =
   let show = function
@@ -406,11 +420,14 @@ let test_diff_wall_warns_by_default () =
   let report = diff (summary ()) (summary ~wall:100. ()) in
   check_verdict "wall regression warns" Bench_diff.Warn report;
   Alcotest.(check int) "warn exits 0" 0 (Bench_diff.exit_code report);
-  let thresholds =
-    { Bench_diff.default_thresholds with wall_fails = true }
+  let gates =
+    [
+      "engine_wall_seconds <= 1.5x + 1"; "sections.*.wall_seconds <= 1.5x + 1";
+    ]
   in
-  let report = diff ~thresholds (summary ()) (summary ~wall:100. ()) in
-  check_verdict "wall regression fails with wall_fails" Bench_diff.Fail report
+  let report = diff ~gates (summary ()) (summary ~wall:100. ()) in
+  check_verdict "wall regression fails with explicit gates" Bench_diff.Fail
+    report
 
 let test_diff_missing_section_fails () =
   let report = diff (summary ()) (summary ~sections:[] ()) in
@@ -434,13 +451,8 @@ let test_diff_schema_check () =
     match Bench_diff.check_schema doc with
     | Ok () -> Alcotest.fail (what ^ ": accepted a too-old schema")
     | Error msg ->
-      let contains needle =
-        let n = String.length needle and h = String.length msg in
-        let rec at i = i + n <= h && (String.sub msg i n = needle || at (i + 1)) in
-        at 0
-      in
       Alcotest.(check bool) (what ^ ": message says too old") true
-        (contains "too old")
+        (contains ~needle:"too old" msg)
   in
   (* a v1 summary has no schema_version field at all *)
   too_old "v1 (field absent)" (summary ());
@@ -554,9 +566,7 @@ let test_diff_store_hit_rate () =
   check_verdict "cold baseline imposes no store check" Bench_diff.Pass report
 
 let test_diff_min_store_hit_rate_floor () =
-  let gate baseline current =
-    Bench_diff.compare_summaries ~min_store_hit_rate:0.95 ~baseline ~current ()
-  in
+  let gate = diff ~gates:[ "store.hit_rate >= 0.95" ] in
   let report =
     gate (with_store (summary ())) (with_store ~hit_rate:0.90 (summary ()))
   in
@@ -588,8 +598,9 @@ let with_perf ?(blocks_per_sec = 1000.) s =
   | other -> other
 
 let test_diff_min_speedup () =
-  let gate baseline current =
-    Bench_diff.compare_summaries ~min_speedup:0.8 ~baseline ~current ()
+  let gate =
+    diff
+      ~gates:[ "perf.blocks_per_sec >= 0.8x"; "warn perf.blocks_per_sec >= 1x" ]
   in
   let report =
     gate (with_perf (summary ())) (with_perf ~blocks_per_sec:700. (summary ()))
@@ -613,7 +624,7 @@ let test_diff_min_speedup () =
   check_verdict "current without perf fails" Bench_diff.Fail report;
   let report = gate (summary ()) (with_perf (summary ())) in
   check_verdict "baseline without perf fails" Bench_diff.Fail report;
-  (* without --min-speedup the perf object imposes nothing *)
+  (* without a perf gate the perf object imposes nothing *)
   let report =
     diff (with_perf (summary ())) (with_perf ~blocks_per_sec:1. (summary ()))
   in
@@ -624,8 +635,9 @@ let test_diff_min_speedup_zero_baseline () =
      second (a zero-block run: empty corpus or fully warm store) can
      anchor no ratio — distinct from the missing-field case, and a
      failure either way rather than a divide-by-zero pass *)
-  let gate baseline current =
-    Bench_diff.compare_summaries ~min_speedup:0.8 ~baseline ~current ()
+  let gate =
+    diff
+      ~gates:[ "perf.blocks_per_sec >= 0.8x"; "warn perf.blocks_per_sec >= 1x" ]
   in
   let report =
     gate
@@ -672,7 +684,7 @@ let with_serving ?(lost = 0.) ?(shed_after_accept = 0.)
 
 let test_diff_serving_invariants () =
   (* lost and shed_after_accept are absolute invariants: they gate
-     whenever the current summary carries a serving object, no flag
+     whenever the current summary carries a serving object, no gate
      needed *)
   let report = diff (with_serving (summary ())) (with_serving (summary ())) in
   check_verdict "clean serving run passes" Bench_diff.Pass report;
@@ -691,9 +703,7 @@ let test_diff_serving_invariants () =
   check_verdict "no serving object: nothing gated" Bench_diff.Pass report
 
 let test_diff_min_coalesce () =
-  let gate baseline current =
-    Bench_diff.compare_summaries ~min_coalesce:1.05 ~baseline ~current ()
-  in
+  let gate = diff ~gates:[ "serving.coalesce_ratio >= 1.05" ] in
   let report =
     gate
       (with_serving (summary ()))
@@ -711,7 +721,7 @@ let test_diff_min_coalesce () =
   let report = gate (with_serving (summary ())) (summary ()) in
   check_verdict "current without serving fails the coalesce gate"
     Bench_diff.Fail report;
-  (* without the flag a weak ratio imposes nothing *)
+  (* without the gate a weak ratio imposes nothing *)
   let report =
     diff
       (with_serving (summary ()))
@@ -720,9 +730,7 @@ let test_diff_min_coalesce () =
   check_verdict "no floor requested: ratio not gated" Bench_diff.Pass report
 
 let test_diff_max_p99 () =
-  let gate baseline current =
-    Bench_diff.compare_summaries ~max_p99_ms:100. ~baseline ~current ()
-  in
+  let gate = diff ~gates:[ "serving.p99_ms <= 100" ] in
   let report =
     gate (with_serving (summary ())) (with_serving ~p99_ms:250. (summary ()))
   in
@@ -742,9 +750,7 @@ let test_diff_max_p99 () =
 let test_diff_min_rps () =
   (* schema v8: serving.requests_per_sec gated as a ratio against the
      baseline, like perf.blocks_per_sec *)
-  let gate baseline current =
-    Bench_diff.compare_summaries ~min_rps:0.8 ~baseline ~current ()
-  in
+  let gate = diff ~gates:[ "serving.requests_per_sec >= 0.8x" ] in
   let report =
     gate
       (with_serving ~rps:5000. (summary ()))
@@ -770,7 +776,7 @@ let test_diff_min_rps () =
   let report = gate (with_serving ~rps:5000. (summary ())) (summary ()) in
   check_verdict "current without serving fails the rps gate" Bench_diff.Fail
     report;
-  (* without the flag a throughput drop imposes nothing *)
+  (* without the gate a throughput drop imposes nothing *)
   let report =
     diff
       (with_serving ~rps:5000. (summary ()))
@@ -786,10 +792,7 @@ let test_diff_serving_volatile_for_identity () =
   let b = with_serving ~p99_ms:99. (summary ()) in
   Alcotest.(check bool) "serving stripped" true
     (Json.member "serving" (Bench_diff.strip_volatile a) = None);
-  let report =
-    Bench_diff.compare_summaries ~require_identical:true ~baseline:a
-      ~current:b ()
-  in
+  let report = diff ~identical:true a b in
   check_verdict "identity ignores serving deltas" Bench_diff.Pass report
 
 let test_strip_volatile () =
@@ -819,9 +822,7 @@ let test_strip_volatile () =
   | _ -> Alcotest.fail "sections missing after strip"
 
 let test_diff_identical_mode () =
-  let identical baseline current =
-    Bench_diff.compare_summaries ~require_identical:true ~baseline ~current ()
-  in
+  let identical = diff ~identical:true in
   (* volatile-only differences (store traffic) pass identically *)
   let report =
     identical
@@ -848,6 +849,119 @@ let test_diff_schema_v5_accepted () =
   let versioned v = Json.Object [ ("schema_version", Json.Number v) ] in
   Alcotest.(check bool) "v5 (manifest era) accepted" true
     (Result.is_ok (Bench_diff.check_schema (versioned 5.0)))
+
+(* --- the gate language --- *)
+
+let test_gate_parse () =
+  let accepted =
+    [
+      "executed <= 1.1x + 4";
+      "warn perf.blocks_per_sec >= 1x";
+      "serving.lost == 0";
+      "sections.*.wall_seconds<=1.5x+1";
+      "  refine.final_error <= 5e-3  ";
+      "a.b >= -2.5E+3";
+      "executed <= 1x + -4";
+    ]
+  in
+  List.iter
+    (fun text ->
+      match Bench_diff.parse_gate text with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "refused %S: %s" text msg)
+    accepted;
+  let refused =
+    [
+      ("executed 1.1x", "no operator");
+      ("executed < 4", "no operator (strict)");
+      ("a..b <= 1", "empty path component");
+      ("executed. <= 1", "trailing dot");
+      ("<= 1", "no path");
+      ("executed <= x", "x without a number");
+      ("executed <= x + 4", "x without a number, with slack");
+      ("executed <= 1.1x + 4 extra", "trailing text after the bound");
+      ("executed <= 4 4", "two numbers");
+      ("executed <= 1.1x - 4", "minus instead of plus");
+      ("executed <= 1.1x +", "plus without a number");
+      ("executed <= nan", "nan bound");
+      ("executed <= inf", "inf bound");
+      ("executed <= -inf", "negative inf bound");
+      ("executed <= 1e999", "overflowing bound");
+      ("executed <= nanx", "nan ratio");
+      ("executed <= 0x10", "hex bound");
+      ("executed <= 1_000", "underscore bound");
+      ("executed <= +1", "leading plus");
+      ("executed <= .5", "bare fraction");
+      ("warn", "warn without a gate");
+      ("warn <= 1", "warn without a path");
+    ]
+  in
+  List.iter
+    (fun (text, why) ->
+      match Bench_diff.parse_gate text with
+      | Ok _ -> Alcotest.failf "%s: accepted %S" why text
+      | Error msg ->
+        Alcotest.(check bool) (why ^ ": message names the gate") true
+          (contains ~needle:text msg))
+    refused
+
+let test_gate_semantics () =
+  let cases =
+    [
+      ("== at the value", "executed == 1000", 1000., 1000., Bench_diff.Pass);
+      ("== off the value", "executed == 1000", 1000., 1000.5, Bench_diff.Fail);
+      ("Kx + N at bound", "executed <= 1x + 10", 1000., 1010., Bench_diff.Pass);
+      ("Kx + N past it", "executed <= 1x + 10", 1000., 1011., Bench_diff.Fail);
+      ("warn downgrades", "warn executed <= 1x", 1000., 1001., Bench_diff.Warn);
+      ("N ignores baseline", "executed >= 1001", 1000., 1001., Bench_diff.Pass);
+      (* a zero baseline anchors no ratio, but + N still bounds it *)
+      ("zero baseline, pure Kx", "executed <= 1x", 0., 0., Bench_diff.Fail);
+      ("zero baseline, Kx + N", "executed <= 1x + 4", 0., 4., Bench_diff.Pass);
+      ("zero baseline, past N", "executed <= 1x + 4", 0., 5., Bench_diff.Fail);
+    ]
+  in
+  List.iter
+    (fun (what, gate, base, executed, expected) ->
+      check_verdict what expected
+        (diff ~gates:[ gate ]
+           (summary ~executed:base ())
+           (summary ~executed ())))
+    cases;
+  (* an explicit sections.*.F gate fails on the one section that
+     regressed, under that section's name *)
+  let sections = [ ("a", 10., 0.5, 1.0); ("b", 10., 0.5, 1.0) ] in
+  let regressed = [ ("a", 10., 0.5, 1.0); ("b", 11., 0.5, 1.0) ] in
+  let report =
+    diff ~gates:[ "sections.*.executed <= 1x" ]
+      (summary ~sections ()) (summary ~sections:regressed ())
+  in
+  check_verdict "one section over its bound fails" Bench_diff.Fail report;
+  Alcotest.(check (list string)) "only that section is named"
+    [ "sections.b.executed" ]
+    (List.filter_map
+       (fun (f : Bench_diff.finding) ->
+         if f.severity = Bench_diff.Regression then Some f.metric else None)
+       report.Bench_diff.findings)
+
+let test_gate_absent_path () =
+  (* the same gate on an absent path: explicit fails, default skipped *)
+  let report =
+    diff ~gates:[ "store.hit_rate >= 0.95x" ] (summary ()) (summary ())
+  in
+  check_verdict "explicit gate on an absent path fails" Bench_diff.Fail report;
+  let report = diff (summary ()) (summary ()) in
+  check_verdict "default gate on an absent path is skipped" Bench_diff.Pass
+    report;
+  Alcotest.(check bool) "no finding for the skipped default" false
+    (List.exists
+       (fun (f : Bench_diff.finding) -> f.metric = "store.hit_rate")
+       report.Bench_diff.findings);
+  (* a non-number at the path counts as absent *)
+  let text_executed =
+    Json.Object [ ("executed", Json.String "1000"); ("sections", Json.List []) ]
+  in
+  check_verdict "non-number fails an explicit gate" Bench_diff.Fail
+    (diff ~gates:[ "executed <= 2000" ] (summary ()) text_executed)
 
 let suite =
   [
@@ -913,4 +1027,8 @@ let suite =
       test_diff_experiment_mismatch;
     Alcotest.test_case "diff: manifest id informational" `Quick
       test_diff_manifest_id_informational;
+    Alcotest.test_case "gate: parse accept and refuse" `Quick test_gate_parse;
+    Alcotest.test_case "gate: ==, Kx + N, warn, sections.*" `Quick
+      test_gate_semantics;
+    Alcotest.test_case "gate: absent path" `Quick test_gate_absent_path;
   ]

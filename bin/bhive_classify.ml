@@ -31,4 +31,4 @@ let cmd =
     (Cmd.info "bhive_classify" ~doc:"Classify the benchmark suite into port-usage categories")
     Term.(const run $ Cli_common.setup $ scale $ exemplars)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -34,4 +34,4 @@ let cmd =
     (Cmd.info "bhive_corpus" ~doc:"Dump generated benchmark-suite basic blocks as assembly")
     Term.(const run $ Cli_common.setup $ scale $ app_arg $ limit $ with_freq)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

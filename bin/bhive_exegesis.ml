@@ -29,4 +29,4 @@ let cmd =
     (Cmd.info "bhive_exegesis" ~doc:"Measure per-instruction latency and throughput with generated micro-benchmarks")
     Term.(const run $ Cli_common.setup $ uarch $ ports)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -68,4 +68,4 @@ let cmd =
       const run $ Cli_common.setup $ uarch $ naive $ keep_underflow
       $ keep_misaligned $ with_models $ schedule $ file)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

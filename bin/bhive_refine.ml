@@ -125,4 +125,4 @@ let cmd =
       const run $ Cli_common.setup $ scale $ uarch $ perturb $ target_error
       $ max_evals $ summary $ journal $ fresh)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -92,4 +92,4 @@ let cmd =
       const run $ Cli_common.setup $ path $ print_id $ fresh $ max_sections
       $ kill_after_jobs)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -43,4 +43,4 @@ let cmd =
     (Cmd.info "bhive_validate" ~doc:"Validate the cost models against measured ground truth")
     Term.(const run $ Cli_common.setup $ scale $ uarches $ seed $ export)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

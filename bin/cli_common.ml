@@ -1,9 +1,9 @@
 (* Shared CLI plumbing: every executable in this directory is a thin
    wrapper that synthesizes a manifest and hands it to
    [Manifest.Runner]. This module owns the one copy of the shared
-   flags — --jobs, --store, --faults, --max-retries, --quorum,
-   --trace, --emit-manifest — and the exit-code policy, so the
-   wrappers contain only their experiment-specific flags.
+   flags — --jobs, --store, --faults, --max-retries, --trace,
+   --emit-manifest — and the exit-code policy, so the wrappers contain
+   only their experiment-specific flags.
 
    [setup] also validates every engine-relevant environment variable
    up front: a malformed BHIVE_JOBS / BHIVE_FAULTS / BHIVE_STORE is a
@@ -22,10 +22,9 @@ let faults_arg =
     & opt (some faults_conv) None
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
-          "Deterministic fault injection for the measurement substrate, as \
-           a comma-separated spec: \
-           $(b,crash=0.01,stall=0.005,corrupt=0.002,seed=42). Overrides \
-           \\$BHIVE_FAULTS; $(b,none) disables injection.")
+          "Deterministic worker-crash injection, as a comma-separated spec: \
+           $(b,crash=0.03,seed=7). Overrides \\$BHIVE_FAULTS; $(b,none) \
+           disables injection.")
 
 let max_retries_arg =
   Arg.(
@@ -33,18 +32,8 @@ let max_retries_arg =
     & opt (some int) None
     & info [ "max-retries" ] ~docv:"N"
         ~doc:
-          "Retries after a job's first failed attempt before it is \
+          "Retries after a job's first crashed attempt before it is \
            quarantined (default 4).")
-
-let quorum_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "quorum" ] ~docv:"N"
-        ~doc:
-          "Trials per measurement attempt; a result is accepted only when a \
-           strict majority of trials agree, which outvotes corrupted \
-           timings (default 1: no voting).")
 
 let store_arg =
   Arg.(
@@ -89,7 +78,7 @@ type setup = { overrides : Manifest.Runner.overrides; emit : bool }
 (* Evaluates before the command body runs: environment validation and
    trace installation happen exactly once per process. *)
 let setup : setup Term.t =
-  let apply faults max_retries quorum store jobs trace emit =
+  let apply faults max_retries store jobs trace emit =
     (match Engine.validate_env () with
     | Ok () -> ()
     | Error msg ->
@@ -105,19 +94,18 @@ let setup : setup Term.t =
           o_store = store;
           o_faults = faults;
           o_max_retries = max_retries;
-          o_quorum = quorum;
         };
       emit;
     }
   in
   Term.(
-    const apply $ faults_arg $ max_retries_arg $ quorum_arg $ store_arg
-    $ jobs_arg $ trace_arg $ emit_arg)
+    const apply $ faults_arg $ max_retries_arg $ store_arg $ jobs_arg
+    $ trace_arg $ emit_arg)
 
 (* Exit-code policy, shared by every wrapper and bhive_run itself:
-   0 success, 1 lost jobs, 2 invalid manifest / environment / output
-   paths, 3 interrupted (--max-sections stopped before the last
-   section). *)
+   0 success, 1 lost jobs, 2 invalid command line / manifest /
+   environment / output paths, 3 interrupted (--max-sections stopped
+   before the last section). *)
 let run_spec ?fresh ?max_sections ?kill_after_jobs (s : setup) spec =
   if s.emit then begin
     print_string (Manifest.Spec.to_string spec);
@@ -140,3 +128,22 @@ let run_spec ?fresh ?max_sections ?kill_after_jobs (s : setup) spec =
     end;
     if o.interrupted then exit 3;
     exit 0
+
+(* Evaluate a wrapper's command under that policy: a command-line error
+   (an unknown flag, a malformed --faults spec) is cmdliner's one-line
+   message on stderr and exit 2, where cmdliner alone would add a usage
+   block and exit 124. *)
+let eval cmd =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 1_000_000;
+  let result = Cmd.eval_value ~err cmd in
+  Format.pp_print_flush err ();
+  match result with
+  | Ok _ -> exit 0
+  | Error (`Parse | `Term) ->
+    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+    exit 2
+  | Error `Exn ->
+    prerr_string (Buffer.contents buf);
+    exit Cmd.Exit.internal_error

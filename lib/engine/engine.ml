@@ -4,20 +4,18 @@
    cache and deduplicated, leaving a worklist of unique jobs in
    first-occurrence order. Worker domains pull (job, attempt) items
    from a mutex-protected queue and write into disjoint slots of a
-   result array. Faults are decided by Faultsim purely from
-   (fingerprint, attempt, trial), so which domain runs a job — and how
-   many domains there are — cannot change any outcome; that is the
-   whole determinism argument, faults included.
+   result array. Crashes are decided by Faultsim purely from
+   (fingerprint, attempt), so which domain runs a job — and how many
+   domains there are — cannot change any outcome; that is the whole
+   determinism argument, faults included.
 
-   Supervision: a simulated worker crash raises Worker_crashed out of
-   the worker domain. The submitting thread joins domains one by one;
-   when a join re-raises Worker_crashed it requeues the in-flight job
-   (attempt + 1) or quarantines it if the budget is spent, then spawns
-   a replacement domain on the same worker slot and keeps supervising.
-   Timeouts and failed quorum rounds are retried inside the worker
-   (with deterministic exponential backoff on the simulated clock);
-   only crashes cross the domain boundary, because only crashes kill
-   the domain.
+   Supervision: an attempt either draws a simulated crash and raises
+   Worker_crashed out of the worker domain, or profiles the job once.
+   The submitting thread joins domains one by one; when a join
+   re-raises Worker_crashed it requeues the in-flight job (attempt + 1)
+   or quarantines it if the budget is spent, then spawns a replacement
+   domain on the same worker slot and keeps supervising. That requeue
+   is the engine's only retry path.
 
    The cache is only written by the submitting thread after the pool
    drains, and results are re-expanded into submission order — which is
@@ -43,42 +41,6 @@ let generation = Stable_key.generation
 let flat_digest = Stable_key.flat_digest
 let block_generation = Stable_key.block_generation
 let overlay_digest = Stable_key.overlay_digest
-
-(* --- retry policy ----------------------------------------------------- *)
-
-type policy = {
-  max_retries : int;
-  deadline_ms : int;
-  backoff_ms : int;
-  quorum : int;
-}
-
-let default_policy =
-  { max_retries = 4; deadline_ms = 100; backoff_ms = 10; quorum = 1 }
-
-let clamp_policy p =
-  {
-    max_retries = max 0 p.max_retries;
-    deadline_ms = max 1 p.deadline_ms;
-    backoff_ms = max 0 p.backoff_ms;
-    quorum = max 1 p.quorum;
-  }
-
-let policy_override = ref default_policy
-
-let set_default_policy ?max_retries ?deadline_ms ?backoff_ms ?quorum () =
-  let p = !policy_override in
-  policy_override :=
-    clamp_policy
-      {
-        max_retries = Option.value max_retries ~default:p.max_retries;
-        deadline_ms = Option.value deadline_ms ~default:p.deadline_ms;
-        backoff_ms = Option.value backoff_ms ~default:p.backoff_ms;
-        quorum = Option.value quorum ~default:p.quorum;
-      }
-
-(* backoff before attempt [k+1], simulated ms *)
-let backoff_of p k = p.backoff_ms * (1 lsl min k 20)
 
 (* --- persistent store tier -------------------------------------------- *)
 
@@ -134,19 +96,11 @@ let validate_env () =
 
 (* --- outcomes and quarantine ------------------------------------------ *)
 
-type attempt_record = {
-  att_number : int;
-  att_verdict : string;
-  att_faults : string list;
-  att_sim_ms : int;
-  att_backoff_ms : int;
-}
-
 type quarantine = {
   q_fingerprint : string;
   q_uarch : string;
   q_block_insts : int;
-  q_attempts : attempt_record list;
+  q_attempts : int;
 }
 
 type error =
@@ -158,22 +112,8 @@ type outcome = (Harness.Profiler.profile, error) result
 let error_to_string ?fingerprint = function
   | Profiler_failure f -> Harness.Profiler.failure_to_string ?fingerprint f
   | Quarantined q ->
-    Printf.sprintf "quarantined after %d attempts (%s) [job %s]"
-      (List.length q.q_attempts)
-      (String.concat "; "
-         (List.map (fun a -> a.att_verdict) q.q_attempts))
-      q.q_fingerprint
-
-let attempt_json (a : attempt_record) =
-  let open Telemetry in
-  Json.Object
-    [
-      ("attempt", Json.Number (float_of_int a.att_number));
-      ("verdict", Json.String a.att_verdict);
-      ("faults", Json.List (List.map (fun f -> Json.String f) a.att_faults));
-      ("sim_ms", Json.Number (float_of_int a.att_sim_ms));
-      ("backoff_ms", Json.Number (float_of_int a.att_backoff_ms));
-    ]
+    Printf.sprintf "quarantined after %d crashed attempts [job %s]"
+      q.q_attempts q.q_fingerprint
 
 let quarantine_json (q : quarantine) =
   let open Telemetry in
@@ -182,7 +122,7 @@ let quarantine_json (q : quarantine) =
       ("fingerprint", Json.String q.q_fingerprint);
       ("uarch", Json.String q.q_uarch);
       ("block_insts", Json.Number (float_of_int q.q_block_insts));
-      ("attempts", Json.List (List.map attempt_json q.q_attempts));
+      ("attempts", Json.Number (float_of_int q.q_attempts));
     ]
 
 type batch = { outcomes : outcome array; quarantined : quarantine list }
@@ -198,10 +138,6 @@ type stats = {
   profiler_calls : int;
   retries : int;
   crashes : int;
-  timeouts : int;
-  quorum_failures : int;
-  stalls_absorbed : int;
-  corruptions : int;
   workers_replenished : int;
   store_hits : int;
   store_misses : int;
@@ -234,7 +170,7 @@ type t = {
   n_jobs : int;
   progress : (done_:int -> total:int -> unit) option;
   faults : Faultsim.config;
-  policy : policy;
+  max_retries : int;
   cache : (string, outcome) Hashtbl.t;
   store : Store.t option;  (** disk tier; absent without BHIVE_STORE/--store *)
   mutable gen_cache : (Uarch.Descriptor.t * string) list;
@@ -261,10 +197,6 @@ type t = {
   mutable profiler_calls : int;
   mutable retries : int;
   mutable crashes : int;
-  mutable timeouts : int;
-  mutable quorum_failures : int;
-  mutable stalls_absorbed : int;
-  mutable corruptions : int;
   mutable workers_replenished : int;
   mutable store_hit_count : int;
   mutable store_miss_count : int;
@@ -281,10 +213,6 @@ let m_cache_hits = Telemetry.Metrics.counter "engine.cache_hits"
 let m_profiler_calls = Telemetry.Metrics.counter "engine.profiler_calls"
 let m_retries = Telemetry.Metrics.counter "engine.retries"
 let m_crashes = Telemetry.Metrics.counter "engine.crashes"
-let m_timeouts = Telemetry.Metrics.counter "engine.timeouts"
-let m_quorum_failures = Telemetry.Metrics.counter "engine.quorum_failures"
-let m_stalls_absorbed = Telemetry.Metrics.counter "engine.stalls_absorbed"
-let m_corruptions = Telemetry.Metrics.counter "engine.corruptions"
 let m_quarantined = Telemetry.Metrics.counter "engine.quarantined"
 
 let m_replenished =
@@ -314,10 +242,10 @@ let open_store path =
   end
   else Store.open_ path
 
-let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
-    ?backoff_ms ?quorum ?(block_generation = false) () =
+let create ?jobs ?progress ?faults ?store ?store_path ?(max_retries = 4)
+    ?(block_generation = false) () =
   let n_jobs = max 1 (match jobs with Some n -> n | None -> default_jobs ()) in
-  let faults = match faults with Some f -> f | None -> Faultsim.default () in
+  let faults = match faults with Some f -> f | None -> Faultsim.of_env () in
   let store =
     (* an already-open handle wins over any path: the store's
        cross-process file locks are per-process, so several engines of
@@ -332,21 +260,11 @@ let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
       in
       Option.map open_store store_path
   in
-  let base = !policy_override in
-  let policy =
-    clamp_policy
-      {
-        max_retries = Option.value max_retries ~default:base.max_retries;
-        deadline_ms = Option.value deadline_ms ~default:base.deadline_ms;
-        backoff_ms = Option.value backoff_ms ~default:base.backoff_ms;
-        quorum = Option.value quorum ~default:base.quorum;
-      }
-  in
   {
     n_jobs;
     progress;
     faults;
-    policy;
+    max_retries = max 0 max_retries;
     cache = Hashtbl.create 4096;
     store;
     gen_cache = [];
@@ -362,10 +280,6 @@ let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
     profiler_calls = 0;
     retries = 0;
     crashes = 0;
-    timeouts = 0;
-    quorum_failures = 0;
-    stalls_absorbed = 0;
-    corruptions = 0;
     workers_replenished = 0;
     store_hit_count = 0;
     store_miss_count = 0;
@@ -380,7 +294,6 @@ let shared = lazy (create ())
 let default () = Lazy.force shared
 let jobs t = t.n_jobs
 let faults t = t.faults
-let policy t = t.policy
 let cache_size t = Hashtbl.length t.cache
 let store t = t.store
 
@@ -459,10 +372,6 @@ let stats t =
     profiler_calls = t.profiler_calls;
     retries = t.retries;
     crashes = t.crashes;
-    timeouts = t.timeouts;
-    quorum_failures = t.quorum_failures;
-    stalls_absorbed = t.stalls_absorbed;
-    corruptions = t.corruptions;
     workers_replenished = t.workers_replenished;
     store_hits = t.store_hit_count;
     store_misses = t.store_miss_count;
@@ -503,24 +412,6 @@ let write_quarantine_manifest t path =
 exception
   Worker_crashed of { unique : int; attempt : int; worker : int }
 
-(* Structural majority vote: the first value whose marshalled
-   representation reaches a strict majority of the trials. *)
-let majority trials votes =
-  match votes with
-  | [ v ] when trials = 1 -> Some v
-  | vs ->
-    let keyed =
-      List.map (fun v -> (Digest.string (Marshal.to_string v []), v)) vs
-    in
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (k, _) ->
-        Hashtbl.replace tbl k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      keyed;
-    List.find_opt (fun (k, _) -> 2 * Hashtbl.find tbl k > trials) keyed
-    |> Option.map snd
-
 let run_batch t (submission : job list) : batch =
   let t0 = Unix.gettimeofday () in
   let batch_start_ns = Telemetry.Trace.now_ns () in
@@ -541,10 +432,6 @@ let run_batch t (submission : job list) : batch =
   let a_profiler_calls = Atomic.make 0 in
   let a_retries = Atomic.make 0 in
   let a_crashes = Atomic.make 0 in
-  let a_timeouts = Atomic.make 0 in
-  let a_quorum_failures = Atomic.make 0 in
-  let a_stalls = Atomic.make 0 in
-  let a_corruptions = Atomic.make 0 in
   let a_replenished = Atomic.make 0 in
   let body () =
     let batch_span = Telemetry.Trace.current_span () in
@@ -676,12 +563,6 @@ let run_batch t (submission : job list) : batch =
           end)
     in
     let out : outcome option array = Array.make m None in
-    (* per-unique attempt history (reverse order); owned by whichever
-       worker currently holds the job — ownership transfers through the
-       queue mutex or a Domain.join, both synchronisation points *)
-    let logs : attempt_record list ref array =
-      Array.init m (fun _ -> ref [])
-    in
     let queue : (int * int) Queue.t = Queue.create () in
     let queue_lock = Mutex.create () in
     Array.iteri (fun u _ -> Queue.add (u, 0) queue) worklist;
@@ -707,25 +588,24 @@ let run_batch t (submission : job list) : batch =
           ~finally:(fun () -> Mutex.unlock t.lock)
           (fun () -> hook ~done_:d ~total:m)
     in
-    let mk_quarantine u =
+    let finalize_quarantine u ~attempts =
       let fp, slot = worklist.(u) in
       let j = submission.(slot) in
-      {
-        q_fingerprint = fp;
-        q_uarch = j.uarch.short;
-        q_block_insts = List.length j.block;
-        q_attempts = List.rev !(logs.(u));
-      }
-    in
-    let finalize_quarantine u =
-      let q = mk_quarantine u in
+      let q =
+        {
+          q_fingerprint = fp;
+          q_uarch = j.uarch.short;
+          q_block_insts = List.length j.block;
+          q_attempts = attempts;
+        }
+      in
       out.(u) <- Some (Error (Quarantined q));
       Telemetry.Metrics.incr m_quarantined;
       if traced then
         Telemetry.Trace.instant "engine.quarantine" ~attrs:(fun () ->
             [
-              ("fingerprint", Telemetry.Trace.Str q.q_fingerprint);
-              ("attempts", Telemetry.Trace.Int (List.length q.q_attempts));
+              ("fingerprint", Telemetry.Trace.Str fp);
+              ("attempts", Telemetry.Trace.Int attempts);
             ]);
       mark_resolved ()
     in
@@ -757,147 +637,36 @@ let run_batch t (submission : job list) : batch =
       Telemetry.Metrics.observe h_job_seconds (seconds_of_ns busy);
       Option.get !result
     in
-    (* Run the attempts of unique job [u] starting at [attempt0].
-       Timeouts and failed quorum rounds retry in place; a crash
-       escapes as Worker_crashed (the domain dies). *)
-    let run_attempts ~worker u attempt0 =
+    (* One attempt of unique job [u]: draw a crash, which kills the
+       domain by escaping as Worker_crashed, else profile once. *)
+    let run_attempt ~worker u attempt =
       let fp, slot = worklist.(u) in
-      let fp_hex = fp in
-      let j = submission.(slot) in
-      let trials = t.policy.quorum in
-      let record ~attempt ~verdict ~faults_rev ~sim_ms ~backoff_ms =
-        logs.(u) :=
-          {
-            att_number = attempt;
-            att_verdict = verdict;
-            att_faults = List.rev faults_rev;
-            att_sim_ms = sim_ms;
-            att_backoff_ms = backoff_ms;
-          }
-          :: !(logs.(u))
-      in
-      let fault_instant attempt fault =
+      if Faultsim.crashes t.faults ~fingerprint:fp ~attempt then begin
+        Atomic.incr a_crashes;
+        Telemetry.Metrics.incr m_crashes;
         if traced then
-          Telemetry.Trace.instant "engine.fault" ~attrs:(fun () ->
+          Telemetry.Trace.instant "engine.crash" ~attrs:(fun () ->
               [
-                ("kind", Telemetry.Trace.Str (Faultsim.fault_to_string fault));
-                ("fingerprint", Telemetry.Trace.Str fp_hex);
+                ("fingerprint", Telemetry.Trace.Str fp);
                 ("attempt", Telemetry.Trace.Int attempt);
-              ])
+              ]);
+        raise (Worker_crashed { unique = u; attempt; worker })
+      end;
+      let r =
+        Result.map_error
+          (fun f -> Profiler_failure f)
+          (execute_profiler ~worker ~attempt fp submission.(slot))
       in
-      let rec go attempt =
-        let sim_ms = ref 0 in
-        let faults_seen = ref [] in
-        let base = ref None in
-        let get_base () =
-          match !base with
-          | Some r -> r
-          | None ->
-            let r = execute_profiler ~worker ~attempt fp j in
-            base := Some r;
-            r
-        in
-        let corrupt_vote salt =
-          match get_base () with
-          | Ok p ->
-            Ok
-              {
-                p with
-                Harness.Profiler.throughput =
-                  Faultsim.corrupt_throughput ~salt p.Harness.Profiler.throughput;
-              }
-          | Error _ as e -> e
-        in
-        let rec run_trials trial votes =
-          if trial >= trials then `Votes (List.rev votes)
-          else begin
-            match
-              Faultsim.draw t.faults ~fingerprint:fp_hex ~attempt ~trial
-            with
-            | Some Faultsim.Crash as f ->
-              faults_seen := "crash" :: !faults_seen;
-              fault_instant attempt (Option.get f);
-              `Crash
-            | Some (Faultsim.Stall ms) as f ->
-              fault_instant attempt (Option.get f);
-              sim_ms := !sim_ms + ms;
-              if !sim_ms > t.policy.deadline_ms then begin
-                faults_seen := Printf.sprintf "stall:%dms" ms :: !faults_seen;
-                `Timeout
-              end
-              else begin
-                faults_seen :=
-                  Printf.sprintf "stall:%dms(absorbed)" ms :: !faults_seen;
-                Atomic.incr a_stalls;
-                Telemetry.Metrics.incr m_stalls_absorbed;
-                incr sim_ms;
-                run_trials (trial + 1) (get_base () :: votes)
-              end
-            | Some (Faultsim.Corrupt salt) as f ->
-              fault_instant attempt (Option.get f);
-              faults_seen := "corrupt" :: !faults_seen;
-              Atomic.incr a_corruptions;
-              Telemetry.Metrics.incr m_corruptions;
-              incr sim_ms;
-              run_trials (trial + 1) (corrupt_vote salt :: votes)
-            | None ->
-              incr sim_ms;
-              run_trials (trial + 1) (get_base () :: votes)
-          end
-        in
-        let retry_or_quarantine () =
-          if attempt < t.policy.max_retries then begin
-            Atomic.incr a_retries;
-            Telemetry.Metrics.incr m_retries;
-            go (attempt + 1)
-          end
-          else finalize_quarantine u
-        in
-        let next_backoff () =
-          if attempt < t.policy.max_retries then backoff_of t.policy attempt
-          else 0
-        in
-        match run_trials 0 [] with
-        | `Crash ->
-          Atomic.incr a_crashes;
-          Telemetry.Metrics.incr m_crashes;
-          record ~attempt ~verdict:"crash" ~faults_rev:!faults_seen
-            ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-          raise (Worker_crashed { unique = u; attempt; worker })
-        | `Timeout ->
-          Atomic.incr a_timeouts;
-          Telemetry.Metrics.incr m_timeouts;
-          record ~attempt ~verdict:"timeout" ~faults_rev:!faults_seen
-            ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-          retry_or_quarantine ()
-        | `Votes votes -> (
-          match majority trials votes with
-          | Some v ->
-            record ~attempt ~verdict:"ok" ~faults_rev:!faults_seen
-              ~sim_ms:!sim_ms ~backoff_ms:0;
-            let r : outcome =
-              match v with
-              | Ok p -> Ok p
-              | Error f -> Error (Profiler_failure f)
-            in
-            out.(u) <- Some r;
-            store_put u fp r;
-            mark_resolved ()
-          | None ->
-            Atomic.incr a_quorum_failures;
-            Telemetry.Metrics.incr m_quorum_failures;
-            record ~attempt ~verdict:"no_quorum" ~faults_rev:!faults_seen
-              ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-            retry_or_quarantine ())
-      in
-      go attempt0
+      out.(u) <- Some r;
+      store_put u fp r;
+      mark_resolved ()
     in
     let worker_loop w () =
       let rec loop () =
         match pop () with
         | None -> ()
         | Some (u, attempt) ->
-          run_attempts ~worker:w u attempt;
+          run_attempt ~worker:w u attempt;
           loop ()
       in
       loop ()
@@ -907,12 +676,12 @@ let run_batch t (submission : job list) : batch =
     let recover ~unique ~attempt =
       Atomic.incr a_replenished;
       Telemetry.Metrics.incr m_replenished;
-      if attempt < t.policy.max_retries then begin
+      if attempt < t.max_retries then begin
         Atomic.incr a_retries;
         Telemetry.Metrics.incr m_retries;
         push (unique, attempt + 1)
       end
-      else finalize_quarantine unique
+      else finalize_quarantine unique ~attempts:(attempt + 1)
     in
     let workers = min t.n_jobs m in
     if workers <= 1 then begin
@@ -923,7 +692,7 @@ let run_batch t (submission : job list) : batch =
         match pop () with
         | None -> ()
         | Some (u, attempt) ->
-          (try run_attempts ~worker:0 u attempt
+          (try run_attempt ~worker:0 u attempt
            with Worker_crashed { unique; attempt; _ } ->
              recover ~unique ~attempt);
           drain ()
@@ -1001,10 +770,6 @@ let run_batch t (submission : job list) : batch =
   t.profiler_calls <- t.profiler_calls + Atomic.get a_profiler_calls;
   t.retries <- t.retries + Atomic.get a_retries;
   t.crashes <- t.crashes + Atomic.get a_crashes;
-  t.timeouts <- t.timeouts + Atomic.get a_timeouts;
-  t.quorum_failures <- t.quorum_failures + Atomic.get a_quorum_failures;
-  t.stalls_absorbed <- t.stalls_absorbed + Atomic.get a_stalls;
-  t.corruptions <- t.corruptions + Atomic.get a_corruptions;
   t.workers_replenished <- t.workers_replenished + Atomic.get a_replenished;
   t.store_hit_count <- t.store_hit_count + !b_store_hits;
   t.store_miss_count <- t.store_miss_count + !b_store_misses;
@@ -1084,17 +849,10 @@ let summary_json t =
           Json.String
             (if Faultsim.is_none t.faults then "none"
              else Faultsim.to_string t.faults) );
-        ("max_retries", num t.policy.max_retries);
-        ("deadline_ms", num t.policy.deadline_ms);
-        ("backoff_ms", num t.policy.backoff_ms);
-        ("quorum", num t.policy.quorum);
+        ("max_retries", num t.max_retries);
         ("profiler_calls", num s.profiler_calls);
         ("retries", num s.retries);
         ("crashes", num s.crashes);
-        ("timeouts", num s.timeouts);
-        ("quorum_failures", num s.quorum_failures);
-        ("stalls_absorbed", num s.stalls_absorbed);
-        ("corruptions", num s.corruptions);
         ("workers_replenished", num s.workers_replenished);
         ("quarantined_jobs", num (List.length t.quarantine_log));
         ("quarantined_slots", num s.quarantined);

@@ -2,35 +2,29 @@
     between the experiment drivers (dataset construction, ablations,
     validation, benchmarks, CLIs) and {!Harness.Profiler.profile}.
 
-    Beyond batching, memoisation and the OCaml 5 domain pool (PR 1),
-    the engine now assumes the substrate is hostile: a profiling
-    attempt may crash the worker domain that runs it, stall past its
-    simulated deadline, or return a corrupted timing
-    (see {!Faultsim}). The engine detects, retries, quarantines and
-    reports around those faults:
+    The engine batches jobs, memoises their outcomes in memory and in
+    an optional persistent store, and runs the unique ones on a pool of
+    OCaml 5 worker domains. It also assumes a worker may die: a
+    profiling attempt can crash the domain that runs it (injected by
+    {!Faultsim}). An attempt either crashes or profiles the job once;
+    the profiler's own clean-timing filter already guards each timing
+    against machine noise.
 
-    - {b per-job deadlines with bounded retry}: each failed attempt is
-      retried after a deterministic exponential backoff (simulated
-      milliseconds — no wall time passes) up to [max_retries] times;
     - {b worker-domain crash recovery}: a crash kills the domain; the
-      supervisor resubmits the in-flight job and replenishes the pool
-      with a replacement domain on the same worker slot;
-    - {b quorum mode} ([quorum : n > 1]): every attempt re-measures the
-      job in [n] independently perturbed trials and accepts only a
-      strict-majority value — the paper's min-clean-timings filter,
-      lifted one level up, which is what outvotes corrupted timings;
+      supervisor requeues the in-flight job, up to [max_retries] times,
+      and replenishes the pool with a replacement domain on the same
+      worker slot. This requeue is the engine's only retry path;
     - {b graceful degradation}: a batch {e never} raises out of
-      {!run_batch}. Jobs that exhaust their retry budget land in a
+      {!run_batch}. A job that crashes on every attempt lands in a
       structured quarantine manifest and the batch returns partial
       results plus that manifest. Every submitted job is accounted
       for: completed + quarantined = submitted, always.
 
-    {b Determinism.} Fault decisions are pure functions of
-    (fingerprint, attempt, trial) — never of scheduling — and the
-    profiler is deterministic per job, so batch output is byte-identical
-    for {e any} worker count and {e any} fault seed, as long as every
-    job resolves within its retry budget ("recoverable" rates). With
-    faults disabled the engine behaves exactly like the PR 1 engine. *)
+    {b Determinism.} Crash decisions are pure functions of
+    (fingerprint, attempt) — never of scheduling — and the profiler is
+    deterministic per job, so batch output is byte-identical for
+    {e any} worker count and {e any} fault seed, as long as every job
+    succeeds within its retry budget ("recoverable" rates). *)
 
 (** One measurement request. *)
 type job = {
@@ -78,47 +72,14 @@ val block_generation : Uarch.Descriptor.t -> X86.Inst.t list -> string
     refinement candidate's patch. *)
 val overlay_digest : Uarch.Overlay.t -> string
 
-(** {1 Retry policy} *)
-
-type policy = {
-  max_retries : int;  (** retries after the first attempt (default 4) *)
-  deadline_ms : int;
-      (** simulated per-attempt deadline; a stall that pushes the
-          attempt past it fails the attempt (default 100) *)
-  backoff_ms : int;
-      (** base backoff before retry [k] is [backoff_ms * 2^k] simulated
-          ms (default 10) *)
-  quorum : int;
-      (** trials per attempt; [1] disables voting (default 1) *)
-}
-
-val default_policy : policy
-
-(** Process-default policy overrides (set by the [--max-retries] /
-    [--quorum] CLI flags before the first engine is created). Values
-    are clamped: [max_retries >= 0], [quorum >= 1]. *)
-val set_default_policy :
-  ?max_retries:int -> ?deadline_ms:int -> ?backoff_ms:int -> ?quorum:int ->
-  unit -> unit
-
 (** {1 Outcomes and quarantine} *)
 
-(** One attempt of one job, as recorded in the quarantine manifest and
-    the engine's telemetry. *)
-type attempt_record = {
-  att_number : int;  (** 0-based *)
-  att_verdict : string;  (** ["ok"], ["crash"], ["timeout"] or ["no_quorum"] *)
-  att_faults : string list;  (** injected faults, in trial order *)
-  att_sim_ms : int;  (** simulated elapsed ms of the attempt *)
-  att_backoff_ms : int;  (** backoff before the next attempt; 0 if none *)
-}
-
-(** A job that exhausted its retry budget. *)
+(** A job that crashed on every attempt of its retry budget. *)
 type quarantine = {
   q_fingerprint : string;  (** hex job fingerprint *)
   q_uarch : string;
   q_block_insts : int;
-  q_attempts : attempt_record list;  (** in attempt order *)
+  q_attempts : int;  (** attempts made, each of which crashed *)
 }
 
 (** Why a job has no measurement. *)
@@ -126,8 +87,7 @@ type error =
   | Profiler_failure of Harness.Profiler.failure
       (** the profiler ran and failed (mapping failure etc.) *)
   | Quarantined of quarantine
-      (** the measurement substrate never produced a trustworthy
-          result within the retry budget *)
+      (** every attempt within the retry budget crashed its worker *)
 
 val error_to_string : ?fingerprint:string -> error -> string
 
@@ -160,10 +120,6 @@ type stats = {
   profiler_calls : int;  (** actual {!Harness.Profiler.profile} invocations *)
   retries : int;  (** attempts beyond each job's first *)
   crashes : int;  (** worker-domain deaths *)
-  timeouts : int;  (** attempts failed on the simulated deadline *)
-  quorum_failures : int;  (** attempts with no majority value *)
-  stalls_absorbed : int;  (** stalls that fit inside the deadline *)
-  corruptions : int;  (** corrupted trials injected *)
   workers_replenished : int;  (** replacement domains spawned *)
   store_hits : int;  (** disk-tier lookups served from the store *)
   store_misses : int;  (** disk-tier lookups finding nothing *)
@@ -183,13 +139,13 @@ val store_hit_rate : stats -> float
 
 type t
 
-(** [create ?jobs ?progress ?faults ?max_retries ?deadline_ms
-    ?backoff_ms ?quorum ()] makes a fresh engine. [jobs] defaults to
-    [$BHIVE_JOBS], falling back to [Domain.recommended_domain_count ()];
-    values are clamped to at least 1. [progress] is invoked (under a
-    lock) once per resolved unique job. [faults] defaults to
-    {!Faultsim.default} (i.e. [$BHIVE_FAULTS] unless overridden); the
-    policy fields default to {!set_default_policy}'s current values.
+(** [create ?jobs ?progress ?faults ?max_retries ()] makes a fresh
+    engine. [jobs] defaults to [$BHIVE_JOBS], falling back to
+    [Domain.recommended_domain_count ()]; values are clamped to at
+    least 1. [progress] is invoked (under a lock) once per resolved
+    unique job. [faults] defaults to {!Faultsim.of_env}.
+    [max_retries] (default 4, clamped to at least 0) is how many times
+    a crashed job is requeued before it is quarantined.
 
     [store] (an already-open handle) wins over [store_path]: the
     store's cross-process file locks are per-process, so multiple
@@ -203,9 +159,6 @@ val create :
   ?store:Store.t ->
   ?store_path:string ->
   ?max_retries:int ->
-  ?deadline_ms:int ->
-  ?backoff_ms:int ->
-  ?quorum:int ->
   ?block_generation:bool ->
   unit -> t
 (** [block_generation] (default [false]) switches the store's
@@ -217,7 +170,7 @@ val create :
     default scheme so their store keys and golden pins are unchanged. *)
 
 (** The shared process-wide engine (created on first use from
-    [BHIVE_JOBS] / [BHIVE_FAULTS] / the default-policy overrides).
+    [BHIVE_JOBS], [BHIVE_FAULTS] and {!default_store_path}).
     Drivers that are not handed an explicit engine use this one, so
     independent experiment sections share its memo cache. *)
 val default : unit -> t
@@ -256,7 +209,6 @@ val validate_env : unit -> (unit, string) result
 
 val jobs : t -> int
 val faults : t -> Faultsim.config
-val policy : t -> policy
 val stats : t -> stats
 val cache_size : t -> int
 
@@ -271,7 +223,7 @@ val hit_rate : stats -> float
     submission order plus the batch's quarantine manifest. Jobs whose
     fingerprint is already cached (or duplicated within the batch) are
     not re-executed; a previously quarantined fingerprint resolves to
-    its cached quarantine. Never raises on injected faults. *)
+    its cached quarantine. Never raises on injected crashes. *)
 val run_batch : t -> job list -> batch
 
 (** [peek t job] probes the cache hierarchy — memory memo, then the
@@ -323,7 +275,7 @@ type worker_stat = { worker_id : int; jobs_run : int; busy_seconds : float }
 
 val worker_stats : t -> worker_stat list
 
-(** The machine-readable engine report: cumulative counters, fault and
+(** The machine-readable engine report: cumulative counters, crash and
     retry statistics, per-worker utilization, and per-phase sections —
     the object [bench/main.ml] extends into [bench_summary.json]. *)
 val summary_json : t -> Telemetry.Json.t

@@ -1,26 +1,28 @@
 (* See faultsim.mli for the contract.
 
    Determinism: every decision derives from one SplitMix64 stream
-   seeded by (config seed XOR FNV-1a of "fingerprint\x00attempt\x00trial").
-   The stream is consumed in a fixed order (crash, stall, corrupt, then
-   payload), so adding a fault class later can only extend — never
-   reshuffle — existing draws. *)
+   seeded by (config seed XOR FNV-1a of "fingerprint\x00attempt\x000").
+   The trailing 0 is a fixed trial slot, kept so that crash decisions
+   match every earlier release of this module. *)
 
-type config = { crash : float; stall : float; corrupt : float; seed : int64 }
+type config = { crash : float; seed : int64 }
 
-let none = { crash = 0.0; stall = 0.0; corrupt = 0.0; seed = 0L }
+let none = { crash = 0.0; seed = 0L }
 
-let is_none c = c.crash = 0.0 && c.stall = 0.0 && c.corrupt = 0.0
+let is_none c = c.crash = 0.0
 
+(* The shortest of %.15g, %.16g and %.17g that parses back to the same
+   float (%.17g always does), so to_string stays canonical and
+   round-trips. *)
 let float_to_string f =
-  (* shortest round-trip-safe rendering, so to_string stays canonical *)
-  let s = Printf.sprintf "%.12g" f in
-  s
+  let render p = Printf.sprintf "%.*g" p f in
+  let exact s = float_of_string s = f in
+  match List.find_opt exact [ render 15; render 16 ] with
+  | Some s -> s
+  | None -> render 17
 
 let to_string c =
-  Printf.sprintf "crash=%s,stall=%s,corrupt=%s,seed=%Ld"
-    (float_to_string c.crash) (float_to_string c.stall)
-    (float_to_string c.corrupt) c.seed
+  Printf.sprintf "crash=%s,seed=%Ld" (float_to_string c.crash) c.seed
 
 let parse spec =
   let spec = String.trim spec in
@@ -35,24 +37,21 @@ let parse spec =
         | Some i -> (
           let key = String.trim (String.sub part 0 i) in
           let v = String.trim (String.sub part (i + 1) (String.length part - i - 1)) in
-          let rate () =
-            match float_of_string_opt v with
-            | Some r when r >= 0.0 && r <= 1.0 -> Ok r
-            | Some _ -> Error (Printf.sprintf "%s=%s: rate must be in [0, 1]" key v)
-            | None -> Error (Printf.sprintf "%s=%s: not a number" key v)
-          in
           match key with
-          | "crash" -> Result.bind (rate ()) (fun r -> fold { acc with crash = r } rest)
-          | "stall" -> Result.bind (rate ()) (fun r -> fold { acc with stall = r } rest)
-          | "corrupt" -> Result.bind (rate ()) (fun r -> fold { acc with corrupt = r } rest)
+          | "crash" -> (
+            match float_of_string_opt v with
+            | Some r when r >= 0.0 && r <= 1.0 ->
+              fold { acc with crash = r } rest
+            | Some _ ->
+              Error (Printf.sprintf "crash=%s: rate must be in [0, 1]" v)
+            | None -> Error (Printf.sprintf "crash=%s: not a number" v))
           | "seed" -> (
             match Int64.of_string_opt v with
             | Some s -> fold { acc with seed = s } rest
             | None -> Error (Printf.sprintf "seed=%s: not an integer" v))
           | _ ->
             Error
-              (Printf.sprintf
-                 "unknown key %S (expected crash, stall, corrupt or seed)" key)))
+              (Printf.sprintf "unknown key %S (expected crash or seed)" key)))
     in
     fold none parts
 
@@ -67,44 +66,11 @@ let env_result () =
 let of_env () =
   match env_result () with Ok c -> c | Error msg -> failwith msg
 
-let override = ref None
-let set_default c = override := Some c
-let default () = match !override with Some c -> c | None -> of_env ()
-
-type fault = Crash | Stall of int | Corrupt of int64
-
-let fault_to_string = function
-  | Crash -> "crash"
-  | Stall ms -> Printf.sprintf "stall:%dms" ms
-  | Corrupt _ -> "corrupt"
-
-let trial_rng (c : config) ~fingerprint ~attempt ~trial =
+let crashes c ~fingerprint ~attempt =
+  (not (is_none c))
+  &&
   let key =
     Bstats.Rng.seed_of_string
-      (Printf.sprintf "%s\x00%d\x00%d" fingerprint attempt trial)
+      (Printf.sprintf "%s\x00%d\x000" fingerprint attempt)
   in
-  Bstats.Rng.create (Int64.logxor c.seed key)
-
-let draw c ~fingerprint ~attempt ~trial =
-  if is_none c then None
-  else begin
-    let rng = trial_rng c ~fingerprint ~attempt ~trial in
-    if Bstats.Rng.bernoulli rng c.crash then Some Crash
-    else if Bstats.Rng.bernoulli rng c.stall then
-      (* 25, 50, 100, 200 or 400 simulated ms: some stalls fit inside
-         the default 100ms deadline, some blow past it *)
-      Some (Stall (25 * (1 lsl Bstats.Rng.int rng 5)))
-    else if Bstats.Rng.bernoulli rng c.corrupt then
-      Some (Corrupt (Bstats.Rng.next_u64 rng))
-    else None
-  end
-
-let corrupt_throughput ~salt tp =
-  let rng = Bstats.Rng.create salt in
-  let factor = 0.25 +. (3.75 *. Bstats.Rng.float rng) in
-  (* keep the corruption visibly wrong: bound the factor away from 1 *)
-  let factor =
-    if factor > 0.8 && factor < 1.25 then factor +. 0.75 else factor
-  in
-  let corrupted = tp *. factor in
-  if corrupted = tp then tp +. 1.0 else corrupted
+  Bstats.Rng.bernoulli (Bstats.Rng.create (Int64.logxor c.seed key)) c.crash

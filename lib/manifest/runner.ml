@@ -40,7 +40,6 @@ type overrides = {
   o_store : string option;
   o_faults : Faultsim.config option;
   o_max_retries : int option;
-  o_quorum : int option;
 }
 
 let no_overrides =
@@ -49,7 +48,6 @@ let no_overrides =
     o_store = None;
     o_faults = None;
     o_max_retries = None;
-    o_quorum = None;
   }
 
 type outcome = {
@@ -692,8 +690,7 @@ let resolve_execution (spec : Spec.t) overrides =
     ( first_some [ overrides.o_jobs; env_jobs; spec.jobs ],
       first_some [ overrides.o_store; env_store; spec.store ],
       first_some [ overrides.o_faults; env_faults; spec.faults ],
-      first_some [ overrides.o_max_retries; spec.policy.max_retries ],
-      first_some [ overrides.o_quorum; spec.policy.quorum ] )
+      first_some [ overrides.o_max_retries; spec.max_retries ] )
 
 let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
     ?kill_after_jobs ?(out = Format.std_formatter)
@@ -703,7 +700,7 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
   let* () = Spec.validate_outputs spec in
   let manifest_id = Spec.id spec in
   let experiment_id = Spec.experiment_id spec in
-  let* jobs, store_path, faults, max_retries, quorum =
+  let* jobs, store_path, faults, max_retries =
     resolve_execution spec overrides
   in
   let progress =
@@ -717,7 +714,7 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
           if !count >= n then raise Killed)
   in
   let engine =
-    Engine.create ?jobs ?progress ?faults ?store_path ?max_retries ?quorum ()
+    Engine.create ?jobs ?progress ?faults ?store_path ?max_retries ()
   in
   let* journal =
     match spec.output.journal with
@@ -803,11 +800,10 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
           (Store.stats store).Store.s_live);
       if not (Faultsim.is_none (Engine.faults engine)) then
         Format.fprintf info
-          "faults (%s): %d retries, %d crashes, %d timeouts, %d stalls \
-           absorbed, %d workers replenished, %d jobs quarantined@."
+          "faults (%s): %d crashes, %d retries, %d workers replenished, %d \
+           jobs quarantined@."
           (Faultsim.to_string (Engine.faults engine))
-          s.retries s.crashes s.timeouts s.stalls_absorbed
-          s.workers_replenished s.quarantined;
+          s.crashes s.retries s.workers_replenished (List.length quarantines);
       let journal_digest =
         if !interrupted then None
         else

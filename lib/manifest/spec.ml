@@ -44,8 +44,6 @@ type filters = {
   context_switch_rate : float option;  (** injected timing noise *)
 }
 
-type policy = { max_retries : int option; quorum : int option }
-
 type output = {
   summary : string option;  (** bench_summary.json path *)
   failures : string;  (** quarantine manifest (JSONL) *)
@@ -101,7 +99,7 @@ type t = {
   uarches : string list;  (** short names; [] means all *)
   models : string list;  (** model keys; [] means all four *)
   filters : filters;
-  policy : policy;
+  max_retries : int option;  (** the JSON's [policy.max_retries] *)
   faults : Faultsim.config option;
   jobs : int option;
   store : string option;
@@ -118,8 +116,6 @@ let default_filters =
     context_switch_rate = None;
   }
 
-let default_policy = { max_retries = None; quorum = None }
-
 let default_output =
   {
     summary = None;
@@ -129,15 +125,15 @@ let default_output =
   }
 
 let make ?(name = "experiment") ?(scale = 100) ?seed ?(uarches = [])
-    ?(models = []) ?(filters = default_filters) ?(policy = default_policy)
-    ?faults ?jobs ?store ?(output = default_output) ~sections () =
+    ?(models = []) ?(filters = default_filters) ?max_retries ?faults ?jobs
+    ?store ?(output = default_output) ~sections () =
   {
     name;
     corpus = { scale; seed };
     uarches;
     models;
     filters;
-    policy;
+    max_retries;
     faults;
     jobs;
     store;
@@ -327,8 +323,7 @@ let id t =
   let buf = Buffer.create 512 in
   add_experiment buf t;
   Codec.str buf t.name;
-  Codec.option buf Codec.int t.policy.max_retries;
-  Codec.option buf Codec.int t.policy.quorum;
+  Codec.option buf Codec.int t.max_retries;
   Codec.option buf
     (fun b f -> Codec.str b (Faultsim.to_string f))
     t.faults;
@@ -420,11 +415,7 @@ let filters_to_json (f : filters) =
 let to_json t =
   let strings l = Json.List (List.map (fun s -> Json.String s) l) in
   let filters = filters_to_json t.filters in
-  let policy =
-    Json.Object
-      (opt "max_retries" num t.policy.max_retries
-      @ opt "quorum" num t.policy.quorum)
-  in
+  let policy = Json.Object (opt "max_retries" num t.max_retries) in
   let output =
     Json.Object
       (opt "summary" (fun s -> Json.String s) t.output.summary
@@ -570,11 +561,15 @@ let of_json j =
       | None -> default_filters
       | Some f -> filters_of_json f
     in
-    let policy =
+    let max_retries =
       match Json.member "policy" j with
-      | None -> default_policy
-      | Some p ->
-        { max_retries = int_field "max_retries" p; quorum = int_field "quorum" p }
+      | None -> None
+      | Some (Json.Object fields as p) -> (
+        match List.find_opt (fun (k, _) -> k <> "max_retries") fields with
+        | Some (k, _) ->
+          fail "manifest: policy: unknown key %S (expected max_retries)" k
+        | None -> int_field "max_retries" p)
+      | Some _ -> fail "manifest: policy must be an object"
     in
     let faults =
       match str_field "faults" j with
@@ -609,7 +604,7 @@ let of_json j =
         uarches = strings "uarches";
         models = strings "models";
         filters;
-        policy;
+        max_retries;
         faults;
         jobs = int_field "jobs" j;
         store = str_field "store" j;
@@ -660,13 +655,8 @@ let validate t =
          t.models)
   in
   let* () =
-    match t.policy.max_retries with
+    match t.max_retries with
     | Some n when n < 0 -> err "manifest %s: max_retries must be >= 0" t.name
-    | _ -> Ok ()
-  in
-  let* () =
-    match t.policy.quorum with
-    | Some n when n < 1 -> err "manifest %s: quorum must be >= 1" t.name
     | _ -> Ok ()
   in
   let* () =

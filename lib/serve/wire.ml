@@ -345,7 +345,7 @@ let outcome_json (o : Engine.outcome) =
       [
         ("status", Json.String "quarantined");
         ("fingerprint", Json.String q.Engine.q_fingerprint);
-        ("attempts", Json.Number (float_of_int (List.length q.Engine.q_attempts)));
+        ("attempts", Json.Number (float_of_int q.Engine.q_attempts));
       ]
 
 (* ------------------------------------------------------------------ *)

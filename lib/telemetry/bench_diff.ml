@@ -1,6 +1,6 @@
 (* See bench_diff.mli. *)
 
-let schema_version = 9.0
+let schema_version = 10.0
 
 type severity = Info | Warning | Regression
 

@@ -49,7 +49,7 @@ let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
    revision that doesn't consciously bump the encoding version. These
    pins are the CI tripwire for accidental encoding changes. *)
 let pinned_manifest_id =
-  "9fbd9af97d9b2cafc59b15093a7a76268d0b36634db7b98ea3167060f4d6492b"
+  "1fcfbbbd04da4f27eff0390dd4265a9f985736c44123a9a0ee060e91f9b2fe7d"
 
 let pinned_experiment_id =
   "ed373f1ef2462a0597a51ca3648cea50b9be187485f737189ff136511885130c"
@@ -155,10 +155,9 @@ let test_validate_errors () =
                 schedule = false });
        ])
     "profile";
-  check_invalid "bad quorum"
-    { (s [ Spec.section Spec.Corpus_load ]) with
-      Spec.policy = { Spec.max_retries = None; quorum = Some 0 } }
-    "quorum"
+  check_invalid "negative max_retries"
+    (Spec.make ~max_retries:(-1) ~sections:[ Spec.section Spec.Corpus_load ] ())
+    "max_retries"
 
 let test_validate_outputs () =
   let bad = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir-bhive" in
@@ -186,7 +185,19 @@ let test_parse_errors () =
   in
   bad "not json" "{" "manifest";
   bad "wrong version" {|{"manifest_version": 99, "sections": []}|} "version";
-  bad "missing sections" {|{"manifest_version": 1}|} "section"
+  bad "missing sections" {|{"manifest_version": 1}|} "section";
+  (* keys an older manifest may still carry (policy.quorum, a stall
+     rate) are refused, not silently ignored *)
+  let corpus_only fields =
+    Printf.sprintf
+      {|{"manifest_version": 1, %s, "sections": [{"kind": "corpus"}]}|}
+      fields
+  in
+  bad "leftover policy.quorum" (corpus_only {|"policy": {"quorum": 3}|})
+    {|policy: unknown key "quorum"|};
+  bad "leftover stall rate"
+    (corpus_only {|"faults": "crash=0.02,stall=0.01,seed=7"|})
+    {|unknown key "stall"|}
 
 (* --- crash-safe JSONL substrate --------------------------------------- *)
 

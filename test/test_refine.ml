@@ -569,7 +569,7 @@ let example = Filename.concat "../examples" "refine.manifest.json"
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let pinned_refine_manifest_id =
-  "38f82e81b4d65cee5c1b446d353e2c91e9f2d84ef86693938bbb0c7dabf43906"
+  "bfda451ef9f16b15094456c006fb9c128a4e445578b744f39627e76bd514f53f"
 
 let refine_kind ?(uarch = "ivb") ?(seed = 3L) ?(edits = 2)
     ?(target_error = 0.005) ?(max_evals = 60) () =

@@ -883,7 +883,7 @@ let test_determinism_matrix () =
   let u = Uarch.All.haswell in
   let blocks = Lazy.force matrix_blocks in
   let faults =
-    match Faultsim.parse "crash=0.02,stall=0.01,seed=7" with
+    match Faultsim.parse "crash=0.03,seed=7" with
     | Ok c -> c
     | Error msg -> Alcotest.fail msg
   in

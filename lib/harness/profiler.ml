@@ -1,10 +1,11 @@
 (** The BHive basic-block profiler.
 
     For each unroll factor the profiler: (1) runs the monitor/measure
-    mapping algorithm, (2) replays the final execution through the cycle
-    simulator once to warm the caches (the paper's first, discarded
-    execution), then (3) takes [env.timings] timed runs, each exposed to
-    simulated OS noise. A block is accepted only if at least
+    mapping algorithm, (2) warms L1D, L1I and L2 with the final
+    execution's cache accesses (the paper's first, discarded execution;
+    only its cache state outlives it, so it is a walk over the caches,
+    not a cycle simulation), then (3) takes [env.timings] timed runs,
+    each exposed to simulated OS noise. A block is accepted only if at least
     [env.min_clean] timings are clean (no cache misses of any kind, no
     context switches) and identical, and — when the filter is enabled —
     no load or store crossed a cache line. *)
@@ -141,12 +142,14 @@ let measure_point_untraced (env : Environment.t)
     (* One machine per (domain, uarch), reused across measure points:
        [reset] flushes the caches, which restores exactly the state a
        newly created machine would have. The warm-up and the timed run
-       execute the same steps, so they simulate one trace. *)
+       execute the same steps, so they share one trace. *)
     let machine = Pipeline.Machine.for_descriptor descriptor in
     let trace = Pipeline.Machine.trace machine mapped.steps in
     Pipeline.Machine.reset machine;
-    (* Discarded warm-up execution: fills L1D/L1I. *)
-    ignore (Pipeline.Machine.simulate machine trace);
+    (* Discarded warm-up execution. Only the caches carry over to the
+       timed run, so walking its cache accesses leaves L1D, L1I and L2
+       exactly as simulating it would. *)
+    Pipeline.Machine.warm machine trace;
     (* Steady-state timed executions. The simulated machine is
        deterministic once warm, so one simulation gives the noise-free
        cycle count; each of the [env.timings] measurements then sees its

@@ -422,7 +422,7 @@ let print_ground_truth_schedule fmt uarch block =
   | Ok mapped ->
     let machine = Pipeline.Machine.create uarch in
     let trace = Pipeline.Machine.trace machine mapped.steps in
-    ignore (Pipeline.Machine.simulate machine trace);
+    Pipeline.Machine.warm machine trace;
     let r = Pipeline.Machine.simulate ~record_schedule:true machine trace in
     let insts = Array.of_list block in
     Format.fprintf fmt "@.ground-truth schedule (4 unrolled iterations, warm):@.";

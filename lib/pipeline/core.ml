@@ -18,7 +18,12 @@
     fresh [Hashtbl] per simulation, and cache lookups and port claims
     allocate nothing. A call allocates a constant (counters, result,
     loop closures), whatever the trace length; test/test_batch.ml pins
-    this. *)
+    this.
+
+    The caches are the only state that outlives a call, and they are
+    touched in trace order whatever the timing. {!warm} makes the same
+    accesses through the same helpers without the timing, which is all
+    a discarded warm-up execution needs. *)
 
 open Uarch
 
@@ -159,6 +164,43 @@ module Scratch = struct
     && t.retire_width = d.retire_width
 end
 
+(* Cache accesses. [simulate] and [warm] reach the caches only through
+   these helpers, so the two cannot drift. [fetch] and [data_access]
+   return the L1 and L2 miss counts packed into one int, so none of the
+   helpers allocates. *)
+
+let l2_shift = 16
+let l1_misses packed = packed land ((1 lsl l2_shift) - 1)
+let l2_misses packed = packed lsr l2_shift
+
+(* Fetch [di]'s code lines through L1I. A line that misses refills from
+   the unified L2, tagged into a distinct address range so that it does
+   not alias data lines. *)
+let fetch ~l1i ~l2 (di : Trace.dyn_inst) =
+  let packed = ref 0 in
+  for line = di.code_addr / 64 to (di.code_addr + di.static.s_code_len - 1) / 64 do
+    if not (Memsim.Cache.access_line l1i line) then
+      packed :=
+        !packed + 1
+        + if Memsim.Cache.access_line l2 (0x4000000 + line) then 0 else 1 lsl l2_shift
+  done;
+  !packed
+
+(* [size] bytes at physical [addr] through L1D, and through the unified
+   L2 when L1D misses. *)
+let data_access ~l1d ~l2 ~addr ~size =
+  let misses = Memsim.Cache.access l1d ~addr ~size in
+  if misses = 0 then 0 else misses + (Memsim.Cache.access l2 ~addr ~size lsl l2_shift)
+
+(* Physical address and size of [di]'s [k]-th load or store; a load or
+   store-data uop the trace recorded no access for reads 8 bytes at 0. *)
+let no_access = (0L, 8)
+let load_access (di : Trace.dyn_inst) k =
+  if k < Array.length di.loads then di.loads.(k) else no_access
+
+let store_access (di : Trace.dyn_inst) k =
+  if k < Array.length di.stores then di.stores.(k) else no_access
+
 let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.dyn_inst list) : result =
@@ -248,27 +290,16 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     (fun idx (di : Trace.dyn_inst) ->
       let st = di.static in
       (* --- front end: instruction fetch through the L1I cache --- *)
-      let line0 = di.code_addr / 64
-      and line1 = (di.code_addr + st.s_code_len - 1) / 64 in
-      for line = line0 to line1 do
-        if not (Memsim.Cache.access_line l1i line) then begin
-          c.l1i_misses <- c.l1i_misses + 1;
-          (* instruction lines refill from the unified L2; tag them into
-             a distinct address range so they do not alias data lines *)
-          let l2_line = 0x4000000 + line in
-          let extra =
-            if Memsim.Cache.access_line l2 l2_line then 0
-            else begin
-              c.l2_misses <- c.l2_misses + 1;
-              d.l2_miss_penalty
-            end
-          in
-          c.frontend_stall_cycles <-
-            c.frontend_stall_cycles + d.icache_miss_penalty + extra;
-          frontend_cycle := !frontend_cycle + d.icache_miss_penalty + extra;
-          slots_this_cycle := 0
-        end
-      done;
+      let fetched = fetch ~l1i ~l2 di in
+      if fetched <> 0 then begin
+        let l1i_m = l1_misses fetched and l2_m = l2_misses fetched in
+        c.l1i_misses <- c.l1i_misses + l1i_m;
+        c.l2_misses <- c.l2_misses + l2_m;
+        let stall = (l1i_m * d.icache_miss_penalty) + (l2_m * d.l2_miss_penalty) in
+        c.frontend_stall_cycles <- c.frontend_stall_cycles + stall;
+        frontend_cycle := !frontend_cycle + stall;
+        slots_this_cycle := 0
+      end;
       (* --- rename --- *)
       let renamed_at = rename_slots st.s_fused_slots in
       (* ROB occupancy: wait for the oldest entry to retire. *)
@@ -332,31 +363,23 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           let ready, latency_extra, busy =
             match kind with
             | 1 (* Load *) ->
-              let paddr, size =
-                if !load_idx < Array.length di.loads then di.loads.(!load_idx)
-                else (0L, 8)
-              in
+              let paddr, size = load_access di !load_idx in
               let vaddr =
                 if !load_idx < Array.length di.load_vaddrs then
                   di.load_vaddrs.(!load_idx)
                 else 0L
               in
               incr load_idx;
-              let misses = Memsim.Cache.access l1d ~addr:paddr ~size in
-              if misses > 0 then
-                c.l1d_read_misses <- c.l1d_read_misses + misses;
-              (* lines that miss L1 go to the unified L2 *)
-              let l2_misses =
-                if misses > 0 then Memsim.Cache.access l2 ~addr:paddr ~size
-                else 0
-              in
-              if l2_misses > 0 then c.l2_misses <- c.l2_misses + l2_misses;
+              let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+              let misses = l1_misses packed and l2_m = l2_misses packed in
+              c.l1d_read_misses <- c.l1d_read_misses + misses;
+              c.l2_misses <- c.l2_misses + l2_m;
               let split = Memsim.Cache.crosses_line l1d ~addr:vaddr ~size in
               if split then c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
               let fwd = forwarding_ready paddr size in
               ( max (max addr_ready fwd) earliest,
                 (misses * d.l1d_miss_penalty)
-                + (l2_misses * d.l2_miss_penalty)
+                + (l2_m * d.l2_miss_penalty)
                 + (if split then d.misaligned_extra_cycles else 0),
                 1 )
             | 2 (* Store_addr *) -> (max addr_ready earliest, 0, 1)
@@ -421,22 +444,16 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             prev_exec_complete := complete;
             last_exec_complete := max !last_exec_complete complete
           | 3 (* Store_data *) ->
-            let paddr, size =
-              if !store_idx < Array.length di.stores then di.stores.(!store_idx)
-              else (0L, 8)
-            in
+            let paddr, size = store_access di !store_idx in
             let vaddr =
               if !store_idx < Array.length di.store_vaddrs then
                 di.store_vaddrs.(!store_idx)
               else 0L
             in
             incr store_idx;
-            let misses = Memsim.Cache.access l1d ~addr:paddr ~size in
-            if misses > 0 then begin
-              c.l1d_write_misses <- c.l1d_write_misses + misses;
-              let l2m = Memsim.Cache.access l2 ~addr:paddr ~size in
-              if l2m > 0 then c.l2_misses <- c.l2_misses + l2m
-            end;
+            let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+            c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
+            c.l2_misses <- c.l2_misses + l2_misses packed;
             if Memsim.Cache.crosses_line l1d ~addr:vaddr ~size then
               c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
             record_store paddr size (complete + 1)
@@ -485,3 +502,34 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     trace;
   c.core_cycles <- !finish_time;
   { cycles = !finish_time; counters = c; schedule = List.rev !schedule }
+
+(* The cache accesses [simulate] makes on [trace], in the same order and
+   through the same helpers, with no timing: the L1I lines of each
+   instruction, then each load or store-data uop's L1D access (and L2 on
+   an L1D miss) in code order. Eliminated instructions only fetch. The
+   caches end exactly as a simulation would leave them: tags, LRU
+   stamps, clocks and hit and miss counts. Allocates a per-call
+   constant. *)
+let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
+    (trace : Trace.dyn_inst list) =
+  List.iter
+    (fun (di : Trace.dyn_inst) ->
+      ignore (fetch ~l1i ~l2 di);
+      let st = di.static in
+      if not st.s_eliminated then begin
+        let load_idx = ref 0 and store_idx = ref 0 in
+        let codes = st.s_codes in
+        for k = 0 to Array.length codes - 1 do
+          match Flat.code_kind codes.(k) with
+          | 1 (* Load *) ->
+            let addr, size = load_access di !load_idx in
+            incr load_idx;
+            ignore (data_access ~l1d ~l2 ~addr ~size)
+          | 3 (* Store_data *) ->
+            let addr, size = store_access di !store_idx in
+            incr store_idx;
+            ignore (data_access ~l1d ~l2 ~addr ~size)
+          | _ -> ()
+        done
+      end)
+    trace

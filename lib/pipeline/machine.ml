@@ -1,8 +1,9 @@
-(** A simulated machine: one microarchitecture core plus its private L1
-    caches. Cache contents persist across [run] calls until [reset],
-    mirroring warm-up behaviour on real hardware. The machine also owns
-    the simulator's scratch state ({!Core.Scratch}), so repeated [run]
-    calls perform no per-simulation machine-state allocation. *)
+(** A simulated machine: one microarchitecture core plus its L1D, L1I
+    and unified L2 caches. Cache contents persist across [run] calls
+    until [reset], mirroring warm-up behaviour on real hardware. The
+    machine also owns the simulator's scratch state ({!Core.Scratch}),
+    so repeated [run] calls perform no per-simulation machine-state
+    allocation. *)
 
 type t = {
   descriptor : Uarch.Descriptor.t;
@@ -88,6 +89,14 @@ let simulate ?record_schedule t (trace : Trace.dyn_inst list) : Core.result =
       (fun () -> result := Some (simulate ()));
     match !result with Some r -> r | None -> assert false
   end
+
+(* The discarded warm-up execution: [trace]'s cache accesses without
+   the timing (Core.warm), which leaves the caches as a simulation
+   would. It counts as one simulated block, so a measure point counts
+   two: warm-up and timed run. *)
+let warm t (trace : Trace.dyn_inst list) =
+  timed (fun () -> Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace);
+  Telemetry.Metrics.incr m_blocks
 
 let run ?record_schedule t steps = simulate ?record_schedule t (trace t steps)
 

@@ -1,8 +1,9 @@
-(** A simulated machine: one microarchitecture core plus its private L1
-    caches. Cache contents persist across [run] calls until [reset],
-    mirroring warm-up behaviour on real hardware. The machine also owns
-    the simulator's reusable scratch state, so repeated [run] calls
-    perform no per-simulation machine-state allocation. *)
+(** A simulated machine: one microarchitecture core plus its L1D, L1I
+    and unified L2 caches. Cache contents persist across [run] calls
+    until [reset], mirroring warm-up behaviour on real hardware. The
+    machine also owns the simulator's reusable scratch state, so
+    repeated [run] calls perform no per-simulation machine-state
+    allocation. *)
 
 type t = {
   descriptor : Uarch.Descriptor.t;
@@ -14,7 +15,7 @@ type t = {
 
 val create : Uarch.Descriptor.t -> t
 
-(** Flush both caches. *)
+(** Flush all three caches. *)
 val reset : t -> unit
 
 (** Build the dynamic trace of [steps] under the machine's descriptor.
@@ -26,6 +27,13 @@ val trace : t -> Xsem.Executor.step list -> Trace.dyn_inst list
     as its trace; deterministic given the machine state. The trace is
     not modified, so it can be simulated again. *)
 val simulate : ?record_schedule:bool -> t -> Trace.dyn_inst list -> Core.result
+
+(** Warm the caches with [trace]: make exactly the cache accesses
+    [simulate] would, with no timing ({!Core.warm}), leaving L1D, L1I
+    and L2 as a discarded simulation would. Counts as one simulated
+    block in [pipeline.blocks] and adds its time to [pipeline.sim_ns],
+    so a measure point (warm-up, then timed run) counts two blocks. *)
+val warm : t -> Trace.dyn_inst list -> unit
 
 (** [trace] followed by [simulate]. *)
 val run : ?record_schedule:bool -> t -> Xsem.Executor.step list -> Core.result

@@ -44,7 +44,6 @@ type dyn_inst = {
   stores : (int64 * int) array;
   load_vaddrs : int64 array;  (** virtual addresses (for split detection) *)
   store_vaddrs : int64 array;
-  div_slow : bool;  (** division executed the wide-dividend path *)
   subnormal : bool;  (** FP op touched subnormals (gradual underflow) *)
   div_lat : int;
       (** effective div/idiv latency given the observed execution path;
@@ -110,10 +109,10 @@ let of_steps (d : Uarch.Descriptor.t) (steps : Xsem.Executor.step list) :
       let loads, stores =
         List.partition (fun (a : Memsim.Mmu.access) -> not a.is_store) s.accesses
       in
-      let div_slow = List.mem Xsem.Semantics.Div_slow_path s.events in
       let div_lat =
         if not st.s_is_int_div then 0
-        else if div_slow then flat.Uarch.Flat.div64_latency
+        else if List.mem Xsem.Semantics.Div_slow_path s.events then
+          flat.Uarch.Flat.div64_latency
         else if Width.equal s.inst.width Width.Q then
           (* 64-bit divide with zeroed rdx: faster than the wide path but
              slower than the 32-bit divide *)
@@ -128,7 +127,6 @@ let of_steps (d : Uarch.Descriptor.t) (steps : Xsem.Executor.step list) :
         stores = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> (a.paddr, a.size)) stores);
         load_vaddrs = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> a.vaddr) loads);
         store_vaddrs = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> a.vaddr) stores);
-        div_slow;
         subnormal = List.mem Xsem.Semantics.Subnormal s.events;
         div_lat;
       })

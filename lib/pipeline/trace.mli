@@ -37,7 +37,6 @@ type dyn_inst = {
   stores : (int64 * int) array;
   load_vaddrs : int64 array;  (** virtual addresses (for split detection) *)
   store_vaddrs : int64 array;
-  div_slow : bool;  (** division took the wide-dividend path *)
   subnormal : bool;  (** FP op touched subnormals (gradual underflow) *)
   div_lat : int;
       (** effective div/idiv latency given the observed execution path;

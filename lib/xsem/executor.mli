@@ -21,7 +21,9 @@ type run_result =
 val run :
   Machine_state.t -> Memsim.Mmu.t -> X86.Inst.t list -> run_result
 
-(** Execute [unroll] consecutive copies of the block. *)
+(** Execute [unroll] consecutive copies of the block. Each block
+    instruction's encoded length, by which RIP advances, is computed once
+    per call. *)
 val run_unrolled :
   Machine_state.t -> Memsim.Mmu.t -> X86.Inst.t list -> unroll:int -> run_result
 

@@ -29,12 +29,16 @@ let counters_equal (a : Pipeline.Counters.t) (b : Pipeline.Counters.t) =
   && a.rob_stall_cycles = b.rob_stall_cycles
   && a.port_contention_cycles = b.port_contention_cycles
 
+(* Scalar (LLVM) or vector (OpenBLAS) blocks. OpenBLAS brings 256-bit
+   loads and stores, which Ivy Bridge splits into two uops with one
+   recorded access between them, so the second uop reads the (0L, 8)
+   default. *)
 let block_gen =
   QCheck.Gen.(
     let* seed = int_range 0 100000 in
+    let* app = oneofl [ Corpus.Apps.llvm; Corpus.Apps.openblas ] in
     let rng = Bstats.Rng.create (Int64.of_int seed) in
-    return
-      (Corpus.Gen.block ~rng ~mix:Corpus.Apps.llvm.mix ~min_len:1 ~max_len:6))
+    return (Corpus.Gen.block ~rng ~mix:app.mix ~min_len:1 ~max_len:6))
 
 let print_block b = String.concat "; " (List.map Inst.to_string b)
 
@@ -199,6 +203,57 @@ let trace_reuse_matches_run =
                  shared runs)
              uarches))
 
+(* The profiler's warm-up is a cache walk ([Machine.warm]), not a
+   simulation. Walking a trace must leave the caches exactly as
+   simulating it does, so the timed run after either is the same in
+   cycles and every counter. The caches are compared with polymorphic
+   equality over [Memsim.Cache.t]: tags, LRU stamps, clock, hit and
+   miss counts. Fresh_pages mapping gives each page its own frame, so
+   data accesses spread over more lines and reach L2. *)
+let walk_matches_warmup_simulation =
+  let gen =
+    QCheck.Gen.(
+      let* block = block_gen in
+      let* unroll = int_range 1 16 in
+      let* mapping =
+        oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ]
+      in
+      return (block, unroll, mapping))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"cache walk == warm-up simulation" ~count:60
+       (QCheck.make
+          ~print:(fun (b, unroll, mapping) ->
+            Printf.sprintf "unroll %d, %s: %s" unroll
+              (match mapping with
+              | Harness.Environment.Fresh_pages -> "fresh pages"
+              | _ -> "single physical page")
+              (print_block b))
+          gen)
+       (fun (block, unroll, mapping) ->
+         let env = { Harness.Environment.default with mapping } in
+         match Harness.Mapping.run env block ~unroll with
+         | Error _ -> true
+         | Ok mapped ->
+           List.for_all
+             (fun d ->
+               let walked = Pipeline.Machine.create d
+               and simulated = Pipeline.Machine.create d in
+               let trace = Pipeline.Machine.trace walked mapped.steps in
+               let caches_equal () =
+                 walked.l1d = simulated.l1d && walked.l1i = simulated.l1i
+                 && walked.l2 = simulated.l2
+               in
+               Pipeline.Machine.warm walked trace;
+               ignore (Pipeline.Machine.simulate simulated trace);
+               let warm_caches = caches_equal () in
+               let a = Pipeline.Machine.simulate walked trace
+               and b = Pipeline.Machine.simulate simulated trace in
+               warm_caches && a.cycles = b.cycles
+               && counters_equal a.counters b.counters
+               && caches_equal ())
+             uarches))
+
 (* Minor-heap words [f ()] allocates, less what measuring a call that
    allocates nothing reads. *)
 let minor_words f =
@@ -210,8 +265,9 @@ let minor_words f =
   int_of_float (words f -. words ignore)
 
 (* The cycle loop's allocation contract: a cache access and a port
-   claim allocate nothing, and [Core.simulate] on a warm reused machine
-   allocates a per-call constant that does not grow with the trace. *)
+   claim allocate nothing, and [Core.simulate] on a warm reused machine,
+   like the [Core.warm] cache walk, allocates a per-call constant that
+   does not grow with the trace. *)
 let test_allocation_contract () =
   let c = Memsim.Cache.l1_default () in
   let addrs = Array.init 1000 (fun k -> Int64.of_int (k * 60)) in
@@ -259,7 +315,12 @@ let test_allocation_contract () =
       Alcotest.(check int)
         (d.short ^ " Core.simulate words, unroll 8 vs 64")
         (minor_words (simulate t8))
-        (minor_words (simulate t64)))
+        (minor_words (simulate t64));
+      let warm trace () = Pipeline.Core.warm ~l1d:m.l1d ~l1i:m.l1i ~l2:m.l2 trace in
+      Alcotest.(check int)
+        (d.short ^ " Core.warm words, unroll 8 vs 64")
+        (minor_words (warm t8))
+        (minor_words (warm t64)))
     uarches
 
 let suite =
@@ -271,5 +332,6 @@ let suite =
       test_flat_digest_golden;
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
     trace_reuse_matches_run;
+    walk_matches_warmup_simulation;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
   ]

@@ -377,7 +377,7 @@ let suite =
       test_no_lost_jobs;
     Alcotest.test_case "quarantine manifest stable across workers" `Quick
       test_quarantine_manifest_stable;
-    Alcotest.test_case "certain crash: supervision and backoff" `Quick
+    Alcotest.test_case "certain crash: supervision and quarantine" `Quick
       test_certain_crash_supervision;
     Alcotest.test_case "faultsim: parse" `Quick test_faultsim_parse;
     test_faultsim_round_trip;

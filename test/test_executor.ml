@@ -114,6 +114,92 @@ let test_init_constant () =
   Alcotest.(check int32) "vec fill" 0x12345600l (Bytes.get_int32_le v 0);
   Alcotest.(check int32) "vec fill repeats" 0x12345600l (Bytes.get_int32_le v 12)
 
+(* The executor [run_unrolled] replaced: concatenate [unroll] copies
+   of the block, and advance RIP by each dynamic instruction's encoded
+   length as it executes. *)
+let reference_run (st : Xsem.Machine_state.t) mmu block ~unroll =
+  let rec go idx acc = function
+    | [] -> Xsem.Executor.Completed (List.rev acc)
+    | inst :: rest -> (
+      st.rip <- Int64.add st.rip (Int64.of_int (Encoder.encoded_length inst));
+      match Xsem.Semantics.exec st mmu inst with
+      | (o : Xsem.Semantics.outcome) ->
+        let step =
+          { Xsem.Executor.index = idx; inst; accesses = o.accesses; events = o.events }
+        in
+        go (idx + 1) (step :: acc) rest
+      | exception Memsim.Fault.Fault fault ->
+        Xsem.Executor.Faulted { steps = List.rev acc; fault; at = idx })
+  in
+  go 0 [] (List.concat (List.init unroll (fun _ -> block)))
+
+(* Instructions addressing memory relative to RIP: their addresses, and
+   lea's result, move with every copy, so they pin RIP's advance. The
+   load and store start near the end of the register-fill page and
+   cross into the next page after a few copies. *)
+let rip_relative =
+  Parser.block_exn
+    "leaq 0x40(%rip), %r10\n\
+     movq 0x12345f00(%rip), %r11\n\
+     addq %r11, 0x12345f80(%rip)"
+
+(* A random block with one RIP-relative instruction spliced in, an
+   unroll, and whether the monitor maps every page the block touches
+   (else only the register-fill page is mapped, so many runs fault,
+   some in a later copy). *)
+let unrolled_gen =
+  QCheck.Gen.(
+    let* seed = int_range 0 100000 in
+    let* app = oneofl [ Corpus.Apps.llvm; Corpus.Apps.gzip; Corpus.Apps.openblas ] in
+    let* rip = oneofl rip_relative in
+    let* unroll = int_range 1 8 in
+    let* mapped = bool in
+    let rng = Bstats.Rng.create (Int64.of_int seed) in
+    let block = Corpus.Gen.block ~rng ~mix:app.mix ~min_len:1 ~max_len:6 in
+    let* at = int_range 0 (List.length block) in
+    let before = List.filteri (fun i _ -> i < at) block
+    and after = List.filteri (fun i _ -> i >= at) block in
+    return (before @ (rip :: after), unroll, mapped))
+
+(* [run_unrolled] == the reference: the same steps (index, inst,
+   accesses, events), the same fault and position for a block that
+   faults, and the same final registers, flags and RIP. Both sides
+   start from equal states over equal memories: the monitor's mapping
+   is deterministic, so running it twice builds two equal MMUs. *)
+let run_unrolled_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"run_unrolled == concatenated reference" ~count:200
+       (QCheck.make
+          ~print:(fun (b, unroll, mapped) ->
+            Printf.sprintf "unroll %d, mapped %b: %s" unroll mapped
+              (String.concat "; " (List.map Inst.to_string b)))
+          unrolled_gen)
+       (fun (block, unroll, mapped) ->
+         let env = Harness.Environment.default in
+         let fill = Harness.Environment.fill_value_u64 env in
+         let fill_page_only () =
+           let mmu = Memsim.Mmu.create () in
+           ignore (Memsim.Mmu.map_fresh mmu (Memsim.Fault.page_of_address fill));
+           mmu
+         in
+         let setup () =
+           let mmu =
+             if not mapped then fill_page_only ()
+             else
+               match Harness.Mapping.run env block ~unroll with
+               | Ok m -> m.mmu
+               | Error _ -> fill_page_only ()
+           in
+           let st = Xsem.Machine_state.create () in
+           Xsem.Machine_state.init_constant st fill;
+           st.ftz <- env.disable_underflow;
+           (st, mmu)
+         in
+         let st, mmu = setup () and ref_st, ref_mmu = setup () in
+         Xsem.Executor.run_unrolled st mmu block ~unroll
+         = reference_run ref_st ref_mmu block ~unroll
+         && st = ref_st))
+
 let suite =
   [
     Alcotest.test_case "fault position" `Quick test_fault_position;
@@ -125,4 +211,5 @@ let suite =
     Alcotest.test_case "memory accumulate" `Quick test_store_then_load_roundtrip_across_iterations;
     Alcotest.test_case "state copy" `Quick test_state_copy_independent;
     Alcotest.test_case "init constant" `Quick test_init_constant;
+    run_unrolled_matches_reference;
   ]

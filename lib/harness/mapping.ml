@@ -29,7 +29,7 @@ let failure_to_string = function
 
 type success = {
   mmu : Memsim.Mmu.t;
-  steps : Xsem.Executor.step list;  (** the final, complete execution *)
+  steps : Xsem.Step_log.t;  (** the final, complete execution *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;
 }
@@ -42,10 +42,7 @@ let fresh_state (env : Environment.t) =
   st.ftz <- env.disable_underflow;
   st
 
-let div_by_zero steps =
-  List.exists
-    (fun (s : Xsem.Executor.step) -> List.mem Xsem.Semantics.Div_by_zero s.events)
-    steps
+let div_by_zero steps = Xsem.Step_log.any_event steps Xsem.Step_log.Div_by_zero
 
 let run (env : Environment.t) (block : Inst.t list) ~unroll :
     (success, failure) result =
@@ -64,9 +61,12 @@ let run (env : Environment.t) (block : Inst.t list) ~unroll :
       Memsim.Phys_mem.fill_const phys pfn env.fill_value
     | Environment.No_mapping -> assert false
   in
+  (* Every attempt records into one log, which the final run leaves to
+     the result. *)
+  let log = Xsem.Step_log.create ~steps:(List.length block * unroll) in
   let rec monitor num_faults =
     let st = fresh_state env in
-    match Xsem.Executor.run_unrolled st mmu block ~unroll with
+    match Xsem.Executor.run_unrolled ~log st mmu block ~unroll with
     | Xsem.Executor.Completed steps ->
       if div_by_zero steps then Error Arithmetic_fault
       else

@@ -16,7 +16,8 @@ val failure_to_string : failure -> string
 
 type success = {
   mmu : Memsim.Mmu.t;  (** with all touched pages mapped *)
-  steps : Xsem.Executor.step list;  (** the final, complete execution *)
+  steps : Xsem.Step_log.t;
+      (** the final, complete execution; each success owns its log *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;  (** 1 under single-physical-page aliasing *)
 }

@@ -247,14 +247,11 @@ let profile_untraced (env : Environment.t) (descriptor : Uarch.Descriptor.t)
     match small with
     | Error f -> Error (Mapping_failed f)
     | Ok small ->
-      let cycles_of (p : point) =
-        match p.accepted_cycles with Some c -> Some c | None -> None
-      in
       let misaligned =
         env.drop_misaligned && large.counters.misaligned_mem_refs > 0
       in
-      let accepted_large = cycles_of large in
-      let accepted_small = Option.map cycles_of small in
+      let accepted_large = large.accepted_cycles in
+      let accepted_small = Option.map (fun (p : point) -> p.accepted_cycles) small in
       let all_clean_present =
         accepted_large <> None
         && (match accepted_small with Some None -> false | _ -> true)

@@ -41,10 +41,9 @@ let create ~size_bytes ~ways ~line_bytes =
 let l1_default () = create ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64
 
 (* First and last line touched by [size] bytes at [addr]. *)
-let first_line t addr = Int64.to_int addr / t.line_bytes
+let first_line t addr = addr / t.line_bytes
 
-let last_line t addr ~size =
-  (Int64.to_int addr + (if size > 1 then size - 1 else 0)) / t.line_bytes
+let last_line t addr ~size = (addr + if size > 1 then size - 1 else 0) / t.line_bytes
 
 (* Way of [tags] holding [line], or -1. *)
 let rec find_way tags line w =

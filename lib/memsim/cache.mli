@@ -14,13 +14,14 @@ val l1_default : unit -> t
 (** Access one line by index; returns [true] on hit. *)
 val access_line : t -> int -> bool
 
-(** Access [size] bytes at [addr]; returns the number of line misses
-    (0-2: an access crossing a line boundary touches two lines). *)
-val access : t -> addr:int64 -> size:int -> int
+(** Access [size] bytes at physical address [addr] (a native int, as
+    the step log records it); returns the number of line misses (0-2:
+    an access crossing a line boundary touches two lines). *)
+val access : t -> addr:int -> size:int -> int
 
 (** Does this access cross a cache-line boundary (the event counted by
     MISALIGNED_MEM_REFERENCE)? *)
-val crosses_line : t -> addr:int64 -> size:int -> bool
+val crosses_line : t -> addr:int -> size:int -> bool
 
 val hits : t -> int
 val misses : t -> int

@@ -4,29 +4,44 @@
     frame) and BHive's trick of aliasing many virtual pages onto one
     physical frame. *)
 
-type t = { entries : (int64, int64) Hashtbl.t }
+(* Page numbers are native ints: a page number is an address shifted
+   right by 12, so it fits. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
 
-let create () = { entries = Hashtbl.create 64 }
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
 
-let translate_page t vpn = Hashtbl.find_opt t.entries vpn
+type t = { entries : int Pages.t }
 
-let map t ~vpn ~pfn = Hashtbl.replace t.entries vpn pfn
+let create () = { entries = Pages.create 64 }
 
-let unmap t vpn = Hashtbl.remove t.entries vpn
+(* The frame backing virtual page [vpn], or -1 when unmapped. *)
+let frame_number t vpn =
+  match Pages.find t.entries vpn with pfn -> pfn | exception Not_found -> -1
 
-let unmap_all t = Hashtbl.reset t.entries
+let translate_page t vpn =
+  let pfn = frame_number t (Int64.to_int vpn) in
+  if pfn < 0 then None else Some (Int64.of_int pfn)
 
-let is_mapped t vpn = Hashtbl.mem t.entries vpn
+let map t ~vpn ~pfn = Pages.replace t.entries (Int64.to_int vpn) (Int64.to_int pfn)
+
+let unmap t vpn = Pages.remove t.entries (Int64.to_int vpn)
+
+let unmap_all t = Pages.reset t.entries
+
+let is_mapped t vpn = Pages.mem t.entries (Int64.to_int vpn)
 
 let mapped_pages t =
-  Hashtbl.fold (fun vpn pfn acc -> (vpn, pfn) :: acc) t.entries []
+  Pages.fold (fun vpn pfn acc -> (Int64.of_int vpn, Int64.of_int pfn) :: acc) t.entries []
   |> List.sort compare
 
-let count t = Hashtbl.length t.entries
+let count t = Pages.length t.entries
 
 (* Number of distinct physical frames currently mapped; equals 1 when the
    BHive single-physical-page aliasing is in effect. *)
 let distinct_frames t =
   let seen = Hashtbl.create 8 in
-  Hashtbl.iter (fun _ pfn -> Hashtbl.replace seen pfn ()) t.entries;
+  Pages.iter (fun _ pfn -> Hashtbl.replace seen pfn ()) t.entries;
   Hashtbl.length seen

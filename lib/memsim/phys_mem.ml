@@ -1,28 +1,40 @@
-(** Physical memory: a sparse collection of 4 KiB frames addressed by
-    physical page number. *)
+(** Physical memory: 4 KiB frames addressed by physical page number.
+    Frames are numbered from [first_pfn] up, in allocation order, so
+    frame [pfn] is [frames.(pfn - first_pfn)]. *)
+
+let first_pfn = 0x100
 
 type t = {
-  frames : (int64, bytes) Hashtbl.t;
-  mutable next_free : int64;  (** simple bump allocator for fresh frames *)
+  mutable frames : bytes array;
+  mutable next_free : int;  (** simple bump allocator for fresh frames *)
 }
 
-let create () = { frames = Hashtbl.create 64; next_free = 0x100L }
+let create () = { frames = [||]; next_free = first_pfn }
 
 let allocate t =
   let pfn = t.next_free in
-  t.next_free <- Int64.add t.next_free 1L;
-  Hashtbl.replace t.frames pfn (Bytes.make Fault.page_size '\000');
-  pfn
+  let k = pfn - first_pfn in
+  if k = Array.length t.frames then begin
+    let frames = Array.make (max 4 (2 * k)) Bytes.empty in
+    Array.blit t.frames 0 frames 0 k;
+    t.frames <- frames
+  end;
+  t.frames.(k) <- Bytes.make Fault.page_size '\000';
+  t.next_free <- pfn + 1;
+  Int64.of_int pfn
 
-let frame t pfn =
-  match Hashtbl.find_opt t.frames pfn with
-  | Some b -> b
-  | None ->
+let mem_int t pfn = pfn >= first_pfn && pfn < t.next_free
+
+(* The frame numbered [pfn], found without allocating. *)
+let frame_int t pfn =
+  if mem_int t pfn then t.frames.(pfn - first_pfn)
+  else
     (* Touching an unallocated frame is an internal logic error, not a
        simulated fault: the MMU only hands out allocated frames. *)
-    invalid_arg (Printf.sprintf "Phys_mem.frame: unallocated pfn 0x%Lx" pfn)
+    invalid_arg (Printf.sprintf "Phys_mem.frame: unallocated pfn 0x%x" pfn)
 
-let mem t pfn = Hashtbl.mem t.frames pfn
+let frame t pfn = frame_int t (Int64.to_int pfn)
+let mem t pfn = mem_int t (Int64.to_int pfn)
 
 (* Fill a frame with a repeating 32-bit little-endian constant; BHive
    initialises its single physical page with 0x12345600 so that loaded
@@ -37,5 +49,5 @@ let read_byte t pfn offset = Char.code (Bytes.get (frame t pfn) offset)
 let write_byte t pfn offset v = Bytes.set (frame t pfn) offset (Char.chr (v land 0xFF))
 
 let clear t =
-  Hashtbl.reset t.frames;
-  t.next_free <- 0x100L
+  t.frames <- [||];
+  t.next_free <- first_pfn

@@ -173,12 +173,12 @@ let l2_shift = 16
 let l1_misses packed = packed land ((1 lsl l2_shift) - 1)
 let l2_misses packed = packed lsr l2_shift
 
-(* Fetch [di]'s code lines through L1I. A line that misses refills from
-   the unified L2, tagged into a distinct address range so that it does
-   not alias data lines. *)
-let fetch ~l1i ~l2 (di : Trace.dyn_inst) =
+(* Fetch the code lines of [len] instruction bytes at [code_addr]
+   through L1I. A line that misses refills from the unified L2, tagged
+   into a distinct address range so that it does not alias data lines. *)
+let fetch ~l1i ~l2 ~code_addr ~len =
   let packed = ref 0 in
-  for line = di.code_addr / 64 to (di.code_addr + di.static.s_code_len - 1) / 64 do
+  for line = code_addr / 64 to (code_addr + len - 1) / 64 do
     if not (Memsim.Cache.access_line l1i line) then
       packed :=
         !packed + 1
@@ -192,18 +192,19 @@ let data_access ~l1d ~l2 ~addr ~size =
   let misses = Memsim.Cache.access l1d ~addr ~size in
   if misses = 0 then 0 else misses + (Memsim.Cache.access l2 ~addr ~size lsl l2_shift)
 
-(* Physical address and size of [di]'s [k]-th load or store; a load or
-   store-data uop the trace recorded no access for reads 8 bytes at 0. *)
-let no_access = (0L, 8)
-let load_access (di : Trace.dyn_inst) k =
-  if k < Array.length di.loads then di.loads.(k) else no_access
+(* Step [i]'s [k]-th load or store, as an index into the trace's load
+   or store arrays, or -1 where the trace recorded none: such a load or
+   store-data uop reads 8 bytes at address 0. *)
+let slot start i k =
+  let j = start.(i) + k in
+  if j < start.(i + 1) then j else -1
 
-let store_access (di : Trace.dyn_inst) k =
-  if k < Array.length di.stores then di.stores.(k) else no_access
+let slot_addr addrs j = if j < 0 then 0 else addrs.(j)
+let slot_size sizes j = if j < 0 then 8 else sizes.(j)
 
 let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
-    (trace : Trace.dyn_inst list) : result =
+    (trace : Trace.t) : result =
   let s =
     match scratch with
     | Some s when Scratch.fits s d ->
@@ -238,13 +239,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
   (* Store-to-load forwarding over 8-byte chunks. *)
   let fwd_tbl = s.fwd in
   let forwarding_ready addr size =
-    let first = Int64.to_int (Int64.shift_right_logical addr 3) in
-    let last =
-      Int64.to_int
-        (Int64.shift_right_logical
-           (Int64.add addr (Int64.of_int (max 1 size - 1)))
-           3)
-    in
+    let first = addr lsr 3 and last = (addr + max 1 size - 1) lsr 3 in
     let t = ref 0 in
     for chunk = first to last do
       let ready = Fwd.find fwd_tbl chunk in
@@ -253,13 +248,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     !t
   in
   let record_store addr size ready =
-    let first = Int64.to_int (Int64.shift_right_logical addr 3) in
-    let last =
-      Int64.to_int
-        (Int64.shift_right_logical
-           (Int64.add addr (Int64.of_int (max 1 size - 1)))
-           3)
-    in
+    let first = addr lsr 3 and last = (addr + max 1 size - 1) lsr 3 in
     for chunk = first to last do
       Fwd.set fwd_tbl chunk ready
     done
@@ -286,220 +275,225 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     !t
   in
   let finish_time = ref 0 in
-  List.iteri
-    (fun idx (di : Trace.dyn_inst) ->
-      let st = di.static in
-      (* --- front end: instruction fetch through the L1I cache --- *)
-      let fetched = fetch ~l1i ~l2 di in
-      if fetched <> 0 then begin
-        let l1i_m = l1_misses fetched and l2_m = l2_misses fetched in
-        c.l1i_misses <- c.l1i_misses + l1i_m;
-        c.l2_misses <- c.l2_misses + l2_m;
-        let stall = (l1i_m * d.icache_miss_penalty) + (l2_m * d.l2_miss_penalty) in
-        c.frontend_stall_cycles <- c.frontend_stall_cycles + stall;
-        frontend_cycle := !frontend_cycle + stall;
-        slots_this_cycle := 0
-      end;
-      (* --- rename --- *)
-      let renamed_at = rename_slots st.s_fused_slots in
-      (* ROB occupancy: wait for the oldest entry to retire. *)
-      for _ = 1 to st.s_fused_slots do
-        if s.rob_len >= d.rob_size then begin
-          let oldest = rob_pop () in
-          if oldest > !frontend_cycle then begin
-            c.rob_stall_cycles <- c.rob_stall_cycles + (oldest - !frontend_cycle);
-            frontend_cycle := oldest;
-            slots_this_cycle := 0
-          end
+  (* Step [idx] runs block position [pos] of the copy at [copy_addr]. *)
+  let n = Array.length trace.statics in
+  let pos = ref 0 and copy_addr = ref 0 in
+  for idx = 0 to trace.steps - 1 do
+    let st = trace.statics.(!pos) in
+    (* --- front end: instruction fetch through the L1I cache --- *)
+    let fetched =
+      fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len
+    in
+    if fetched <> 0 then begin
+      let l1i_m = l1_misses fetched and l2_m = l2_misses fetched in
+      c.l1i_misses <- c.l1i_misses + l1i_m;
+      c.l2_misses <- c.l2_misses + l2_m;
+      let stall = (l1i_m * d.icache_miss_penalty) + (l2_m * d.l2_miss_penalty) in
+      c.frontend_stall_cycles <- c.frontend_stall_cycles + stall;
+      frontend_cycle := !frontend_cycle + stall;
+      slots_this_cycle := 0
+    end;
+    (* --- rename --- *)
+    let renamed_at = rename_slots st.s_fused_slots in
+    (* ROB occupancy: wait for the oldest entry to retire. *)
+    for _ = 1 to st.s_fused_slots do
+      if s.rob_len >= d.rob_size then begin
+        let oldest = rob_pop () in
+        if oldest > !frontend_cycle then begin
+          c.rob_stall_cycles <- c.rob_stall_cycles + (oldest - !frontend_cycle);
+          frontend_cycle := oldest;
+          slots_this_cycle := 0
         end
-      done;
-      c.instructions <- c.instructions + 1;
-      c.uops <- c.uops + max 1 st.s_n_uops;
-      let data_ready = ready_of_roots st.s_reads in
-      let data_ready =
-        if st.s_reads_flags then max data_ready reg_ready.(flags_root)
-        else data_ready
+      end
+    done;
+    c.instructions <- c.instructions + 1;
+    c.uops <- c.uops + max 1 st.s_n_uops;
+    let data_ready = ready_of_roots st.s_reads in
+    let data_ready =
+      if st.s_reads_flags then max data_ready reg_ready.(flags_root)
+      else data_ready
+    in
+    let addr_ready = ready_of_roots st.s_addr_roots in
+    if st.s_eliminated then begin
+      (* Handled at rename: result ready immediately. For zero idioms
+         the result does not depend on sources at all. *)
+      let ready =
+        if st.s_zero_idiom then renamed_at else max renamed_at data_ready
       in
-      let addr_ready = ready_of_roots st.s_addr_roots in
-      if st.s_eliminated then begin
-        (* Handled at rename: result ready immediately. For zero idioms
-           the result does not depend on sources at all. *)
-        let ready =
-          if st.s_zero_idiom then renamed_at else max renamed_at data_ready
+      let writes = st.s_writes in
+      for i = 0 to Array.length writes - 1 do
+        reg_ready.(writes.(i)) <- ready
+      done;
+      if st.s_writes_flags then reg_ready.(flags_root) <- ready;
+      if record_schedule then
+        schedule :=
+          {
+            inst_index = idx;
+            static_index = idx;
+            uop = Uop.exec Port.empty;
+            port = -1;
+            dispatch = renamed_at;
+            complete = ready;
+          }
+          :: !schedule;
+      rob_push (max ready renamed_at);
+      if max ready renamed_at > !finish_time then
+        finish_time := max ready renamed_at
+    end
+    else begin
+      let earliest = renamed_at + 1 in
+      let load_idx = ref 0 and store_idx = ref 0 in
+      let last_load_complete = ref 0 in
+      let last_exec_complete = ref 0 in
+      let prev_exec_complete = ref 0 in
+      let inst_complete = ref renamed_at in
+      let subnormal_applied = ref false in
+      let codes = st.s_codes in
+      for k = 0 to Array.length codes - 1 do
+        let code = codes.(k) in
+        let kind = Flat.code_kind code in
+        let ulat = Flat.code_latency code in
+        let ready, latency_extra, busy =
+          match kind with
+          | 1 (* Load *) ->
+            let j = slot trace.load_start idx !load_idx in
+            let paddr = slot_addr trace.load_paddr j
+            and size = slot_size trace.load_size j
+            and vaddr = slot_addr trace.load_vaddr j in
+            incr load_idx;
+            let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+            let misses = l1_misses packed and l2_m = l2_misses packed in
+            c.l1d_read_misses <- c.l1d_read_misses + misses;
+            c.l2_misses <- c.l2_misses + l2_m;
+            let split = Memsim.Cache.crosses_line l1d ~addr:vaddr ~size in
+            if split then c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
+            let fwd = forwarding_ready paddr size in
+            ( max (max addr_ready fwd) earliest,
+              (misses * d.l1d_miss_penalty)
+              + (l2_m * d.l2_miss_penalty)
+              + (if split then d.misaligned_extra_cycles else 0),
+              1 )
+          | 2 (* Store_addr *) -> (max addr_ready earliest, 0, 1)
+          | 3 (* Store_data *) ->
+            let src =
+              if !last_exec_complete > 0 then !last_exec_complete
+              else max data_ready !last_load_complete
+            in
+            (max src earliest, 0, 1)
+          | _ (* Exec *) ->
+            let chain =
+              max data_ready (max !last_load_complete !prev_exec_complete)
+            in
+            let busy =
+              if st.s_is_divider then
+                let lat = if st.s_is_int_div then trace.div_lat.(idx) else ulat in
+                max 1 (lat - 1)
+              else 1
+            in
+            (max chain earliest, 0, busy)
         in
-        let writes = st.s_writes in
-        for i = 0 to Array.length writes - 1 do
-          reg_ready.(writes.(i)) <- ready
+        (* Dispatch on the candidate port with the earliest free issue
+           slot (out-of-order backfill included); ties resolve to the
+           lowest-numbered port, as the mask is scanned ascending. *)
+        let best_port = ref 0 and best_time = ref max_int in
+        let m = ref (Flat.code_mask code) and pn = ref 0 in
+        while !m <> 0 do
+          if !m land 1 <> 0 then begin
+            let t = Port_schedule.peek ports ~port:!pn ~ready in
+            if t < !best_time then begin
+              best_time := t;
+              best_port := !pn
+            end
+          end;
+          incr pn;
+          m := !m lsr 1
         done;
-        if st.s_writes_flags then reg_ready.(flags_root) <- ready;
+        let port = !best_port in
+        let dispatch =
+          Port_schedule.claim ports ~port ~ready:!best_time ~busy
+        in
+        c.port_cycles.(port) <- c.port_cycles.(port) + busy;
+        if dispatch > ready then
+          c.port_contention_cycles <-
+            c.port_contention_cycles + (dispatch - ready);
+        let latency =
+          if kind = 0 && st.s_is_int_div then trace.div_lat.(idx) else ulat
+        in
+        let complete = dispatch + latency + latency_extra in
+        let complete =
+          if trace.subnormal.(idx) && (not !subnormal_applied) && kind = 0 then begin
+            subnormal_applied := true;
+            c.subnormal_assists <- c.subnormal_assists + 1;
+            complete + d.subnormal_assist_cycles
+          end
+          else complete
+        in
+        (match kind with
+        | 1 (* Load *) ->
+          last_load_complete := max !last_load_complete complete
+        | 0 (* Exec *) ->
+          prev_exec_complete := complete;
+          last_exec_complete := max !last_exec_complete complete
+        | 3 (* Store_data *) ->
+          let j = slot trace.store_start idx !store_idx in
+          let paddr = slot_addr trace.store_paddr j
+          and size = slot_size trace.store_size j
+          and vaddr = slot_addr trace.store_vaddr j in
+          incr store_idx;
+          let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+          c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
+          c.l2_misses <- c.l2_misses + l2_misses packed;
+          if Memsim.Cache.crosses_line l1d ~addr:vaddr ~size then
+            c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
+          record_store paddr size (complete + 1)
+        | _ (* Store_addr *) -> ());
+        if complete > !inst_complete then inst_complete := complete;
         if record_schedule then
           schedule :=
             {
               inst_index = idx;
-              static_index = di.static_index;
-              uop = Uop.exec Port.empty;
-              port = -1;
-              dispatch = renamed_at;
-              complete = ready;
+              static_index = idx;
+              uop = st.s_uops.(k);
+              port;
+              dispatch;
+              complete;
             }
-            :: !schedule;
-        rob_push (max ready renamed_at);
-        if max ready renamed_at > !finish_time then
-          finish_time := max ready renamed_at
-      end
-      else begin
-        let earliest = renamed_at + 1 in
-        let load_idx = ref 0 and store_idx = ref 0 in
-        let last_load_complete = ref 0 in
-        let last_exec_complete = ref 0 in
-        let prev_exec_complete = ref 0 in
-        let inst_complete = ref renamed_at in
-        let subnormal_applied = ref false in
-        let codes = st.s_codes in
-        for k = 0 to Array.length codes - 1 do
-          let code = codes.(k) in
-          let kind = Flat.code_kind code in
-          let ulat = Flat.code_latency code in
-          let ready, latency_extra, busy =
-            match kind with
-            | 1 (* Load *) ->
-              let paddr, size = load_access di !load_idx in
-              let vaddr =
-                if !load_idx < Array.length di.load_vaddrs then
-                  di.load_vaddrs.(!load_idx)
-                else 0L
-              in
-              incr load_idx;
-              let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
-              let misses = l1_misses packed and l2_m = l2_misses packed in
-              c.l1d_read_misses <- c.l1d_read_misses + misses;
-              c.l2_misses <- c.l2_misses + l2_m;
-              let split = Memsim.Cache.crosses_line l1d ~addr:vaddr ~size in
-              if split then c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
-              let fwd = forwarding_ready paddr size in
-              ( max (max addr_ready fwd) earliest,
-                (misses * d.l1d_miss_penalty)
-                + (l2_m * d.l2_miss_penalty)
-                + (if split then d.misaligned_extra_cycles else 0),
-                1 )
-            | 2 (* Store_addr *) -> (max addr_ready earliest, 0, 1)
-            | 3 (* Store_data *) ->
-              let src =
-                if !last_exec_complete > 0 then !last_exec_complete
-                else max data_ready !last_load_complete
-              in
-              (max src earliest, 0, 1)
-            | _ (* Exec *) ->
-              let chain =
-                max data_ready (max !last_load_complete !prev_exec_complete)
-              in
-              let busy =
-                if st.s_is_divider then
-                  let lat = if st.s_is_int_div then di.div_lat else ulat in
-                  max 1 (lat - 1)
-                else 1
-              in
-              (max chain earliest, 0, busy)
-          in
-          (* Dispatch on the candidate port with the earliest free issue
-             slot (out-of-order backfill included); ties resolve to the
-             lowest-numbered port, as the mask is scanned ascending. *)
-          let best_port = ref 0 and best_time = ref max_int in
-          let m = ref (Flat.code_mask code) and pn = ref 0 in
-          while !m <> 0 do
-            if !m land 1 <> 0 then begin
-              let t = Port_schedule.peek ports ~port:!pn ~ready in
-              if t < !best_time then begin
-                best_time := t;
-                best_port := !pn
-              end
-            end;
-            incr pn;
-            m := !m lsr 1
-          done;
-          let port = !best_port in
-          let dispatch =
-            Port_schedule.claim ports ~port ~ready:!best_time ~busy
-          in
-          c.port_cycles.(port) <- c.port_cycles.(port) + busy;
-          if dispatch > ready then
-            c.port_contention_cycles <-
-              c.port_contention_cycles + (dispatch - ready);
-          let latency =
-            if kind = 0 && st.s_is_int_div then di.div_lat else ulat
-          in
-          let complete = dispatch + latency + latency_extra in
-          let complete =
-            if di.subnormal && (not !subnormal_applied) && kind = 0 then begin
-              subnormal_applied := true;
-              c.subnormal_assists <- c.subnormal_assists + 1;
-              complete + d.subnormal_assist_cycles
-            end
-            else complete
-          in
-          (match kind with
-          | 1 (* Load *) ->
-            last_load_complete := max !last_load_complete complete
-          | 0 (* Exec *) ->
-            prev_exec_complete := complete;
-            last_exec_complete := max !last_exec_complete complete
-          | 3 (* Store_data *) ->
-            let paddr, size = store_access di !store_idx in
-            let vaddr =
-              if !store_idx < Array.length di.store_vaddrs then
-                di.store_vaddrs.(!store_idx)
-              else 0L
-            in
-            incr store_idx;
-            let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
-            c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
-            c.l2_misses <- c.l2_misses + l2_misses packed;
-            if Memsim.Cache.crosses_line l1d ~addr:vaddr ~size then
-              c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
-            record_store paddr size (complete + 1)
-          | _ (* Store_addr *) -> ());
-          if complete > !inst_complete then inst_complete := complete;
-          if record_schedule then
-            schedule :=
-              {
-                inst_index = idx;
-                static_index = di.static_index;
-                uop = st.s_uops.(k);
-                port;
-                dispatch;
-                complete;
-              }
-              :: !schedule
-        done;
-        (* A microcode assist flushes the front end. *)
-        if di.subnormal then begin
-          frontend_cycle := max !frontend_cycle !inst_complete;
-          slots_this_cycle := 0
-        end;
-        (* Architectural results become visible at instruction completion:
-           the producing uop is the last exec uop, or the load for pure
-           loads. *)
-        let result_time =
-          if !last_exec_complete > 0 then !last_exec_complete
-          else if !last_load_complete > 0 then !last_load_complete
-          else renamed_at
-        in
-        let writes = st.s_writes in
-        for i = 0 to Array.length writes - 1 do
-          reg_ready.(writes.(i)) <- result_time
-        done;
-        if st.s_writes_flags then reg_ready.(flags_root) <- result_time;
-        (* In-order retirement. *)
-        let ready_to_retire = max !inst_complete !last_retire in
-        let width_limited = retire_ring.(!retire_pos) + 1 in
-        let retire_at = max ready_to_retire width_limited in
-        retire_ring.(!retire_pos) <- retire_at;
-        retire_pos := (!retire_pos + 1) mod d.retire_width;
-        last_retire := retire_at;
-        rob_push retire_at;
-        if retire_at > !finish_time then finish_time := retire_at
-      end)
-    trace;
+            :: !schedule
+      done;
+      (* A microcode assist flushes the front end. *)
+      if trace.subnormal.(idx) then begin
+        frontend_cycle := max !frontend_cycle !inst_complete;
+        slots_this_cycle := 0
+      end;
+      (* Architectural results become visible at instruction completion:
+         the producing uop is the last exec uop, or the load for pure
+         loads. *)
+      let result_time =
+        if !last_exec_complete > 0 then !last_exec_complete
+        else if !last_load_complete > 0 then !last_load_complete
+        else renamed_at
+      in
+      let writes = st.s_writes in
+      for i = 0 to Array.length writes - 1 do
+        reg_ready.(writes.(i)) <- result_time
+      done;
+      if st.s_writes_flags then reg_ready.(flags_root) <- result_time;
+      (* In-order retirement. *)
+      let ready_to_retire = max !inst_complete !last_retire in
+      let width_limited = retire_ring.(!retire_pos) + 1 in
+      let retire_at = max ready_to_retire width_limited in
+      retire_ring.(!retire_pos) <- retire_at;
+      retire_pos := (!retire_pos + 1) mod d.retire_width;
+      last_retire := retire_at;
+      rob_push retire_at;
+      if retire_at > !finish_time then finish_time := retire_at
+    end;
+    if !pos + 1 = n then begin
+      pos := 0;
+      copy_addr := !copy_addr + trace.block_bytes
+    end
+    else incr pos
+  done;
   c.core_cycles <- !finish_time;
   { cycles = !finish_time; counters = c; schedule = List.rev !schedule }
 
@@ -511,25 +505,35 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
    stamps, clocks and hit and miss counts. Allocates a per-call
    constant. *)
 let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
-    (trace : Trace.dyn_inst list) =
-  List.iter
-    (fun (di : Trace.dyn_inst) ->
-      ignore (fetch ~l1i ~l2 di);
-      let st = di.static in
-      if not st.s_eliminated then begin
-        let load_idx = ref 0 and store_idx = ref 0 in
-        let codes = st.s_codes in
-        for k = 0 to Array.length codes - 1 do
-          match Flat.code_kind codes.(k) with
-          | 1 (* Load *) ->
-            let addr, size = load_access di !load_idx in
-            incr load_idx;
-            ignore (data_access ~l1d ~l2 ~addr ~size)
-          | 3 (* Store_data *) ->
-            let addr, size = store_access di !store_idx in
-            incr store_idx;
-            ignore (data_access ~l1d ~l2 ~addr ~size)
-          | _ -> ()
-        done
-      end)
-    trace
+    (trace : Trace.t) =
+  let n = Array.length trace.statics in
+  let pos = ref 0 and copy_addr = ref 0 in
+  for idx = 0 to trace.steps - 1 do
+    let st = trace.statics.(!pos) in
+    ignore (fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len);
+    if not st.s_eliminated then begin
+      let load_idx = ref 0 and store_idx = ref 0 in
+      let codes = st.s_codes in
+      for u = 0 to Array.length codes - 1 do
+        match Flat.code_kind codes.(u) with
+        | 1 (* Load *) ->
+          let j = slot trace.load_start idx !load_idx in
+          incr load_idx;
+          ignore
+            (data_access ~l1d ~l2 ~addr:(slot_addr trace.load_paddr j)
+               ~size:(slot_size trace.load_size j))
+        | 3 (* Store_data *) ->
+          let j = slot trace.store_start idx !store_idx in
+          incr store_idx;
+          ignore
+            (data_access ~l1d ~l2 ~addr:(slot_addr trace.store_paddr j)
+               ~size:(slot_size trace.store_size j))
+        | _ -> ()
+      done
+    end;
+    if !pos + 1 = n then begin
+      pos := 0;
+      copy_addr := !copy_addr + trace.block_bytes
+    end
+    else incr pos
+  done

@@ -45,14 +45,14 @@ let timed f =
 (* Build the trace of [steps] for this machine's descriptor. Its time
    counts towards [pipeline.sim_ns]: a simulated block's cost includes
    the trace it runs on, built once however often it is simulated. *)
-let trace t (steps : Xsem.Executor.step list) : Trace.dyn_inst list =
+let trace t (steps : Xsem.Step_log.t) : Trace.t =
   timed (fun () -> Trace.of_steps t.descriptor steps)
 
 (* Simulate the timing of one completed architectural execution, given
    as its trace. The telemetry span wraps the core cycle loop; the
    branch on [Telemetry.Trace.enabled] keeps the traced path (closure,
    attribute thunk) off the hot path when no sink is installed. *)
-let simulate ?record_schedule t (trace : Trace.dyn_inst list) : Core.result =
+let simulate ?record_schedule t (trace : Trace.t) : Core.result =
   let simulate () =
     let r =
       timed (fun () ->
@@ -94,7 +94,7 @@ let simulate ?record_schedule t (trace : Trace.dyn_inst list) : Core.result =
    the timing (Core.warm), which leaves the caches as a simulation
    would. It counts as one simulated block, so a measure point counts
    two: warm-up and timed run. *)
-let warm t (trace : Trace.dyn_inst list) =
+let warm t (trace : Trace.t) =
   timed (fun () -> Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace);
   Telemetry.Metrics.incr m_blocks
 

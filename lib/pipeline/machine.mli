@@ -21,22 +21,22 @@ val reset : t -> unit
 (** Build the dynamic trace of [steps] under the machine's descriptor.
     Its build time counts towards [pipeline.sim_ns], so a caller that
     simulates one trace several times pays, and accounts, one build. *)
-val trace : t -> Xsem.Executor.step list -> Trace.dyn_inst list
+val trace : t -> Xsem.Step_log.t -> Trace.t
 
 (** Simulate the timing of one completed architectural execution, given
     as its trace; deterministic given the machine state. The trace is
     not modified, so it can be simulated again. *)
-val simulate : ?record_schedule:bool -> t -> Trace.dyn_inst list -> Core.result
+val simulate : ?record_schedule:bool -> t -> Trace.t -> Core.result
 
 (** Warm the caches with [trace]: make exactly the cache accesses
     [simulate] would, with no timing ({!Core.warm}), leaving L1D, L1I
     and L2 as a discarded simulation would. Counts as one simulated
     block in [pipeline.blocks] and adds its time to [pipeline.sim_ns],
     so a measure point (warm-up, then timed run) counts two blocks. *)
-val warm : t -> Trace.dyn_inst list -> unit
+val warm : t -> Trace.t -> unit
 
 (** [trace] followed by [simulate]. *)
-val run : ?record_schedule:bool -> t -> Xsem.Executor.step list -> Core.result
+val run : ?record_schedule:bool -> t -> Xsem.Step_log.t -> Core.result
 
 (** The calling domain's machine for [d], created on first use and
     reused afterwards (keyed by descriptor physical identity). Domains

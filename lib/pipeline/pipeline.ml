@@ -12,7 +12,7 @@ module Trace = Trace
     epoch bump, so results are byte-identical to per-block
     [Machine.create] + [Machine.run]. *)
 let simulate_batch ?record_schedule (d : Uarch.Descriptor.t)
-    (steps_list : Xsem.Executor.step list list) : Core.result list =
+    (steps_list : Xsem.Step_log.t list) : Core.result list =
   let m = Machine.for_descriptor d in
   List.map
     (fun steps ->

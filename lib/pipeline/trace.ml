@@ -4,11 +4,13 @@
     resources).
 
     The trace is split into a per-static-instruction part — decomposition,
-    packed uop codes, dependence roots — computed once per distinct
-    instruction and shared by every unrolled copy, and a thin dynamic part
-    carrying only what truly varies per execution (addresses, events).
-    Under the profiler's unroll factors this removes ~99% of the decode
-    work the simulator used to repeat per dynamic instruction. *)
+    packed uop codes, dependence roots — computed once per block position
+    and shared by every unrolled copy, and a dynamic part carrying only
+    what truly varies per execution: addresses and events. The dynamic
+    part is flat int arrays read off the executor's {!Xsem.Step_log}:
+    step [i] runs the static info at block position [i mod n], and its
+    loads and stores are ranges of the load and store arrays. Building it
+    allocates those arrays and nothing per step. *)
 
 open X86
 
@@ -36,18 +38,24 @@ type static_info = {
   s_is_int_div : bool;  (** div/idiv: latency resolved from the trace *)
 }
 
-type dyn_inst = {
-  static : static_info;
-  static_index : int;  (** index within the (unrolled) static stream *)
-  code_addr : int;  (** byte offset of the instruction in the code stream *)
-  loads : (int64 * int) array;  (** physical address and size per load *)
-  stores : (int64 * int) array;
-  load_vaddrs : int64 array;  (** virtual addresses (for split detection) *)
-  store_vaddrs : int64 array;
-  subnormal : bool;  (** FP op touched subnormals (gradual underflow) *)
-  div_lat : int;
-      (** effective div/idiv latency given the observed execution path;
-          0 for every other instruction *)
+type t = {
+  statics : static_info array;  (** per block position *)
+  offsets : int array;  (** code byte offset of each block position in a copy *)
+  block_bytes : int;  (** code bytes of one copy *)
+  steps : int;
+  subnormal : bool array;  (** per step: FP op touched subnormals *)
+  div_lat : int array;
+      (** per step: effective div/idiv latency given the observed
+          execution path; 0 for every other instruction *)
+  load_start : int array;
+      (** step [i]'s loads are [load_start.(i)] to [load_start.(i + 1) - 1] *)
+  load_paddr : int array;
+  load_size : int array;
+  load_vaddr : int array;  (** virtual addresses (for split detection) *)
+  store_start : int array;
+  store_paddr : int array;
+  store_size : int array;
+  store_vaddr : int array;
 }
 
 let build_static (flat : Uarch.Flat.t) (inst : Inst.t) : static_info =
@@ -80,57 +88,80 @@ let build_static (flat : Uarch.Flat.t) (inst : Inst.t) : static_info =
     s_is_int_div = Uarch.Flat.is_int_div flat inst.opcode;
   }
 
-(** Build the dynamic trace for a completed execution of [steps] under
-    microarchitecture [d]. Instructions are laid out consecutively, as
-    the unrolled benchmark body is; static preprocessing is computed once
-    per distinct instruction (unrolled copies share it). *)
-let of_steps (d : Uarch.Descriptor.t) (steps : Xsem.Executor.step list) :
-    dyn_inst list =
+(** Build the dynamic trace of a completed execution, recorded in [log],
+    under microarchitecture [d]. Instructions are laid out consecutively,
+    as the unrolled benchmark body is. *)
+let of_steps (d : Uarch.Descriptor.t) (log : Xsem.Step_log.t) : t =
+  let module L = Xsem.Step_log in
   let flat = Uarch.Descriptor.flat d in
-  (* keyed structurally: unrolled copies share the instruction values
-     physically, and structurally equal instructions decompose
-     identically, so sharing their static info is sound either way *)
-  let statics : (Inst.t, static_info) Hashtbl.t = Hashtbl.create 64 in
-  let static_of inst =
-    match Hashtbl.find_opt statics inst with
-    | Some s -> s
-    | None ->
-      let s = build_static flat inst in
-      Hashtbl.add statics inst s;
-      s
+  let statics = Array.map (build_static flat) (L.block log) in
+  let n = Array.length statics in
+  let offsets = Array.make n 0 and block_bytes = ref 0 in
+  Array.iteri
+    (fun k s ->
+      offsets.(k) <- !block_bytes;
+      block_bytes := !block_bytes + s.s_code_len)
+    statics;
+  let steps = L.steps log and accesses = L.accesses log in
+  let stores = ref 0 in
+  for a = 0 to accesses - 1 do
+    if L.is_store log a then incr stores
+  done;
+  let loads = accesses - !stores and stores = !stores in
+  let t =
+    {
+      statics;
+      offsets;
+      block_bytes = !block_bytes;
+      steps;
+      subnormal = Array.make steps false;
+      div_lat = Array.make steps 0;
+      load_start = Array.make (steps + 1) 0;
+      load_paddr = Array.make loads 0;
+      load_size = Array.make loads 0;
+      load_vaddr = Array.make loads 0;
+      store_start = Array.make (steps + 1) 0;
+      store_paddr = Array.make stores 0;
+      store_size = Array.make stores 0;
+      store_vaddr = Array.make stores 0;
+    }
   in
-  (* Byte offsets for the full dynamic stream. *)
-  let offset = ref 0 in
-  List.map
-    (fun (s : Xsem.Executor.step) ->
-      let st = static_of s.inst in
-      let addr = !offset in
-      offset := !offset + st.s_code_len;
-      let loads, stores =
-        List.partition (fun (a : Memsim.Mmu.access) -> not a.is_store) s.accesses
-      in
-      let div_lat =
-        if not st.s_is_int_div then 0
-        else if List.mem Xsem.Semantics.Div_slow_path s.events then
-          flat.Uarch.Flat.div64_latency
-        else if Width.equal s.inst.width Width.Q then
-          (* 64-bit divide with zeroed rdx: faster than the wide path but
-             slower than the 32-bit divide *)
-          flat.Uarch.Flat.divq_latency
-        else flat.Uarch.Flat.div32_latency
-      in
-      {
-        static = st;
-        static_index = s.index;
-        code_addr = addr;
-        loads = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> (a.paddr, a.size)) loads);
-        stores = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> (a.paddr, a.size)) stores);
-        load_vaddrs = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> a.vaddr) loads);
-        store_vaddrs = Array.of_list (List.map (fun (a : Memsim.Mmu.access) -> a.vaddr) stores);
-        subnormal = List.mem Xsem.Semantics.Subnormal s.events;
-        div_lat;
-      })
-    steps
+  let l = ref 0 and s = ref 0 in
+  for i = 0 to steps - 1 do
+    t.load_start.(i) <- !l;
+    t.store_start.(i) <- !s;
+    for a = L.first_access log i to L.first_access log (i + 1) - 1 do
+      if L.is_store log a then begin
+        t.store_paddr.(!s) <- L.paddr log a;
+        t.store_size.(!s) <- L.size log a;
+        t.store_vaddr.(!s) <- L.vaddr log a;
+        incr s
+      end
+      else begin
+        t.load_paddr.(!l) <- L.paddr log a;
+        t.load_size.(!l) <- L.size log a;
+        t.load_vaddr.(!l) <- L.vaddr log a;
+        incr l
+      end
+    done;
+    let events = L.events log i in
+    t.subnormal.(i) <- events land L.bit L.Subnormal <> 0;
+    let st = statics.(i mod n) in
+    if st.s_is_int_div then
+      t.div_lat.(i) <-
+        (if events land L.bit L.Div_slow_path <> 0 then flat.Uarch.Flat.div64_latency
+         else if Width.equal st.s_inst.width Width.Q then
+           (* 64-bit divide with zeroed rdx: faster than the wide path but
+              slower than the 32-bit divide *)
+           flat.Uarch.Flat.divq_latency
+         else flat.Uarch.Flat.div32_latency)
+  done;
+  t.load_start.(steps) <- !l;
+  t.store_start.(steps) <- !s;
+  t
 
-let total_uops trace =
-  List.fold_left (fun acc di -> acc + di.static.s_n_uops) 0 trace
+let static t i = t.statics.(i mod Array.length t.statics)
+
+let code_addr t i =
+  let n = Array.length t.statics in
+  (i / n * t.block_bytes) + t.offsets.(i mod n)

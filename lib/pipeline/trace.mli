@@ -3,8 +3,12 @@
     simulation that replays it against pipeline resources.
 
     Split into a per-static-instruction part (decomposition, packed uop
-    codes, dependence roots — shared by every unrolled copy) and a thin
-    dynamic part carrying only what varies per execution. *)
+    codes, dependence roots), built once per block position and shared
+    by every unrolled copy, and a dynamic part in flat int arrays read
+    off the executor's {!Xsem.Step_log}: step [i] runs block position
+    [i mod n], and its loads and stores are ranges of the load and store
+    arrays. Building a trace allocates those arrays and nothing per
+    step; the core reads them without allocating. *)
 
 (** Preprocessed static instruction: everything derivable from the
     instruction and the microarchitecture alone. *)
@@ -29,23 +33,38 @@ type static_info = {
   s_is_int_div : bool;  (** div/idiv: latency resolved from the trace *)
 }
 
-type dyn_inst = {
-  static : static_info;
-  static_index : int;  (** index within the (unrolled) static stream *)
-  code_addr : int;  (** byte offset of the instruction in the code stream *)
-  loads : (int64 * int) array;  (** physical address and size per load *)
-  stores : (int64 * int) array;
-  load_vaddrs : int64 array;  (** virtual addresses (for split detection) *)
-  store_vaddrs : int64 array;
-  subnormal : bool;  (** FP op touched subnormals (gradual underflow) *)
-  div_lat : int;
-      (** effective div/idiv latency given the observed execution path;
-          0 for every other instruction *)
+(** A trace of [steps] dynamic instructions. Addresses are native ints,
+    as the step log records them. *)
+type t = {
+  statics : static_info array;  (** per block position *)
+  offsets : int array;  (** code byte offset of each block position in a copy *)
+  block_bytes : int;  (** code bytes of one copy *)
+  steps : int;
+  subnormal : bool array;  (** per step: FP op touched subnormals *)
+  div_lat : int array;
+      (** per step: effective div/idiv latency given the observed
+          execution path; 0 for every other instruction *)
+  load_start : int array;
+      (** step [i]'s loads are [load_start.(i)] to [load_start.(i + 1) - 1] *)
+  load_paddr : int array;
+  load_size : int array;
+  load_vaddr : int array;  (** virtual addresses (for split detection) *)
+  store_start : int array;  (** as [load_start], for stores *)
+  store_paddr : int array;
+  store_size : int array;
+  store_vaddr : int array;
 }
+
+(** The static info of one instruction under a uarch's flat tables. *)
+val build_static : Uarch.Flat.t -> X86.Inst.t -> static_info
 
 (** Build the dynamic trace of a completed execution under
     microarchitecture [d]; instructions are laid out consecutively, as
     the unrolled benchmark body is. *)
-val of_steps : Uarch.Descriptor.t -> Xsem.Executor.step list -> dyn_inst list
+val of_steps : Uarch.Descriptor.t -> Xsem.Step_log.t -> t
 
-val total_uops : dyn_inst list -> int
+(** Static info of step [i]. *)
+val static : t -> int -> static_info
+
+(** Byte offset of step [i] in the code stream. *)
+val code_addr : t -> int -> int

@@ -2,34 +2,29 @@
 
     [exec] applies one instruction to a machine state, performing memory
     accesses through the MMU (which may raise [Memsim.Fault.Fault]) and
-    reporting micro-architecturally interesting events: subnormal
-    floating-point traffic (which causes assists unless FTZ/DAZ is set)
-    and division fast paths (zeroed high half). *)
+    recording, into the context's {!Step_log}, each access once it
+    completes and the micro-architecturally interesting events:
+    subnormal floating-point traffic (which causes assists unless
+    FTZ/DAZ is set) and division fast paths (zeroed high half). *)
 
 open X86
 
-type event =
-  | Subnormal  (** FP operation consumed or produced a subnormal *)
-  | Div_fast_path  (** division with zeroed high half of the dividend *)
-  | Div_slow_path  (** full-width dividend division *)
-  | Div_by_zero  (** #DE; the profiled process would die with SIGFPE *)
-
 exception Div_error
 
-type outcome = {
-  accesses : Memsim.Mmu.access list;  (** in program order *)
-  events : event list;
-}
-
-(* Execution context threaded through helpers of a single [exec] call. *)
+(* Execution context, created once per run and threaded through every
+   [exec]: the state and memory the instructions act on, the log they
+   record into, and a scratch buffer that integer loads and stores move
+   their bytes through. *)
 type ctx = {
   st : Machine_state.t;
   mmu : Memsim.Mmu.t;
-  mutable acc : Memsim.Mmu.access list;
-  mutable evs : event list;
+  log : Step_log.t;
+  buf : bytes;
 }
 
-let event ctx e = ctx.evs <- e :: ctx.evs
+let context st mmu log = { st; mmu; log; buf = Bytes.create 8 }
+
+let event ctx e = Step_log.event ctx.log e
 
 (* --- Effective addresses and memory helpers ------------------------- *)
 
@@ -47,17 +42,25 @@ let effective_address ctx (m : Operand.mem) =
   in
   Int64.add (Int64.add base index) m.disp
 
+(* Move [len] bytes between [buf] and memory at [addr], and record the
+   access once it completes: a fault records nothing. *)
+let transfer ctx addr buf len ~store =
+  if len > 0 then begin
+    let paddr = Memsim.Mmu.transfer ctx.mmu addr buf ~len ~store in
+    Step_log.access ctx.log ~vaddr:(Int64.to_int addr) ~paddr ~size:len ~store
+  end
+
 let read_mem ctx addr size : bytes =
-  let data, accesses = Memsim.Mmu.read_bytes ctx.mmu addr size in
-  ctx.acc <- List.rev_append accesses ctx.acc;
+  let data = Bytes.create size in
+  transfer ctx addr data size ~store:false;
   data
 
 let write_mem ctx addr (data : bytes) =
-  let accesses = Memsim.Mmu.write_bytes ctx.mmu addr data in
-  ctx.acc <- List.rev_append accesses ctx.acc
+  transfer ctx addr data (Bytes.length data) ~store:true
 
 let read_mem_int ctx addr (w : Width.t) : int64 =
-  let b = read_mem ctx addr (Width.bytes w) in
+  let b = ctx.buf in
+  transfer ctx addr b (Width.bytes w) ~store:false;
   match w with
   | Width.B -> Int64.of_int (Char.code (Bytes.get b 0))
   | Width.W -> Int64.of_int (Bytes.get_uint16_le b 0)
@@ -65,14 +68,13 @@ let read_mem_int ctx addr (w : Width.t) : int64 =
   | Width.Q -> Bytes.get_int64_le b 0
 
 let write_mem_int ctx addr (w : Width.t) v =
-  let n = Width.bytes w in
-  let b = Bytes.create n in
+  let b = ctx.buf in
   (match w with
   | Width.B -> Bytes.set b 0 (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
   | Width.W -> Bytes.set_uint16_le b 0 (Int64.to_int (Int64.logand v 0xFFFFL))
   | Width.D -> Bytes.set_int32_le b 0 (Int64.to_int32 v)
   | Width.Q -> Bytes.set_int64_le b 0 v);
-  write_mem ctx addr b
+  transfer ctx addr b (Width.bytes w) ~store:true
 
 (* Integer source operand value, zero-extended to 64 bits. *)
 let src_int ctx w (op : Operand.t) : int64 =
@@ -254,25 +256,25 @@ let is_subnormal64 bits =
 let daz32 ctx bits =
   if is_subnormal32 bits then
     if ctx.st.ftz then Int32.logand bits 0x80000000l
-    else (event ctx Subnormal; bits)
+    else (event ctx Step_log.Subnormal; bits)
   else bits
 
 let daz64 ctx bits =
   if is_subnormal64 bits then
     if ctx.st.ftz then Int64.logand bits 0x8000000000000000L
-    else (event ctx Subnormal; bits)
+    else (event ctx Step_log.Subnormal; bits)
   else bits
 
 let ftz32 ctx bits =
   if is_subnormal32 bits then
     if ctx.st.ftz then Int32.logand bits 0x80000000l
-    else (event ctx Subnormal; bits)
+    else (event ctx Step_log.Subnormal; bits)
   else bits
 
 let ftz64 ctx bits =
   if is_subnormal64 bits then
     if ctx.st.ftz then Int64.logand bits 0x8000000000000000L
-    else (event ctx Subnormal; bits)
+    else (event ctx Step_log.Subnormal; bits)
   else bits
 
 (* Binary op on float32 bit patterns with DAZ/FTZ handling. *)
@@ -432,14 +434,16 @@ let lane_sign_extend lane v =
 
 (* --- Main dispatcher -------------------------------------------------- *)
 
-let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
-  let ctx = { st; mmu; acc = []; evs = [] } in
+let bad (t : Inst.t) =
+  invalid_arg (Printf.sprintf "Semantics.exec: malformed %s" (Inst.to_string t))
+
+(* Execute [t], recording its accesses and events into [ctx.log] as the
+   open step; the caller commits or rolls the step back. *)
+let exec ctx (t : Inst.t) =
+  let st = ctx.st in
   let w = t.width in
   let ops = t.operands in
-  let bad () =
-    invalid_arg (Printf.sprintf "Semantics.exec: malformed %s" (Inst.to_string t))
-  in
-  (match (t.opcode, ops) with
+  match (t.opcode, ops) with
   (* ---------------- integer moves ---------------- *)
   | Opcode.Mov, [ dst; src ] -> dst_int ctx w dst (src_int ctx w src)
   | Opcode.Movzx from, [ dst; src ] ->
@@ -659,7 +663,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
     st.flags.of_ <- high_set
   | Opcode.(Div | Idiv), [ src ] -> (
     let divisor = src_int ctx w src in
-    if Int64.equal divisor 0L then event ctx Div_by_zero
+    if Int64.equal divisor 0L then event ctx Step_log.Div_by_zero
     else
       let rax = Machine_state.get_reg st (Reg.Gpr (Reg.RAX, w)) in
       let rdx =
@@ -669,7 +673,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
         else Machine_state.get_reg st (Reg.Gpr (Reg.RDX, w))
       in
       let fast = Int64.equal rdx 0L in
-      event ctx (if fast then Div_fast_path else Div_slow_path);
+      event ctx (if fast then Step_log.Div_fast_path else Step_log.Div_slow_path);
       try
         let quotient, remainder =
           match w with
@@ -714,7 +718,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
           Machine_state.set_reg st (Reg.Gpr (Reg.RAX, w)) (Width.truncate w quotient);
           Machine_state.set_reg st (Reg.Gpr (Reg.RDX, w)) (Width.truncate w remainder)
         end
-      with Div_error -> event ctx Div_by_zero)
+      with Div_error -> event ctx Step_log.Div_by_zero)
   | Opcode.Cdq, [] ->
     let eax = Machine_state.get_reg st Reg.eax in
     let sign = Int64.shift_right (Width.sign_extend Width.D eax) 63 in
@@ -809,7 +813,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
     set_logic_flags ctx w r;
     dst_int ctx w dst (Width.truncate w r)
   | Opcode.Crc32, [ dst; src ] ->
-    let acc = Int64.to_int32 (Machine_state.get_reg st (match dst with Operand.Reg r -> r | _ -> bad ())) in
+    let acc = Int64.to_int32 (Machine_state.get_reg st (match dst with Operand.Reg r -> r | _ -> bad t)) in
     let v = src_int ctx w src in
     let n = Width.bytes w in
     let crc = ref acc in
@@ -844,7 +848,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
     | Operand.Mem m, _ ->
       let s = src_vec ctx 16 src in
       write_mem ctx (effective_address ctx m) (Bytes.sub s 0 lane)
-    | _ -> bad ())
+    | _ -> bad t)
   | Opcode.Movd, [ dst; src ] -> (
     match (dst, src) with
     | Operand.Reg r, _ when Reg.is_vector r ->
@@ -856,7 +860,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
       let s = src_vec ctx 16 src in
       dst_int ctx Width.D dst
         (Int64.logand (Int64.of_int32 (Bytes.get_int32_le s 0)) 0xFFFFFFFFL)
-    | _ -> bad ())
+    | _ -> bad t)
   | Opcode.Movq_x, [ dst; src ] -> (
     match (dst, src) with
     | Operand.Reg r, _ when Reg.is_vector r && not (Operand.is_reg src && Reg.is_vector (match src with Operand.Reg x -> x | _ -> assert false)) ->
@@ -872,7 +876,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
     | _, Operand.Reg r when Reg.is_vector r ->
       let s = src_vec ctx 16 src in
       dst_int ctx Width.Q dst (Bytes.get_int64_le s 0)
-    | _ -> bad ())
+    | _ -> bad t)
   (* ---------------- FP arithmetic ---------------- *)
   | Opcode.(Fadd p | Fsub p | Fmul p | Fdiv p | Fmin p | Fmax p), _ ->
     let f64 a b =
@@ -1427,7 +1431,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
         | [ d; _ ] -> src_vec ctx n d
         | [ _; s; _ ] when not (Operand.is_imm cnt) -> src_vec ctx n s
         | [ _; s1; _ ] -> src_vec ctx n s1
-        | _ -> bad ()
+        | _ -> bad t
       in
       let lane_bits = 8 * Opcode.int_lane_bytes lane in
       let f x _ =
@@ -1443,7 +1447,7 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
           | _ -> Int64.shift_right (lane_sign_extend lane x) count
       in
       dst_vec ctx (List.hd t.operands) (int_lanes lane n f a a)
-    | _ -> bad ())
+    | _ -> bad t)
   | Opcode.Pmovmskb, [ dst; src ] ->
     let n = vec_width t in
     let s = src_vec ctx n src in
@@ -1550,5 +1554,4 @@ let exec (st : Machine_state.t) (mmu : Memsim.Mmu.t) (t : Inst.t) : outcome =
       Machine_state.set_vec_u64 st i ~lane:2 0L;
       Machine_state.set_vec_u64 st i ~lane:3 0L
     done
-  | _ -> bad ());
-  { accesses = List.rev ctx.acc; events = List.rev ctx.evs }
+  | _ -> bad t

@@ -31,8 +31,8 @@ let counters_equal (a : Pipeline.Counters.t) (b : Pipeline.Counters.t) =
 
 (* Scalar (LLVM) or vector (OpenBLAS) blocks. OpenBLAS brings 256-bit
    loads and stores, which Ivy Bridge splits into two uops with one
-   recorded access between them, so the second uop reads the (0L, 8)
-   default. *)
+   recorded access between them, so the second uop reads the default
+   of 8 bytes at address 0. *)
 let block_gen =
   QCheck.Gen.(
     let* seed = int_range 0 100000 in
@@ -254,6 +254,85 @@ let walk_matches_warmup_simulation =
                && caches_equal ())
              uarches))
 
+(* The flat trace == the list-based trace builder kept as a reference
+   ({!Reference.of_steps}, fed the log's steps as records): the same
+   number of steps and, for every step, the same static info, code
+   address, loads and stores ((paddr, size, vaddr) in order), subnormal
+   flag and divide latency. Over LLVM, gzip and OpenBLAS blocks, all
+   three uarches and both mapping modes. A spliced-in pair of
+   instructions exercises each divide latency and, with gradual
+   underflow on, the subnormal flag: [psrld] turns the fill pattern
+   into a subnormal float. *)
+let trace_matches_reference =
+  let splices =
+    List.map Parser.block_exn
+      [
+        "";
+        "xorl %edx, %edx\ndivl %ecx";
+        "xorq %rdx, %rdx\ndivq %rcx";
+        "divq %rcx";
+        "psrld $12, %xmm0\naddss %xmm0, %xmm1";
+      ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 0 100000 in
+      let* app = oneofl [ Corpus.Apps.llvm; Corpus.Apps.gzip; Corpus.Apps.openblas ] in
+      let* splice = oneofl splices in
+      let* unroll = int_range 1 16 in
+      let* mapping =
+        oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ]
+      in
+      let* disable_underflow = bool in
+      let rng = Bstats.Rng.create (Int64.of_int seed) in
+      let block = Corpus.Gen.block ~rng ~mix:app.mix ~min_len:1 ~max_len:6 in
+      let+ at = int_range 0 (List.length block) in
+      let before = List.filteri (fun i _ -> i < at) block
+      and after = List.filteri (fun i _ -> i >= at) block in
+      (before @ splice @ after, unroll, mapping, disable_underflow))
+  in
+  let accesses start paddr size vaddr i =
+    Array.init (start.(i + 1) - start.(i)) (fun k ->
+        let j = start.(i) + k in
+        (paddr.(j), size.(j), vaddr.(j)))
+  in
+  let with_vaddrs pairs vaddrs = Array.mapi (fun k (p, s) -> (p, s, vaddrs.(k))) pairs in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"flat trace == list-based reference" ~count:60
+       (QCheck.make
+          ~print:(fun (b, unroll, mapping, disable_underflow) ->
+            Printf.sprintf "unroll %d, %s, ftz %b: %s" unroll
+              (match mapping with
+              | Harness.Environment.Fresh_pages -> "fresh pages"
+              | _ -> "single physical page")
+              disable_underflow (print_block b))
+          gen)
+       (fun (block, unroll, mapping, disable_underflow) ->
+         let env = { Harness.Environment.default with mapping; disable_underflow } in
+         match Harness.Mapping.run env block ~unroll with
+         | Error _ -> true
+         | Ok mapped ->
+           let steps = Reference.steps_of_log mapped.steps in
+           List.for_all
+             (fun d ->
+               let t = Pipeline.Trace.of_steps d mapped.steps in
+               let reference = Reference.of_steps d steps in
+               t.steps = List.length reference
+               && List.for_all Fun.id
+                    (List.mapi
+                       (fun i (r : Reference.dyn_inst) ->
+                         r.static_index = i
+                         && Pipeline.Trace.static t i = r.static
+                         && Pipeline.Trace.code_addr t i = r.code_addr
+                         && accesses t.load_start t.load_paddr t.load_size t.load_vaddr i
+                            = with_vaddrs r.loads r.load_vaddrs
+                         && accesses t.store_start t.store_paddr t.store_size t.store_vaddr i
+                            = with_vaddrs r.stores r.store_vaddrs
+                         && t.subnormal.(i) = r.subnormal
+                         && t.div_lat.(i) = r.div_lat)
+                       reference))
+             uarches))
+
 (* Minor-heap words [f ()] allocates, less what measuring a call that
    allocates nothing reads. *)
 let minor_words f =
@@ -264,13 +343,28 @@ let minor_words f =
   in
   int_of_float (words f -. words ignore)
 
+(* Words [f ()] allocates on the minor and the major heap together.
+   OCaml 5 brings the minor count that [Gc.allocated_bytes] reads up to
+   date only at a minor collection, so one brackets the call. *)
+let allocated_words f =
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+
 (* The cycle loop's allocation contract: a cache access and a port
    claim allocate nothing, and [Core.simulate] on a warm reused machine,
    like the [Core.warm] cache walk, allocates a per-call constant that
-   does not grow with the trace. *)
+   does not grow with the trace. Recording a run and building its trace
+   allocate per dynamic step only the step log's and the trace's flat
+   arrays, plus, in the executor, the boxed [int64] arithmetic of the
+   semantics: at most 32 and 8 words per step on these scalar blocks.
+   The bounds sit below what per-step records took (53-55 and 31-33
+   words), so a return to them fails here. *)
 let test_allocation_contract () =
   let c = Memsim.Cache.l1_default () in
-  let addrs = Array.init 1000 (fun k -> Int64.of_int (k * 60)) in
+  let addrs = Array.init 1000 (fun k -> k * 60) in
   let accesses () =
     for k = 0 to Array.length addrs - 1 do
       ignore (Memsim.Cache.access c ~addr:addrs.(k) ~size:8);
@@ -296,11 +390,40 @@ let test_allocation_contract () =
        divq %rcx\n\
        mov %rax, 8(%rbx)"
   in
-  let steps unroll =
-    match Harness.Mapping.run Harness.Environment.default block ~unroll with
-    | Ok m -> m.steps
+  let env = Harness.Environment.default in
+  let mapped block unroll =
+    match Harness.Mapping.run env block ~unroll with
+    | Ok m -> m
     | Error f -> Alcotest.failf "%s" (Harness.Mapping.failure_to_string f)
   in
+  let steps unroll = (mapped block unroll).steps in
+  List.iter
+    (fun (name, block) ->
+      let m8 = mapped block 8 and m64 = mapped block 64 in
+      let per_step f =
+        (allocated_words (f m64 64) -. allocated_words (f m8 8))
+        /. float_of_int ((64 - 8) * List.length block)
+      in
+      let run (m : Harness.Mapping.success) unroll () =
+        let st = Xsem.Machine_state.create () in
+        Xsem.Machine_state.init_constant st (Harness.Environment.fill_value_u64 env);
+        st.ftz <- env.disable_underflow;
+        match Xsem.Executor.run_unrolled st m.mmu block ~unroll with
+        | Xsem.Executor.Completed _ -> ()
+        | Faulted _ -> Alcotest.fail "fault"
+      in
+      let trace (m : Harness.Mapping.success) _ () =
+        ignore (Pipeline.Trace.of_steps Uarch.All.haswell m.steps)
+      in
+      let words = per_step run in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: Executor.run_unrolled %.1f words/step <= 32" name words)
+        true (words <= 32.);
+      let words = per_step trace in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: Trace.of_steps %.1f words/step <= 8" name words)
+        true (words <= 8.))
+    [ ("contract block", block); ("gzip crc", Corpus.Paper_blocks.gzip_crc) ];
   List.iter
     (fun (d : Uarch.Descriptor.t) ->
       let m = Pipeline.Machine.create d in
@@ -333,5 +456,6 @@ let suite =
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
     trace_reuse_matches_run;
     walk_matches_warmup_simulation;
+    trace_matches_reference;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
   ]

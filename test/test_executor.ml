@@ -18,7 +18,7 @@ let test_fault_position () =
   match Xsem.Executor.run st mmu block with
   | Xsem.Executor.Faulted { at; steps; fault } ->
     Alcotest.(check int) "faults at index 2" 2 at;
-    Alcotest.(check int) "two steps completed" 2 (List.length steps);
+    Alcotest.(check int) "two steps completed" 2 (Xsem.Step_log.steps steps);
     (match fault with
     | Memsim.Fault.Segfault a -> Alcotest.(check int64) "fault addr" 0x900000L a
     | _ -> Alcotest.fail "expected segfault")
@@ -48,14 +48,16 @@ let test_unrolled_accesses () =
   Xsem.Machine_state.set_reg st Reg.rbx 0x10000L;
   let block = Parser.block_exn "movq (%rbx), %rax\nadd $8, %rbx" in
   match Xsem.Executor.run_unrolled st mmu block ~unroll:5 with
-  | Xsem.Executor.Completed steps ->
-    Alcotest.(check int) "10 steps" 10 (List.length steps);
-    let accesses = List.concat_map (fun (s : Xsem.Executor.step) -> s.accesses) steps in
+  | Xsem.Executor.Completed log ->
+    Alcotest.(check int) "10 steps" 10 (Xsem.Step_log.steps log);
+    let accesses =
+      List.concat_map (fun (s : Reference.step) -> s.accesses) (Reference.steps_of_log log)
+    in
     Alcotest.(check int) "5 loads" 5 (List.length accesses);
     (* addresses advance by 8 each iteration *)
     List.iteri
-      (fun k (a : Memsim.Mmu.access) ->
-        Alcotest.(check int64) "address" (Int64.of_int (0x10000 + (8 * k))) a.vaddr)
+      (fun k (a : Reference.access) ->
+        Alcotest.(check int) "address" (0x10000 + (8 * k)) a.vaddr)
       accesses
   | Faulted _ -> Alcotest.fail "fault"
 
@@ -63,10 +65,13 @@ let test_step_indices () =
   let st, mmu = make_env () in
   let block = Parser.block_exn "add $1, %rax\nadd $1, %rbx\nadd $1, %rcx" in
   match Xsem.Executor.run st mmu block with
-  | Xsem.Executor.Completed steps ->
+  | Xsem.Executor.Completed log ->
+    Alcotest.(check int) "steps" (List.length block) (Xsem.Step_log.steps log);
+    (* step k ran block instruction k *)
     List.iteri
-      (fun k (s : Xsem.Executor.step) -> Alcotest.(check int) "index" k s.index)
-      steps
+      (fun k inst ->
+        Alcotest.(check bool) "index" true (Xsem.Step_log.inst log k == inst))
+      block
   | Faulted _ -> Alcotest.fail "fault"
 
 let test_events_collected () =
@@ -77,8 +82,52 @@ let test_events_collected () =
   let block = Parser.block_exn "divq %rcx" in
   let result = Xsem.Executor.run st mmu block in
   Alcotest.(check bool) "completed" true (Xsem.Executor.completed result);
-  Alcotest.(check bool) "fast path event" true
-    (List.mem Xsem.Semantics.Div_fast_path (Xsem.Executor.all_events result))
+  match result with
+  | Xsem.Executor.Completed log ->
+    Alcotest.(check bool) "fast path event" true
+      (Xsem.Step_log.any_event log Xsem.Step_log.Div_fast_path)
+  | Faulted _ -> Alcotest.fail "fault"
+
+(* A fault rolls back what the faulting instruction recorded: the log
+   holds exactly the steps before it, while memory keeps the bytes a
+   page-crossing store wrote before its fault, as on real hardware.
+   Pages 0x10-0x14 are mapped and 0x15 is not. *)
+let test_fault_rollback () =
+  let module L = Xsem.Step_log in
+  let check_faulted ~at ~addr ~accesses = function
+    | Xsem.Executor.Faulted { steps = log; fault; at = at' } ->
+      Alcotest.(check int) "faulting index" at at';
+      Alcotest.(check int64) "fault address" addr (Memsim.Fault.address fault);
+      Alcotest.(check int) "log holds the completed steps" at (L.steps log);
+      Alcotest.(check int) "completed steps' accesses" accesses (L.first_access log at);
+      Alcotest.(check int) "no access of the faulting instruction" accesses
+        (L.accesses log)
+    | Completed _ -> Alcotest.fail "expected fault"
+  in
+  (* pop loads its stack slot (recorded), then stores 8 bytes at
+     0x14ffc: four land in page 0x14 before the store faults at
+     0x15000 *)
+  let st, mmu = make_env () in
+  Xsem.Machine_state.set_reg st Reg.rbx 0x10000L;
+  Xsem.Machine_state.set_reg st Reg.rsp 0x10800L;
+  Xsem.Machine_state.set_reg st Reg.rdi 0x14ffcL;
+  Memsim.Mmu.write_u64 mmu 0x10800L 0x1122334455667788L;
+  Memsim.Mmu.write_u64 mmu 0x14ff8L 0L;
+  let block =
+    Parser.block_exn "movq (%rbx), %rax\nmovq %rax, 8(%rbx)\npopq (%rdi)\nadd $1, %rax"
+  in
+  check_faulted ~at:2 ~addr:0x15000L ~accesses:2 (Xsem.Executor.run st mmu block);
+  Alcotest.(check int64) "store's first-page bytes written" 0x5566778800000000L
+    (Memsim.Mmu.read_u64 mmu 0x14ff8L);
+  (* the second copy's 8-byte load at 0x14ffc faults at 0x15000 *)
+  let st, mmu = make_env () in
+  Xsem.Machine_state.set_reg st Reg.rbx 0x10000L;
+  Xsem.Machine_state.set_reg st Reg.rsi 0x14ff4L;
+  let block =
+    Parser.block_exn "movq %rax, (%rbx)\naddq $8, %rbx\nmovq (%rsi), %rcx\naddq $8, %rsi"
+  in
+  check_faulted ~at:6 ~addr:0x15000L ~accesses:3
+    (Xsem.Executor.run_unrolled st mmu block ~unroll:3)
 
 let test_store_then_load_roundtrip_across_iterations () =
   let st, mmu = make_env () in
@@ -114,25 +163,6 @@ let test_init_constant () =
   Alcotest.(check int32) "vec fill" 0x12345600l (Bytes.get_int32_le v 0);
   Alcotest.(check int32) "vec fill repeats" 0x12345600l (Bytes.get_int32_le v 12)
 
-(* The executor [run_unrolled] replaced: concatenate [unroll] copies
-   of the block, and advance RIP by each dynamic instruction's encoded
-   length as it executes. *)
-let reference_run (st : Xsem.Machine_state.t) mmu block ~unroll =
-  let rec go idx acc = function
-    | [] -> Xsem.Executor.Completed (List.rev acc)
-    | inst :: rest -> (
-      st.rip <- Int64.add st.rip (Int64.of_int (Encoder.encoded_length inst));
-      match Xsem.Semantics.exec st mmu inst with
-      | (o : Xsem.Semantics.outcome) ->
-        let step =
-          { Xsem.Executor.index = idx; inst; accesses = o.accesses; events = o.events }
-        in
-        go (idx + 1) (step :: acc) rest
-      | exception Memsim.Fault.Fault fault ->
-        Xsem.Executor.Faulted { steps = List.rev acc; fault; at = idx })
-  in
-  go 0 [] (List.concat (List.init unroll (fun _ -> block)))
-
 (* Instructions addressing memory relative to RIP: their addresses, and
    lea's result, move with every copy, so they pin RIP's advance. The
    load and store start near the end of the register-fill page and
@@ -161,11 +191,12 @@ let unrolled_gen =
     and after = List.filteri (fun i _ -> i >= at) block in
     return (before @ (rip :: after), unroll, mapped))
 
-(* [run_unrolled] == the reference: the same steps (index, inst,
-   accesses, events), the same fault and position for a block that
-   faults, and the same final registers, flags and RIP. Both sides
-   start from equal states over equal memories: the monitor's mapping
-   is deterministic, so running it twice builds two equal MMUs. *)
+(* [run_unrolled] == the concatenating reference ({!Reference.run}):
+   the same steps in the log (index, inst, accesses, events), the same
+   fault and position for a block that faults, and the same final
+   registers, flags and RIP. Both sides start from equal states over
+   equal memories: the monitor's mapping is deterministic, so running
+   it twice builds two equal MMUs. *)
 let run_unrolled_matches_reference =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"run_unrolled == concatenated reference" ~count:200
@@ -196,8 +227,10 @@ let run_unrolled_matches_reference =
            (st, mmu)
          in
          let st, mmu = setup () and ref_st, ref_mmu = setup () in
-         Xsem.Executor.run_unrolled st mmu block ~unroll
-         = reference_run ref_st ref_mmu block ~unroll
+         (* a one-step log, so that every run grows its arrays *)
+         let log = Xsem.Step_log.create ~steps:1 in
+         Reference.of_run (Xsem.Executor.run_unrolled ~log st mmu block ~unroll)
+         = Reference.run ref_st ref_mmu block ~unroll
          && st = ref_st))
 
 let suite =
@@ -208,6 +241,7 @@ let suite =
     Alcotest.test_case "unrolled accesses" `Quick test_unrolled_accesses;
     Alcotest.test_case "step indices" `Quick test_step_indices;
     Alcotest.test_case "events collected" `Quick test_events_collected;
+    Alcotest.test_case "fault rollback" `Quick test_fault_rollback;
     Alcotest.test_case "memory accumulate" `Quick test_store_then_load_roundtrip_across_iterations;
     Alcotest.test_case "state copy" `Quick test_state_copy_independent;
     Alcotest.test_case "init constant" `Quick test_init_constant;

@@ -142,11 +142,11 @@ let test_reinitialization_identical_trace () =
     | Ok m2 ->
       let addrs (m : Harness.Mapping.success) =
         List.concat_map
-          (fun (s : Xsem.Executor.step) ->
-            List.map (fun (a : Memsim.Mmu.access) -> a.vaddr) s.accesses)
-          m.steps
+          (fun (s : Reference.step) ->
+            List.map (fun (a : Reference.access) -> a.vaddr) s.accesses)
+          (Reference.steps_of_log m.steps)
       in
-      Alcotest.(check (list int64)) "identical traces" (addrs m1) (addrs m2))
+      Alcotest.(check (list int)) "identical traces" (addrs m1) (addrs m2))
 
 (* Each measure point simulates one trace twice, the warm-up and the
    timed run, and counts both in [pipeline.blocks], so

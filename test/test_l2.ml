@@ -15,7 +15,7 @@ let test_l2_capacity_between_levels () =
   let run () =
     let st = Xsem.Machine_state.copy st in
     match Xsem.Executor.run_unrolled st mmu block ~unroll:32 with
-    | Xsem.Executor.Completed steps -> Pipeline.Machine.run machine steps
+    | Xsem.Executor.Completed log -> Pipeline.Machine.run machine log
     | Faulted _ -> Alcotest.fail "fault"
   in
   let cold = run () in
@@ -41,7 +41,7 @@ let test_l2_miss_penalty_visible () =
   let block = X86.Parser.block_exn "movq (%rbx), %rax\nadd $4096, %rbx" in
   let steps =
     match Xsem.Executor.run_unrolled st mmu block ~unroll:32 with
-    | Xsem.Executor.Completed steps -> steps
+    | Xsem.Executor.Completed log -> log
     | Faulted _ -> Alcotest.fail "fault"
   in
   let trace = Pipeline.Trace.of_steps d steps in

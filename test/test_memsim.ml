@@ -36,11 +36,12 @@ let test_page_table_aliasing () =
 
 let test_mmu_fault () =
   let mmu = Memsim.Mmu.create () in
-  (match Memsim.Mmu.read_bytes mmu 0x5000L 4 with
+  let read vaddr len = Memsim.Mmu.transfer mmu vaddr (Bytes.create len) ~len ~store:false in
+  (match read 0x5000L 4 with
   | exception Memsim.Fault.Fault (Memsim.Fault.Segfault a) ->
     Alcotest.(check int64) "fault addr" 0x5000L a
   | _ -> Alcotest.fail "expected segfault");
-  match Memsim.Mmu.read_bytes mmu 0x1234560012345600L 8 with
+  match read 0x1234560012345600L 8 with
   | exception Memsim.Fault.Fault (Memsim.Fault.Non_canonical _) -> ()
   | _ -> Alcotest.fail "expected non-canonical"
 
@@ -60,21 +61,21 @@ let test_mmu_aliasing_shares_data () =
 
 let test_cache_basic () =
   let c = Memsim.Cache.l1_default () in
-  Alcotest.(check int) "first access misses" 1 (Memsim.Cache.access c ~addr:0x1000L ~size:8);
-  Alcotest.(check int) "second access hits" 0 (Memsim.Cache.access c ~addr:0x1000L ~size:8);
-  Alcotest.(check int) "same line hits" 0 (Memsim.Cache.access c ~addr:0x1030L ~size:8);
-  Alcotest.(check int) "next line misses" 1 (Memsim.Cache.access c ~addr:0x1040L ~size:8)
+  Alcotest.(check int) "first access misses" 1 (Memsim.Cache.access c ~addr:0x1000 ~size:8);
+  Alcotest.(check int) "second access hits" 0 (Memsim.Cache.access c ~addr:0x1000 ~size:8);
+  Alcotest.(check int) "same line hits" 0 (Memsim.Cache.access c ~addr:0x1030 ~size:8);
+  Alcotest.(check int) "next line misses" 1 (Memsim.Cache.access c ~addr:0x1040 ~size:8)
 
 let test_cache_split_access () =
   let c = Memsim.Cache.l1_default () in
-  Alcotest.(check bool) "crossing" true (Memsim.Cache.crosses_line c ~addr:0x103CL ~size:8);
-  Alcotest.(check bool) "not crossing" false (Memsim.Cache.crosses_line c ~addr:0x1038L ~size:8);
-  Alcotest.(check int) "split costs 2 lines" 2 (Memsim.Cache.access c ~addr:0x103CL ~size:8)
+  Alcotest.(check bool) "crossing" true (Memsim.Cache.crosses_line c ~addr:0x103C ~size:8);
+  Alcotest.(check bool) "not crossing" false (Memsim.Cache.crosses_line c ~addr:0x1038 ~size:8);
+  Alcotest.(check int) "split costs 2 lines" 2 (Memsim.Cache.access c ~addr:0x103C ~size:8)
 
 let test_cache_capacity () =
   let c = Memsim.Cache.create ~size_bytes:512 ~ways:2 ~line_bytes:64 in
   (* 4 sets x 2 ways; touching 3 lines of the same set evicts *)
-  let addr set way = Int64.of_int ((way * 4 * 64) + (set * 64)) in
+  let addr set way = (way * 4 * 64) + (set * 64) in
   ignore (Memsim.Cache.access c ~addr:(addr 0 0) ~size:1);
   ignore (Memsim.Cache.access c ~addr:(addr 0 1) ~size:1);
   Alcotest.(check int) "way0 still resident" 0 (Memsim.Cache.access c ~addr:(addr 0 0) ~size:1);
@@ -87,11 +88,11 @@ let test_cache_single_page_fits () =
      8-way L1 (64 lines in 64 distinct sets) *)
   let c = Memsim.Cache.l1_default () in
   for k = 0 to 63 do
-    ignore (Memsim.Cache.access c ~addr:(Int64.of_int (k * 64)) ~size:8)
+    ignore (Memsim.Cache.access c ~addr:(k * 64) ~size:8)
   done;
   Memsim.Cache.reset_stats c;
   for k = 0 to 63 do
-    ignore (Memsim.Cache.access c ~addr:(Int64.of_int (k * 64)) ~size:8)
+    ignore (Memsim.Cache.access c ~addr:(k * 64) ~size:8)
   done;
   Alcotest.(check int) "no misses warm" 0 (Memsim.Cache.misses c)
 
@@ -100,8 +101,29 @@ let prop_cache_miss_bound =
     QCheck.(pair (int_bound 100000) (int_range 1 32))
     (fun (addr, size) ->
       let c = Memsim.Cache.l1_default () in
-      let m = Memsim.Cache.access c ~addr:(Int64.of_int addr) ~size in
+      let m = Memsim.Cache.access c ~addr:addr ~size in
       m >= 1 && m <= 2)
+
+(* What a read or write of [size] bytes at [vaddr] made: one access,
+   named by its first byte's physical address, or none for size 0. *)
+type access = { vaddr : int64; paddr : int64; size : int; is_store : bool }
+
+(* [Mmu.transfer] as whole-buffer reads and writes. *)
+module Paged = struct
+  let access mmu vaddr buf size ~is_store =
+    if size = 0 then []
+    else
+      let paddr = Memsim.Mmu.transfer mmu vaddr buf ~len:size ~store:is_store in
+      [ { vaddr; paddr = Int64.of_int paddr; size; is_store } ]
+
+  let read_bytes mmu vaddr size =
+    let out = Bytes.create size in
+    let accesses = access mmu vaddr out size ~is_store:false in
+    (out, accesses)
+
+  let write_bytes mmu vaddr data =
+    access mmu vaddr data (Bytes.length data) ~is_store:true
+end
 
 (* The byte-at-a-time MMU that the page-granular one must match:
    translate every byte on its own and fault at the first byte that
@@ -117,7 +139,7 @@ module Bytewise = struct
 
   (* Visit each byte's physical address in order; the access record
      names the first one. *)
-  let each_byte mmu vaddr size ~is_store f : Mmu.access list =
+  let each_byte mmu vaddr size ~is_store f : access list =
     let first = ref None in
     for k = 0 to size - 1 do
       let pa = translate mmu (Int64.add vaddr (Int64.of_int k)) in
@@ -185,7 +207,7 @@ let print_mmu_case (base, kinds, page, off, size, store, fill) =
     (if store then "write" else "read")
     fill
 
-(* Page-granular read_bytes/write_bytes against the byte-by-byte
+(* Page-granular transfers against the byte-by-byte
    reference: the same bytes and access records, the same fault, and
    the same frame contents afterwards — a write that faults part-way
    leaves the bytes before the faulting page written. *)
@@ -215,7 +237,7 @@ let prop_mmu_matches_bytewise =
         in
         (result, contents)
       in
-      run Memsim.Mmu.read_bytes Memsim.Mmu.write_bytes
+      run Paged.read_bytes Paged.write_bytes
       = run Bytewise.read_bytes Bytewise.write_bytes
       || QCheck.Test.fail_reportf "differs on %s" (print_mmu_case case))
 

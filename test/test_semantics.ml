@@ -12,7 +12,8 @@ let run ?(regs = []) ?(ftz = false) text =
   List.iter (fun (r, v) -> Xsem.Machine_state.set_reg st r v) regs;
   let block = Parser.block_exn text in
   match Xsem.Executor.run st mmu block with
-  | Xsem.Executor.Completed steps -> (st, List.concat_map (fun (s : Xsem.Executor.step) -> s.events) steps)
+  | Xsem.Executor.Completed log ->
+    (st, List.concat_map (fun (s : Reference.step) -> s.events) (Reference.steps_of_log log))
   | Faulted { fault; _ } -> Alcotest.failf "unexpected fault: %s" (Memsim.Fault.to_string fault)
 
 let gpr st r = Xsem.Machine_state.get_reg st r
@@ -88,17 +89,17 @@ let test_div_paths () =
   in
   check64 "quotient" 14L (gpr st Reg.rax);
   check64 "remainder" 2L (gpr st Reg.rdx);
-  Alcotest.(check bool) "fast path" true (List.mem Xsem.Semantics.Div_fast_path evs);
+  Alcotest.(check bool) "fast path" true (List.mem Xsem.Step_log.Div_fast_path evs);
   let st, evs =
     run ~regs:[ (Reg.rax, 0L); (Reg.rdx, 1L); (Reg.rcx, 16L) ] "divq %rcx"
   in
   (* dividend = 2^64, divisor 16: quotient 2^60 *)
   check64 "wide quotient" (Int64.shift_left 1L 60) (gpr st Reg.rax);
-  Alcotest.(check bool) "slow path" true (List.mem Xsem.Semantics.Div_slow_path evs)
+  Alcotest.(check bool) "slow path" true (List.mem Xsem.Step_log.Div_slow_path evs)
 
 let test_div_by_zero () =
   let _, evs = run ~regs:[ (Reg.rax, 5L); (Reg.rdx, 0L); (Reg.rcx, 0L) ] "divq %rcx" in
-  Alcotest.(check bool) "sigfpe event" true (List.mem Xsem.Semantics.Div_by_zero evs)
+  Alcotest.(check bool) "sigfpe event" true (List.mem Xsem.Step_log.Div_by_zero evs)
 
 let test_idiv () =
   let st, _ =
@@ -212,8 +213,8 @@ let run_vec ?ftz setup text =
   done;
   setup st;
   match Xsem.Executor.run st mmu (Parser.block_exn text) with
-  | Xsem.Executor.Completed steps ->
-    (st, List.concat_map (fun (s : Xsem.Executor.step) -> s.events) steps)
+  | Xsem.Executor.Completed log ->
+    (st, List.concat_map (fun (s : Reference.step) -> s.events) (Reference.steps_of_log log))
   | Faulted { fault; _ } -> Alcotest.failf "fault: %s" (Memsim.Fault.to_string fault)
 
 let test_addps () =
@@ -267,12 +268,12 @@ let test_subnormal_event () =
     run_vec (fun st -> set_xmm_f32 st 0 (tiny, 0.0, 0.0, 0.0))
       "addss %xmm0, %xmm0"
   in
-  Alcotest.(check bool) "event without ftz" true (List.mem Xsem.Semantics.Subnormal evs);
+  Alcotest.(check bool) "event without ftz" true (List.mem Xsem.Step_log.Subnormal evs);
   let st, evs =
     run_vec ~ftz:true (fun st -> set_xmm_f32 st 0 (tiny, 0.0, 0.0, 0.0))
       "addss %xmm0, %xmm0"
   in
-  Alcotest.(check bool) "no event with ftz" false (List.mem Xsem.Semantics.Subnormal evs);
+  Alcotest.(check bool) "no event with ftz" false (List.mem Xsem.Step_log.Subnormal evs);
   let a, _, _, _ = get_xmm_f32 st 0 in
   Alcotest.(check (float 0.0)) "flushed to zero" 0.0 a
 

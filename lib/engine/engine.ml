@@ -37,6 +37,7 @@ let env_fingerprint = Stable_key.env_fingerprint
 let fingerprint (j : job) =
   Stable_key.job_fingerprint ~env:j.env ~uarch_short:j.uarch.short j.block
 
+let mapping_key env block = Stable_key.mapping_key ~env block
 let generation = Stable_key.generation
 let flat_digest = Stable_key.flat_digest
 let block_generation = Stable_key.block_generation
@@ -143,6 +144,8 @@ type stats = {
   store_misses : int;
   store_invalidated : int;
   store_writes : int;
+  mapping_hits : int;
+  mapping_misses : int;
   wall_seconds : float;
 }
 
@@ -172,6 +175,9 @@ type t = {
   faults : Faultsim.config;
   max_retries : int;
   cache : (string, outcome) Hashtbl.t;
+  memo : Harness.Mapping_memo.t;
+      (** page mappings shared across uarches; a generation per batch
+          that runs the profiler *)
   store : Store.t option;  (** disk tier; absent without BHIVE_STORE/--store *)
   mutable gen_cache : (Uarch.Descriptor.t * string) list;
       (** generation fingerprints memoised by descriptor identity
@@ -222,6 +228,8 @@ let m_store_hits = Telemetry.Metrics.counter "engine.store_hits"
 let m_store_misses = Telemetry.Metrics.counter "engine.store_misses"
 let m_store_invalidated = Telemetry.Metrics.counter "engine.store_invalidated"
 let m_store_writes = Telemetry.Metrics.counter "engine.store_writes"
+let m_mapping_hits = Telemetry.Metrics.counter "engine.mapping_memo.hits"
+let m_mapping_misses = Telemetry.Metrics.counter "engine.mapping_memo.misses"
 
 let h_job_seconds = Telemetry.Metrics.histogram "engine.job_seconds"
 let h_batch_seconds = Telemetry.Metrics.histogram "engine.batch_seconds"
@@ -266,6 +274,7 @@ let create ?jobs ?progress ?faults ?store ?store_path ?(max_retries = 4)
     faults;
     max_retries = max 0 max_retries;
     cache = Hashtbl.create 4096;
+    memo = Harness.Mapping_memo.create ();
     store;
     gen_cache = [];
     block_gen = (if block_generation then Some (Hashtbl.create 1024) else None);
@@ -363,6 +372,7 @@ let peek t (j : job) : outcome option =
       | Store.Stale | Store.Miss -> None))
 
 let stats t =
+  let memo = Harness.Mapping_memo.stats t.memo in
   {
     submitted = t.submitted;
     executed = t.executed;
@@ -377,6 +387,8 @@ let stats t =
     store_misses = t.store_miss_count;
     store_invalidated = t.store_invalidated_count;
     store_writes = t.store_write_count;
+    mapping_hits = memo.hits;
+    mapping_misses = memo.misses;
     wall_seconds = t.wall_seconds;
   }
 
@@ -433,6 +445,7 @@ let run_batch t (submission : job list) : batch =
   let a_retries = Atomic.make 0 in
   let a_crashes = Atomic.make 0 in
   let a_replenished = Atomic.make 0 in
+  let memo_before = Harness.Mapping_memo.stats t.memo in
   let body () =
     let batch_span = Telemetry.Trace.current_span () in
     (* Resolve against the cache and deduplicate within the batch. The
@@ -527,6 +540,9 @@ let run_batch t (submission : job list) : batch =
     let worklist = Array.of_list (List.rev !worklist) in
     let m = Array.length worklist in
     m_ref := m;
+    (* A batch that runs the profiler opens a memo generation: what the
+       previous such batch mapped stays reachable for this one. *)
+    if m > 0 then Harness.Mapping_memo.rotate t.memo;
     (* Per-unique generation fingerprints, precomputed on the
        submitting thread so workers read them without touching
        [gen_cache]. *)
@@ -614,7 +630,10 @@ let run_batch t (submission : job list) : batch =
         (Harness.Profiler.profile, Harness.Profiler.failure) result =
       let start_ns = Telemetry.Trace.now_ns () in
       let result = ref None in
-      let run () = result := Some (Harness.Profiler.profile j.env j.uarch j.block) in
+      let run () =
+        let key = mapping_key j.env j.block in
+        result := Some (Harness.Profiler.profile ~memo:(t.memo, key) j.env j.uarch j.block)
+      in
       (if Telemetry.Trace.enabled () then
          Telemetry.Trace.span "engine.execute" ~parent:batch_span
            ~attrs:(fun () ->
@@ -779,6 +798,9 @@ let run_batch t (submission : job list) : batch =
   Telemetry.Metrics.add m_submitted n;
   Telemetry.Metrics.add m_executed !m_ref;
   Telemetry.Metrics.add m_cache_hits !batch_hits;
+  let memo_after = Harness.Mapping_memo.stats t.memo in
+  Telemetry.Metrics.add m_mapping_hits (memo_after.hits - memo_before.hits);
+  Telemetry.Metrics.add m_mapping_misses (memo_after.misses - memo_before.misses);
   let batch_seconds = Unix.gettimeofday () -. t0 in
   Telemetry.Metrics.observe h_batch_seconds batch_seconds;
   t.wall_seconds <- t.wall_seconds +. batch_seconds;

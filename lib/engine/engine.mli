@@ -20,6 +20,15 @@
       results plus that manifest. Every submitted job is accounted
       for: completed + quarantined = submitted, always.
 
+    {b Mapping memo.} The engine owns a {!Harness.Mapping_memo} and
+    hands it to every profile it runs, keyed by {!mapping_key}: the
+    page mapping reads no uarch, so the profiles of one block on several
+    uarches share one mapping per unroll factor. Each batch that runs
+    the profiler opens a memo generation, and the memo keeps two, so
+    one [run_batch] per uarch over the same blocks maps each block
+    once. Outcomes are the same as without the memo; [stats] counts
+    its hits and misses.
+
     {b Determinism.} Crash decisions are pure functions of
     (fingerprint, attempt) — never of scheduling — and the profiler is
     deterministic per job, so batch output is byte-identical for
@@ -45,6 +54,12 @@ val env_fingerprint : Harness.Environment.t -> string
     machine bytes} of the block. This is the memo key, the persistent
     store key and the faultsim draw seed. *)
 val fingerprint : job -> string
+
+(** The key of a job's page mappings in the engine's
+    {!Harness.Mapping_memo}: the canonical encoding of the environment
+    and the block's machine bytes — the job fingerprint's inputs
+    without the uarch, undigested. *)
+val mapping_key : Harness.Environment.t -> X86.Inst.t list -> string
 
 (** Generation fingerprint, identifying {e how} a job is measured:
     SHA-256 hex over the full uarch descriptor tables (every port set
@@ -126,6 +141,10 @@ type stats = {
   store_invalidated : int;
       (** disk-tier lookups finding only a stale generation *)
   store_writes : int;  (** records appended to the store *)
+  mapping_hits : int;
+      (** measure points whose page mapping came from the engine's
+          {!Harness.Mapping_memo} *)
+  mapping_misses : int;  (** measure points that ran the mapping *)
   wall_seconds : float;  (** total wall time spent inside [run_batch] *)
 }
 

@@ -145,6 +145,15 @@ let job_fingerprint ~(env : Harness.Environment.t) ~uarch_short
   Codec.bytes buf (X86.Encoder.encode_block block);
   Store.Sha256.hex (Buffer.contents buf)
 
+(** The key of a job's page mappings in {!Harness.Mapping_memo}: the
+    job fingerprint's inputs without the uarch — the canonical encoding
+    of the environment and the block's machine bytes, undigested. *)
+let mapping_key ~(env : Harness.Environment.t) (block : X86.Inst.t list) =
+  let buf = Buffer.create 256 in
+  add_env buf env;
+  Codec.bytes buf (X86.Encoder.encode_block block);
+  Buffer.contents buf
+
 (** 64-char hex digest identifying HOW it is measured: descriptor
     tables + profiler algorithm version. Editing one latency entry
     changes exactly that uarch's generation. *)

@@ -8,7 +8,10 @@
     each exposed to simulated OS noise. A block is accepted only if at least
     [env.min_clean] timings are clean (no cache misses of any kind, no
     context switches) and identical, and — when the filter is enabled —
-    no load or store crossed a cache line. *)
+    no load or store crossed a cache line. Given a {!Mapping_memo}, step
+    (1) looks the mapping up there first; steps (2) and (3) read only
+    the mapping's log, faults and frames, so a hit changes nothing
+    downstream. *)
 
 open X86
 
@@ -104,11 +107,16 @@ let apply_noise (env : Environment.t) rng ~cycles
   in
   (cycles, counters)
 
-(* Mapping.run wrapped in a "profiler.mapping" span. The monitor's
-   mapping attempts are its restarts: one per intercepted fault plus
-   the final complete run. *)
-let run_mapping (env : Environment.t) block ~unroll =
-  if not (Telemetry.Trace.enabled ()) then Mapping.run env block ~unroll
+(* The measure point's mapping, from the memo when one is given, wrapped
+   in a "profiler.mapping" span. The monitor's mapping attempts are its
+   restarts: one per intercepted fault plus the final complete run. *)
+let run_mapping ?memo (env : Environment.t) block ~unroll =
+  let run () =
+    match memo with
+    | Some (memo, key) -> Mapping_memo.map memo ~key env block ~unroll
+    | None -> Mapping_memo.run env block ~unroll
+  in
+  if not (Telemetry.Trace.enabled ()) then run ()
   else begin
     let result = ref None in
     Telemetry.Trace.span "profiler.mapping"
@@ -116,7 +124,7 @@ let run_mapping (env : Environment.t) block ~unroll =
         let open Telemetry.Trace in
         let base = [ ("unroll", Int unroll) ] in
         match !result with
-        | Some (Ok (m : Mapping.success)) ->
+        | Some (Ok (m : Mapping_memo.mapped)) ->
           base
           @ [
               ("ok", Bool true);
@@ -128,15 +136,15 @@ let run_mapping (env : Environment.t) block ~unroll =
           base
           @ [ ("ok", Bool false); ("error", Str (Mapping.failure_to_string f)) ]
         | None -> base)
-      (fun () -> result := Some (Mapping.run env block ~unroll));
+      (fun () -> result := Some (run ()));
     Option.get !result
   end
 
 (* Measure one unroll factor of [block] on [descriptor]. *)
-let measure_point_untraced (env : Environment.t)
+let measure_point_untraced ?memo (env : Environment.t)
     (descriptor : Uarch.Descriptor.t) rng (block : Inst.t list) ~unroll :
     (point, Mapping.failure) result =
-  match run_mapping env block ~unroll with
+  match run_mapping ?memo env block ~unroll with
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points:
@@ -197,9 +205,9 @@ let measure_point_untraced (env : Environment.t)
 
 (* One measurement = one "profiler.measure" span, carrying the unroll
    factor tried and the mapping/filter-relevant outcome. *)
-let measure_point env descriptor rng block ~unroll =
+let measure_point ?memo env descriptor rng block ~unroll =
   if not (Telemetry.Trace.enabled ()) then
-    measure_point_untraced env descriptor rng block ~unroll
+    measure_point_untraced ?memo env descriptor rng block ~unroll
   else begin
     let result = ref None in
     Telemetry.Trace.span "profiler.measure"
@@ -222,11 +230,11 @@ let measure_point env descriptor rng block ~unroll =
           base @ [ ("mapping_error", Str (Mapping.failure_to_string f)) ]
         | None -> base)
       (fun () ->
-        result := Some (measure_point_untraced env descriptor rng block ~unroll));
+        result := Some (measure_point_untraced ?memo env descriptor rng block ~unroll));
     Option.get !result
   end
 
-let profile_untraced (env : Environment.t) (descriptor : Uarch.Descriptor.t)
+let profile_untraced ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
     (block : Inst.t list) : (profile, failure) result =
   let seed =
     Int64.add env.noise_seed
@@ -235,14 +243,14 @@ let profile_untraced (env : Environment.t) (descriptor : Uarch.Descriptor.t)
   in
   let rng = Bstats.Rng.create seed in
   let factors = Unroll.choose env.unroll block in
-  match measure_point env descriptor rng block ~unroll:factors.large with
+  match measure_point ?memo env descriptor rng block ~unroll:factors.large with
   | Error f -> Error (Mapping_failed f)
   | Ok large -> (
     let small =
       if factors.small = 0 then Ok None
       else
         Result.map Option.some
-          (measure_point env descriptor rng block ~unroll:factors.small)
+          (measure_point ?memo env descriptor rng block ~unroll:factors.small)
     in
     match small with
     | Error f -> Error (Mapping_failed f)
@@ -311,12 +319,12 @@ let record_outcome (result : (profile, failure) result) =
         [ ("reason", Telemetry.Trace.Str (failure_to_string f)) ]));
   result
 
-let profile (env : Environment.t) (descriptor : Uarch.Descriptor.t)
+let profile ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
     (block : Inst.t list) : (profile, failure) result =
   let t0 = Telemetry.Trace.now_ns () in
   let result =
     if not (Telemetry.Trace.enabled ()) then
-      profile_untraced env descriptor block
+      profile_untraced ?memo env descriptor block
     else begin
       let result = ref None in
       Telemetry.Trace.span "profiler.profile"
@@ -339,7 +347,7 @@ let profile (env : Environment.t) (descriptor : Uarch.Descriptor.t)
               ]
           | Some (Error f) -> base @ [ ("failure", Str (failure_to_string f)) ]
           | None -> base)
-        (fun () -> result := Some (profile_untraced env descriptor block));
+        (fun () -> result := Some (profile_untraced ?memo env descriptor block));
       Option.get !result
     end
   in

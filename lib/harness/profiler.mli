@@ -56,8 +56,16 @@ type profile = {
 (** [profile env uarch block] runs the full measurement pipeline:
     page-mapping monitor, cache warm-up, repeated timed executions with
     simulated OS noise, filtering, and throughput derivation. The result
-    is deterministic in (env, uarch, block). *)
+    is deterministic in (env, uarch, block).
+
+    [memo] is a {!Mapping_memo} and the key of [env] and [block] in it
+    (see {!Mapping_memo.map}). Each measure point then takes its
+    mapping from the memo, which may hold it from a profile of the same
+    block under another uarch, or maps it and records it there. The
+    result is the same as without [memo]: the mapping never reads the
+    uarch. *)
 val profile :
+  ?memo:Mapping_memo.t * string ->
   Environment.t ->
   Uarch.Descriptor.t ->
   X86.Inst.t list ->

@@ -12,11 +12,12 @@ type t = {
   sets : int;
   ways : int;
   line_bytes : int;
-  (* tags.(set) is an array of line tags, -1 when invalid;
-     lru.(set).(way) is the last-use stamp. Lines are native ints:
+  (* Way [w] of set [s] is slot [s * ways + w] of both arrays: [tags]
+     holds its line, -1 when invalid, and [lru] its last-use stamp. One
+     flat array each makes [flush] two fills. Lines are native ints:
      physical addresses stay far below 2^62. *)
-  tags : int array array;
-  lru : int array array;
+  tags : int array;
+  lru : int array;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -30,8 +31,8 @@ let create ~size_bytes ~ways ~line_bytes =
     sets;
     ways;
     line_bytes;
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.init sets (fun _ -> Array.make ways 0);
+    tags = Array.make (sets * ways) (-1);
+    lru = Array.make (sets * ways) 0;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -45,30 +46,31 @@ let first_line t addr = addr / t.line_bytes
 
 let last_line t addr ~size = (addr + if size > 1 then size - 1 else 0) / t.line_bytes
 
-(* Way of [tags] holding [line], or -1. *)
-let rec find_way tags line w =
-  if w >= Array.length tags then -1
-  else if tags.(w) = line then w
-  else find_way tags line (w + 1)
+(* Slot in [base, limit) of [tags] holding [line], or -1. *)
+let rec find_slot tags line i limit =
+  if i >= limit then -1
+  else if tags.(i) = line then i
+  else find_slot tags line (i + 1) limit
 
 (* Access one line; returns true on hit. *)
 let access_line t line =
   t.clock <- t.clock + 1;
-  let set = line mod t.sets in
-  let tags = t.tags.(set) and lru = t.lru.(set) in
-  let w = find_way tags line 0 in
-  if w >= 0 then begin
-    lru.(w) <- t.clock;
+  let base = line mod t.sets * t.ways in
+  let limit = base + t.ways in
+  let i = find_slot t.tags line base limit in
+  if i >= 0 then begin
+    t.lru.(i) <- t.clock;
     t.hits <- t.hits + 1;
     true
   end
   else begin
     (* Evict the least recently used way. *)
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if lru.(w) < lru.(!victim) then victim := w
+    let lru = t.lru in
+    let victim = ref base in
+    for i = base + 1 to limit - 1 do
+      if lru.(i) < lru.(!victim) then victim := i
     done;
-    tags.(!victim) <- line;
+    t.tags.(!victim) <- line;
     lru.(!victim) <- t.clock;
     t.misses <- t.misses + 1;
     false
@@ -95,7 +97,7 @@ let reset_stats t =
   t.misses <- 0
 
 let flush t =
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) t.tags;
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) 0) t.lru;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.lru 0 (Array.length t.lru) 0;
   t.clock <- 0;
   reset_stats t

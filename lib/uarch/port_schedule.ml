@@ -11,7 +11,11 @@
     with an epoch stamp per slot, so [reset] is O(ports) and the
     simulator's cycle loop performs no allocation and no [Hashtbl]
     operations: arrays grow geometrically and are reused across
-    simulated blocks. *)
+    simulated blocks.
+
+    Each port also keeps its free tail: the first cycle past every
+    claim. Every cycle from there on is free, so a query at or beyond
+    it is answered without probing. *)
 
 type port = {
   (* occupied cycle -> candidate later cycle; a slot belongs to the
@@ -22,6 +26,7 @@ type port = {
   mutable stamps : int array;
   mutable mask : int;  (** capacity - 1; capacity is a power of two *)
   mutable live : int;
+  mutable tail : int;  (** first cycle past every claim of this epoch *)
 }
 
 type t = { ports : port array; mutable epoch : int }
@@ -35,6 +40,7 @@ let make_port () =
     stamps = Array.make initial_capacity (-1);
     mask = initial_capacity - 1;
     live = 0;
+    tail = 0;
   }
 
 let create ~n_ports = { ports = Array.init n_ports (fun _ -> make_port ()); epoch = 0 }
@@ -80,7 +86,7 @@ let set p ~epoch k v =
   end
 
 let rec find p ~epoch c =
-  let i = probe p ~epoch c in
+  let i = if c >= p.tail then -1 else probe p ~epoch c in
   if i < 0 then c
   else begin
     let c' = p.nexts.(i) in
@@ -113,9 +119,14 @@ let claim t ~port ~ready ~busy =
   for c = start to start + busy - 1 do
     set p ~epoch c (c + 1)
   done;
+  if start + busy > p.tail then p.tail <- start + busy;
   start
 
 (** Forget every claim; O(ports), the backing arrays are retained. *)
 let reset t =
   t.epoch <- t.epoch + 1;
-  Array.iter (fun p -> p.live <- 0) t.ports
+  Array.iter
+    (fun p ->
+      p.live <- 0;
+      p.tail <- 0)
+    t.ports

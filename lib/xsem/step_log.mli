@@ -7,7 +7,12 @@
     step's accesses and events while the instruction runs; the executor
     then [commit]s them as the next step, or, on a fault, [rollback]s
     them, so the log holds exactly the steps that completed. Recording
-    allocates nothing beyond the amortised growth of the arrays. *)
+    allocates nothing beyond the amortised growth of the arrays.
+
+    A log can be kept outside the OCaml heap: [pack] writes its
+    committed steps as varints, and [unpack] reads them back from a byte
+    {!buf} into a log, which then equals the packed one. The harness's
+    mapping memo keeps final-run logs this way. *)
 
 type event =
   | Subnormal  (** FP operation consumed or produced a subnormal *)
@@ -71,3 +76,20 @@ val vaddr : t -> int -> int
 val paddr : t -> int -> int
 val size : t -> int -> int
 val is_store : t -> int -> bool
+
+(** {2 Packing} *)
+
+(** A byte buffer outside the OCaml heap. *)
+type buf = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [pack t out] appends [t]'s committed steps to [out] as varints. The
+    block is not written. A run of identical iterations (block copies)
+    is written once, with its length. *)
+val pack : t -> Buffer.t -> unit
+
+(** [unpack buf ~pos block ~into] empties [into] and fills it with the
+    steps that [pack] wrote, copied to [buf] at [pos], as copies of
+    [block]: the same steps, events and accesses, in the same order.
+    [block] must have the length of the packed log's block. Refilling
+    one log allocates nothing once its arrays are large enough. *)
+val unpack : buf -> pos:int -> X86.Inst.t array -> into:t -> unit

@@ -21,6 +21,7 @@ let () =
       ("l2", Test_l2.suite);
       ("harness", Test_harness.suite);
       ("engine", Test_engine.suite);
+      ("memo", Test_memo.suite);
       ("telemetry", Test_telemetry.suite);
       ("corpus", Test_corpus.suite);
       ("gen", Test_gen.suite);

@@ -76,7 +76,12 @@ let test_id_sensitivity () =
 
 (* --- example manifests ------------------------------------------------ *)
 
-let example name = Filename.concat "../examples" name
+(* The checked-in examples, found from the test binary's own directory
+   so the suite passes whatever directory it is started from. *)
+let example name =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../examples")
+    name
 
 let test_bench_example_round_trip () =
   let path = example "bench.manifest.json" in

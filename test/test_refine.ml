@@ -565,7 +565,12 @@ let test_journal_extras_roundtrip () =
 
 (* --- manifest: the refine section kind ---------------------------------- *)
 
-let example = Filename.concat "../examples" "refine.manifest.json"
+(* Found from the test binary's own directory, like the manifest
+   suite's examples. *)
+let example =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../examples")
+    "refine.manifest.json"
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let pinned_refine_manifest_id =

@@ -129,22 +129,54 @@ let test_port_schedule () =
   Alcotest.(check int) "busy blocks range" 10 (Uarch.Port_schedule.claim ps ~port:1 ~ready:10 ~busy:5);
   Alcotest.(check int) "after busy run" 15 (Uarch.Port_schedule.claim ps ~port:1 ~ready:11 ~busy:1)
 
+(* Port-schedule operations for the reference check: a claim, a peek,
+   or a reset, on one of two ports. *)
+type port_op = Claim of int * int * int | Peek of int * int | Reset
+
+let port_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun p r b -> Claim (p, r, b)) (int_bound 1) (int_range (-2) 40) (int_range 1 4));
+        (3, map2 (fun p r -> Peek (p, r)) (int_bound 1) (int_range (-2) 60));
+        (1, return Reset);
+      ])
+
+let print_port_op = function
+  | Claim (p, r, b) -> Printf.sprintf "claim p%d ready=%d busy=%d" p r b
+  | Peek (p, r) -> Printf.sprintf "peek p%d ready=%d" p r
+  | Reset -> "reset"
+
+(* Every claim and peek returns the earliest fit at or after [ready], as
+   a naive occupied-cycle set computes it, and no two claims share a
+   cycle; resets free every cycle. *)
 let prop_port_schedule_no_overlap =
-  QCheck.Test.make ~name:"port slots never collide" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 60) (pair (int_bound 40) (int_range 1 4)))
-    (fun claims ->
-      let ps = Uarch.Port_schedule.create ~n_ports:1 in
-      let used = Hashtbl.create 64 in
+  QCheck.Test.make ~name:"port slots never collide" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_port_op)
+       QCheck.Gen.(list_size (int_range 1 80) port_op_gen))
+    (fun ops ->
+      let ps = Uarch.Port_schedule.create ~n_ports:2 in
+      let used = Array.init 2 (fun _ -> Hashtbl.create 64) in
+      let free p c = not (Hashtbl.mem used.(p) c) in
+      let rec fits p s busy = busy = 0 || (free p s && fits p (s + 1) (busy - 1)) in
+      let rec earliest p s busy = if fits p s busy then s else earliest p (s + 1) busy in
       List.for_all
-        (fun (ready, busy) ->
-          let start = Uarch.Port_schedule.claim ps ~port:0 ~ready ~busy in
-          let ok = ref (start >= ready) in
-          for c = start to start + busy - 1 do
-            if Hashtbl.mem used c then ok := false;
-            Hashtbl.replace used c ()
-          done;
-          !ok)
-        claims)
+        (function
+          | Claim (port, ready, busy) ->
+            let want = earliest port (max 0 ready) busy in
+            let start = Uarch.Port_schedule.claim ps ~port ~ready ~busy in
+            for c = start to start + busy - 1 do
+              Hashtbl.replace used.(port) c ()
+            done;
+            start = want
+          | Peek (port, ready) ->
+            Uarch.Port_schedule.peek ps ~port ~ready = earliest port (max 0 ready) 1
+          | Reset ->
+            Uarch.Port_schedule.reset ps;
+            Array.iter Hashtbl.reset used;
+            true)
+        ops)
 
 let suite =
   [

@@ -18,6 +18,12 @@
     once per batch of profiles therefore keeps every mapping a batch
     used for the following batch, and holds at most two batches.
 
+    A hit's log is the memo's per-domain log, which the next [map] on
+    that domain overwrites. A {!Pipeline.Trace} reads its log in place,
+    so a trace built on a hit is valid only until that next [map]; the
+    profiler builds, walks and simulates each point's trace before it
+    maps the next point.
+
     [map] may run on several domains at once; [rotate] must not run
     while any [map] does. *)
 

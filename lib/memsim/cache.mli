@@ -2,16 +2,28 @@
     indexed and tagged. For 32 KiB / 8-way / 64 B lines the index bits
     lie inside the page offset, making the model behaviourally identical
     to Intel's VIPT L1 — the property BHive's single-physical-page
-    aliasing exploits. *)
+    aliasing exploits.
+
+    The set count and the line size are powers of two, so a lookup
+    finds an address's line by a shift and the line's set by a mask.
+    Before searching the set, a lookup probes the slot the previous
+    access touched; a line sits in one slot of its own set, so the probe
+    finds only the hit the search would find. Accesses allocate
+    nothing. *)
 
 type t
 
+(** A cache of [size_bytes] in [ways]-way sets of [line_bytes] lines.
+    Raises [Invalid_argument] unless [size_bytes] divides into
+    [ways * line_bytes] lines and both the resulting set count and
+    [line_bytes] are powers of two. *)
 val create : size_bytes:int -> ways:int -> line_bytes:int -> t
 
 (** Standard Intel L1: 32 KiB, 8-way, 64-byte lines. *)
 val l1_default : unit -> t
 
-(** Access one line by index; returns [true] on hit. *)
+(** Access one line by index (a non-negative int); returns [true] on
+    hit. *)
 val access_line : t -> int -> bool
 
 (** Access [size] bytes at physical address [addr] (a native int, as

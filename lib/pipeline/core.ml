@@ -9,15 +9,20 @@
 
     The model is timing-directed: architectural values (addresses, the
     division fast path, subnormal operands) come from the pre-recorded
-    trace, so the timing pass itself is deterministic and cheap.
+    trace, so the timing pass itself is deterministic and cheap. The
+    trace is statics per block position over the executor's step log,
+    and the loop reads each step's accesses and events from the log in
+    place ({!Trace}).
 
     The cycle loop is allocation-free: uops are consumed as int-packed
     codes ({!Uarch.Flat}), machine state lives in mutable scratch arrays
-    reused across simulated blocks ({!Scratch}), the store-forwarding
-    table is an epoch-stamped open-addressed int table rather than a
-    fresh [Hashtbl] per simulation, and cache lookups and port claims
-    allocate nothing. A call allocates a constant (counters, result,
-    loop closures), whatever the trace length; test/test_batch.ml pins
+    reused across simulated blocks ({!Scratch}), the ROB and retire rings
+    wrap by comparison, the store-forwarding table is an epoch-stamped
+    open-addressed int table rather than a fresh [Hashtbl] per
+    simulation, the port schedule is a bitmap of occupied cycles per
+    port, and cache lookups (shift and mask) and port claims allocate
+    nothing. A call allocates a constant (counters, result, loop
+    closures), whatever the trace length; test/test_batch.ml pins
     this.
 
     The caches are the only state that outlives a call, and they are
@@ -178,7 +183,7 @@ let l2_misses packed = packed lsr l2_shift
    into a distinct address range so that it does not alias data lines. *)
 let fetch ~l1i ~l2 ~code_addr ~len =
   let packed = ref 0 in
-  for line = code_addr / 64 to (code_addr + len - 1) / 64 do
+  for line = code_addr lsr 6 to (code_addr + len - 1) lsr 6 do
     if not (Memsim.Cache.access_line l1i line) then
       packed :=
         !packed + 1
@@ -191,16 +196,6 @@ let fetch ~l1i ~l2 ~code_addr ~len =
 let data_access ~l1d ~l2 ~addr ~size =
   let misses = Memsim.Cache.access l1d ~addr ~size in
   if misses = 0 then 0 else misses + (Memsim.Cache.access l2 ~addr ~size lsl l2_shift)
-
-(* Step [i]'s [k]-th load or store, as an index into the trace's load
-   or store arrays, or -1 where the trace recorded none: such a load or
-   store-data uop reads 8 bytes at address 0. *)
-let slot start i k =
-  let j = start.(i) + k in
-  if j < start.(i + 1) then j else -1
-
-let slot_addr addrs j = if j < 0 then 0 else addrs.(j)
-let slot_size sizes j = if j < 0 then 8 else sizes.(j)
 
 let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
@@ -224,12 +219,14 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
   let rob_cap = s.rob_size + 1 in
   let rob_pop () =
     let v = s.rob.(s.rob_head) in
-    s.rob_head <- (s.rob_head + 1) mod rob_cap;
+    let head = s.rob_head + 1 in
+    s.rob_head <- (if head = rob_cap then 0 else head);
     s.rob_len <- s.rob_len - 1;
     v
   in
   let rob_push v =
-    s.rob.((s.rob_head + s.rob_len) mod rob_cap) <- v;
+    let i = s.rob_head + s.rob_len in
+    s.rob.(if i >= rob_cap then i - rob_cap else i) <- v;
     s.rob_len <- s.rob_len + 1
   in
   (* Retirement: ring of the last [retire_width] retire times. *)
@@ -342,7 +339,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     end
     else begin
       let earliest = renamed_at + 1 in
-      let load_idx = ref 0 and store_idx = ref 0 in
+      (* The next load and store access to hand out, and the end of the
+         step's accesses. *)
+      let load_at = ref (Trace.first_access trace idx) in
+      let store_at = ref !load_at and limit = Trace.first_access trace (idx + 1) in
+      let subnormal = Trace.subnormal trace idx in
       let last_load_complete = ref 0 in
       let last_exec_complete = ref 0 in
       let prev_exec_complete = ref 0 in
@@ -356,11 +357,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
         let ready, latency_extra, busy =
           match kind with
           | 1 (* Load *) ->
-            let j = slot trace.load_start idx !load_idx in
-            let paddr = slot_addr trace.load_paddr j
-            and size = slot_size trace.load_size j
-            and vaddr = slot_addr trace.load_vaddr j in
-            incr load_idx;
+            let j = Trace.next_access trace ~store:false !load_at limit in
+            if j >= 0 then load_at := j + 1;
+            let paddr = Trace.paddr trace j
+            and size = Trace.size trace j
+            and vaddr = Trace.vaddr trace j in
             let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
             let misses = l1_misses packed and l2_m = l2_misses packed in
             c.l1d_read_misses <- c.l1d_read_misses + misses;
@@ -386,7 +387,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             in
             let busy =
               if st.s_is_divider then
-                let lat = if st.s_is_int_div then trace.div_lat.(idx) else ulat in
+                let lat = if st.s_is_int_div then Trace.div_latency trace idx else ulat in
                 max 1 (lat - 1)
               else 1
             in
@@ -417,11 +418,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           c.port_contention_cycles <-
             c.port_contention_cycles + (dispatch - ready);
         let latency =
-          if kind = 0 && st.s_is_int_div then trace.div_lat.(idx) else ulat
+          if kind = 0 && st.s_is_int_div then Trace.div_latency trace idx else ulat
         in
         let complete = dispatch + latency + latency_extra in
         let complete =
-          if trace.subnormal.(idx) && (not !subnormal_applied) && kind = 0 then begin
+          if subnormal && (not !subnormal_applied) && kind = 0 then begin
             subnormal_applied := true;
             c.subnormal_assists <- c.subnormal_assists + 1;
             complete + d.subnormal_assist_cycles
@@ -435,11 +436,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           prev_exec_complete := complete;
           last_exec_complete := max !last_exec_complete complete
         | 3 (* Store_data *) ->
-          let j = slot trace.store_start idx !store_idx in
-          let paddr = slot_addr trace.store_paddr j
-          and size = slot_size trace.store_size j
-          and vaddr = slot_addr trace.store_vaddr j in
-          incr store_idx;
+          let j = Trace.next_access trace ~store:true !store_at limit in
+          if j >= 0 then store_at := j + 1;
+          let paddr = Trace.paddr trace j
+          and size = Trace.size trace j
+          and vaddr = Trace.vaddr trace j in
           let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
           c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
           c.l2_misses <- c.l2_misses + l2_misses packed;
@@ -461,7 +462,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             :: !schedule
       done;
       (* A microcode assist flushes the front end. *)
-      if trace.subnormal.(idx) then begin
+      if subnormal then begin
         frontend_cycle := max !frontend_cycle !inst_complete;
         slots_this_cycle := 0
       end;
@@ -483,7 +484,8 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       let width_limited = retire_ring.(!retire_pos) + 1 in
       let retire_at = max ready_to_retire width_limited in
       retire_ring.(!retire_pos) <- retire_at;
-      retire_pos := (!retire_pos + 1) mod d.retire_width;
+      let next = !retire_pos + 1 in
+      retire_pos := if next = d.retire_width then 0 else next;
       last_retire := retire_at;
       rob_push retire_at;
       if retire_at > !finish_time then finish_time := retire_at
@@ -512,22 +514,21 @@ let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     let st = trace.statics.(!pos) in
     ignore (fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len);
     if not st.s_eliminated then begin
-      let load_idx = ref 0 and store_idx = ref 0 in
+      let load_at = ref (Trace.first_access trace idx) in
+      let store_at = ref !load_at and limit = Trace.first_access trace (idx + 1) in
       let codes = st.s_codes in
       for u = 0 to Array.length codes - 1 do
         match Flat.code_kind codes.(u) with
         | 1 (* Load *) ->
-          let j = slot trace.load_start idx !load_idx in
-          incr load_idx;
+          let j = Trace.next_access trace ~store:false !load_at limit in
+          if j >= 0 then load_at := j + 1;
           ignore
-            (data_access ~l1d ~l2 ~addr:(slot_addr trace.load_paddr j)
-               ~size:(slot_size trace.load_size j))
+            (data_access ~l1d ~l2 ~addr:(Trace.paddr trace j) ~size:(Trace.size trace j))
         | 3 (* Store_data *) ->
-          let j = slot trace.store_start idx !store_idx in
-          incr store_idx;
+          let j = Trace.next_access trace ~store:true !store_at limit in
+          if j >= 0 then store_at := j + 1;
           ignore
-            (data_access ~l1d ~l2 ~addr:(slot_addr trace.store_paddr j)
-               ~size:(slot_size trace.store_size j))
+            (data_access ~l1d ~l2 ~addr:(Trace.paddr trace j) ~size:(Trace.size trace j))
         | _ -> ()
       done
     end;

@@ -20,7 +20,9 @@ val reset : t -> unit
 
 (** Build the dynamic trace of [steps] under the machine's descriptor.
     Its build time counts towards [pipeline.sim_ns], so a caller that
-    simulates one trace several times pays, and accounts, one build. *)
+    simulates one trace several times pays, and accounts, one build. The
+    trace reads [steps] in place: it is valid while [steps] is
+    unchanged ({!Trace}). *)
 val trace : t -> Xsem.Step_log.t -> Trace.t
 
 (** Simulate the timing of one completed architectural execution, given

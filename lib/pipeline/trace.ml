@@ -3,16 +3,17 @@
     timing simulation (which replays the trace against pipeline
     resources).
 
-    The trace is split into a per-static-instruction part — decomposition,
-    packed uop codes, dependence roots — computed once per block position
-    and shared by every unrolled copy, and a dynamic part carrying only
-    what truly varies per execution: addresses and events. The dynamic
-    part is flat int arrays read off the executor's {!Xsem.Step_log}:
-    step [i] runs the static info at block position [i mod n], and its
-    loads and stores are ranges of the load and store arrays. Building it
-    allocates those arrays and nothing per step. *)
+    A trace is a per-static-instruction part — decomposition, packed uop
+    codes, dependence roots, code offset and divide latency — computed
+    once per block position and shared by every unrolled copy, plus the
+    executor's {!Xsem.Step_log}, which it reads in place: step [i] runs
+    the static info at block position [i mod n], and its loads, stores
+    and events are the log's. Building a trace allocates per block
+    position and nothing per step; it is valid while its log is
+    unchanged. *)
 
 open X86
+module L = Xsem.Step_log
 
 (** Preprocessed static instruction: everything derivable from the
     instruction bytes and the microarchitecture alone. Shared across
@@ -43,19 +44,11 @@ type t = {
   offsets : int array;  (** code byte offset of each block position in a copy *)
   block_bytes : int;  (** code bytes of one copy *)
   steps : int;
-  subnormal : bool array;  (** per step: FP op touched subnormals *)
-  div_lat : int array;
-      (** per step: effective div/idiv latency given the observed
-          execution path; 0 for every other instruction *)
-  load_start : int array;
-      (** step [i]'s loads are [load_start.(i)] to [load_start.(i + 1) - 1] *)
-  load_paddr : int array;
-  load_size : int array;
-  load_vaddr : int array;  (** virtual addresses (for split detection) *)
-  store_start : int array;
-  store_paddr : int array;
-  store_size : int array;
-  store_vaddr : int array;
+  log : Xsem.Step_log.t;  (** the execution's accesses and events, read in place *)
+  pos_div_lat : int array;
+      (** per block position: the div/idiv latency off the slow path;
+          0 for every other instruction *)
+  slow_div_lat : int;  (** the div/idiv latency on the slow path *)
 }
 
 let build_static (flat : Uarch.Flat.t) (inst : Inst.t) : static_info =
@@ -88,80 +81,65 @@ let build_static (flat : Uarch.Flat.t) (inst : Inst.t) : static_info =
     s_is_int_div = Uarch.Flat.is_int_div flat inst.opcode;
   }
 
-(** Build the dynamic trace of a completed execution, recorded in [log],
-    under microarchitecture [d]. Instructions are laid out consecutively,
-    as the unrolled benchmark body is. *)
-let of_steps (d : Uarch.Descriptor.t) (log : Xsem.Step_log.t) : t =
-  let module L = Xsem.Step_log in
+(** The trace of the execution recorded in [log], under
+    microarchitecture [d]. Instructions are laid out consecutively, as
+    the unrolled benchmark body is. The trace reads [log] in place, so it
+    is valid while [log] is unchanged. *)
+let of_steps (d : Uarch.Descriptor.t) (log : L.t) : t =
   let flat = Uarch.Descriptor.flat d in
   let statics = Array.map (build_static flat) (L.block log) in
-  let n = Array.length statics in
-  let offsets = Array.make n 0 and block_bytes = ref 0 in
+  let offsets = Array.make (Array.length statics) 0 and block_bytes = ref 0 in
   Array.iteri
     (fun k s ->
       offsets.(k) <- !block_bytes;
       block_bytes := !block_bytes + s.s_code_len)
     statics;
-  let steps = L.steps log and accesses = L.accesses log in
-  let stores = ref 0 in
-  for a = 0 to accesses - 1 do
-    if L.is_store log a then incr stores
-  done;
-  let loads = accesses - !stores and stores = !stores in
-  let t =
-    {
-      statics;
-      offsets;
-      block_bytes = !block_bytes;
-      steps;
-      subnormal = Array.make steps false;
-      div_lat = Array.make steps 0;
-      load_start = Array.make (steps + 1) 0;
-      load_paddr = Array.make loads 0;
-      load_size = Array.make loads 0;
-      load_vaddr = Array.make loads 0;
-      store_start = Array.make (steps + 1) 0;
-      store_paddr = Array.make stores 0;
-      store_size = Array.make stores 0;
-      store_vaddr = Array.make stores 0;
-    }
+  let pos_div_lat =
+    Array.map
+      (fun st ->
+        if not st.s_is_int_div then 0
+        else if Width.equal st.s_inst.width Width.Q then
+          (* 64-bit divide with zeroed rdx: faster than the wide path but
+             slower than the 32-bit divide *)
+          flat.Uarch.Flat.divq_latency
+        else flat.Uarch.Flat.div32_latency)
+      statics
   in
-  let l = ref 0 and s = ref 0 in
-  for i = 0 to steps - 1 do
-    t.load_start.(i) <- !l;
-    t.store_start.(i) <- !s;
-    for a = L.first_access log i to L.first_access log (i + 1) - 1 do
-      if L.is_store log a then begin
-        t.store_paddr.(!s) <- L.paddr log a;
-        t.store_size.(!s) <- L.size log a;
-        t.store_vaddr.(!s) <- L.vaddr log a;
-        incr s
-      end
-      else begin
-        t.load_paddr.(!l) <- L.paddr log a;
-        t.load_size.(!l) <- L.size log a;
-        t.load_vaddr.(!l) <- L.vaddr log a;
-        incr l
-      end
-    done;
-    let events = L.events log i in
-    t.subnormal.(i) <- events land L.bit L.Subnormal <> 0;
-    let st = statics.(i mod n) in
-    if st.s_is_int_div then
-      t.div_lat.(i) <-
-        (if events land L.bit L.Div_slow_path <> 0 then flat.Uarch.Flat.div64_latency
-         else if Width.equal st.s_inst.width Width.Q then
-           (* 64-bit divide with zeroed rdx: faster than the wide path but
-              slower than the 32-bit divide *)
-           flat.Uarch.Flat.divq_latency
-         else flat.Uarch.Flat.div32_latency)
-  done;
-  t.load_start.(steps) <- !l;
-  t.store_start.(steps) <- !s;
-  t
+  {
+    statics;
+    offsets;
+    block_bytes = !block_bytes;
+    steps = L.steps log;
+    log;
+    pos_div_lat;
+    slow_div_lat = flat.Uarch.Flat.div64_latency;
+  }
 
 let static t i = t.statics.(i mod Array.length t.statics)
 
 let code_addr t i =
   let n = Array.length t.statics in
   (i / n * t.block_bytes) + t.offsets.(i mod n)
+
+(* --- reading a step ------------------------------------------------------- *)
+
+let subnormal_bit = L.bit L.Subnormal
+let slow_path_bit = L.bit L.Div_slow_path
+let subnormal t i = L.events t.log i land subnormal_bit <> 0
+
+let div_latency t i =
+  let pos = i mod Array.length t.statics in
+  if not t.statics.(pos).s_is_int_div then 0
+  else if L.events t.log i land slow_path_bit <> 0 then t.slow_div_lat
+  else t.pos_div_lat.(pos)
+
+let first_access t i = L.first_access t.log i
+
+let rec next_access t ~store a limit =
+  if a >= limit then -1
+  else if L.is_store t.log a = store then a
+  else next_access t ~store (a + 1) limit
+
+let paddr t j = if j < 0 then 0 else L.paddr t.log j
+let vaddr t j = if j < 0 then 0 else L.vaddr t.log j
+let size t j = if j < 0 then 8 else L.size t.log j

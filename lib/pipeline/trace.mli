@@ -2,13 +2,21 @@
     execution (addresses, faults, data-dependent events) and the timing
     simulation that replays it against pipeline resources.
 
-    Split into a per-static-instruction part (decomposition, packed uop
-    codes, dependence roots), built once per block position and shared
-    by every unrolled copy, and a dynamic part in flat int arrays read
-    off the executor's {!Xsem.Step_log}: step [i] runs block position
-    [i mod n], and its loads and stores are ranges of the load and store
-    arrays. Building a trace allocates those arrays and nothing per
-    step; the core reads them without allocating. *)
+    A trace is a per-static-instruction part (decomposition, packed uop
+    codes, dependence roots, code offset, divide latency), built once
+    per block position and shared by every unrolled copy, plus the
+    executor's {!Xsem.Step_log}, which it reads in place: step [i] runs
+    block position [i mod n], and its loads, stores and events are the
+    log's. Building a trace allocates per block position and nothing per
+    step, and the core reads it without allocating.
+
+    {b Validity.} Nothing is copied out of the log, so a trace is valid
+    only while its log is unchanged: recording another run into the log
+    (or [unpack]ing into it) silently changes what the trace reads. A
+    log that [Harness.Mapping.run] returns is owned by its result; one
+    that a [Harness.Mapping_memo] hit unpacks into the memo's per-domain
+    log stays unchanged until the next [map] on that domain, so build,
+    warm and simulate the trace before mapping again. *)
 
 (** Preprocessed static instruction: everything derivable from the
     instruction and the microarchitecture alone. *)
@@ -33,34 +41,26 @@ type static_info = {
   s_is_int_div : bool;  (** div/idiv: latency resolved from the trace *)
 }
 
-(** A trace of [steps] dynamic instructions. Addresses are native ints,
-    as the step log records them. *)
+(** A trace of [steps] dynamic instructions, read from [log]. *)
 type t = {
   statics : static_info array;  (** per block position *)
   offsets : int array;  (** code byte offset of each block position in a copy *)
   block_bytes : int;  (** code bytes of one copy *)
   steps : int;
-  subnormal : bool array;  (** per step: FP op touched subnormals *)
-  div_lat : int array;
-      (** per step: effective div/idiv latency given the observed
-          execution path; 0 for every other instruction *)
-  load_start : int array;
-      (** step [i]'s loads are [load_start.(i)] to [load_start.(i + 1) - 1] *)
-  load_paddr : int array;
-  load_size : int array;
-  load_vaddr : int array;  (** virtual addresses (for split detection) *)
-  store_start : int array;  (** as [load_start], for stores *)
-  store_paddr : int array;
-  store_size : int array;
-  store_vaddr : int array;
+  log : Xsem.Step_log.t;  (** the execution's accesses and events *)
+  pos_div_lat : int array;
+      (** per block position, not per step: the div/idiv latency off
+          the slow path; 0 for every other instruction. A step's
+          latency is {!div_latency}. *)
+  slow_div_lat : int;  (** the div/idiv latency on the slow path *)
 }
 
 (** The static info of one instruction under a uarch's flat tables. *)
 val build_static : Uarch.Flat.t -> X86.Inst.t -> static_info
 
-(** Build the dynamic trace of a completed execution under
+(** The trace of the completed execution recorded in [log], under
     microarchitecture [d]; instructions are laid out consecutively, as
-    the unrolled benchmark body is. *)
+    the unrolled benchmark body is. The trace reads [log] in place. *)
 val of_steps : Uarch.Descriptor.t -> Xsem.Step_log.t -> t
 
 (** Static info of step [i]. *)
@@ -68,3 +68,33 @@ val static : t -> int -> static_info
 
 (** Byte offset of step [i] in the code stream. *)
 val code_addr : t -> int -> int
+
+(** {2 Reading a step}
+
+    What the core reads of step [i]. Its [k]-th load uop takes the
+    step's [k]-th load access and its [k]-th store-data uop the [k]-th
+    store access; a uop past the last one reads 8 bytes at address 0.
+    Access indices range over the whole log. *)
+
+(** Did step [i]'s FP operation touch a subnormal? *)
+val subnormal : t -> int -> bool
+
+(** Step [i]'s effective div/idiv latency given its execution path (the
+    slow path for a full-width dividend); 0 for every other
+    instruction. *)
+val div_latency : t -> int -> int
+
+(** Step [i]'s accesses are [first_access t i] to
+    [first_access t (i + 1) - 1]. *)
+val first_access : t -> int -> int
+
+(** [next_access t ~store a limit]: the first store (when [store]) or
+    load among accesses [a] to [limit - 1], or -1 when there is none. *)
+val next_access : t -> store:bool -> int -> int -> int
+
+(** Physical address, virtual address and size of access [j]; for
+    [j = -1], the 8 bytes at address 0. *)
+val paddr : t -> int -> int
+
+val vaddr : t -> int -> int
+val size : t -> int -> int

@@ -4,129 +4,112 @@
     scheduler processing uops in program order must still allow a young,
     early-ready uop to claim a port cycle that precedes slots already
     given to older uops (out-of-order issue). This structure answers
-    "first free cycle >= t on port p" in near-constant amortised time via
-    a disjoint-set forest over occupied cycles.
+    "first free cycle >= t on port p" and "first run of [busy] free
+    cycles >= t on port p".
 
-    The forest is stored in open-addressed int arrays (linear probing)
-    with an epoch stamp per slot, so [reset] is O(ports) and the
-    simulator's cycle loop performs no allocation and no [Hashtbl]
-    operations: arrays grow geometrically and are reused across
-    simulated blocks.
-
-    Each port also keeps its free tail: the first cycle past every
-    claim. Every cycle from there on is free, so a query at or beyond
-    it is answered without probing. *)
+    Each port keeps a bitmap of its occupied cycles, 32 cycles to an int
+    word (cycle [c] is bit [c land 31] of word [c lsr 5]), and its free
+    tail: the first cycle past every claim. Every cycle from the tail on
+    is free, so a query at or past it answers without reading the
+    bitmap; below it, a query scans whole words and finds the first free
+    or occupied bit of a word with a de Bruijn multiply. The words grow
+    by doubling and are kept across simulated blocks: [reset] clears the
+    words below each port's tail, and nothing else allocates. *)
 
 type port = {
-  (* occupied cycle -> candidate later cycle; a slot belongs to the
-     current epoch only when its stamp matches, so stale entries from
-     previous simulations are free without clearing the arrays *)
-  mutable keys : int array;
-  mutable nexts : int array;
-  mutable stamps : int array;
-  mutable mask : int;  (** capacity - 1; capacity is a power of two *)
-  mutable live : int;
-  mutable tail : int;  (** first cycle past every claim of this epoch *)
+  mutable words : int array;  (** occupied cycles, 32 to a word *)
+  mutable tail : int;  (** first cycle past every claim since [reset] *)
 }
 
-type t = { ports : port array; mutable epoch : int }
+type t = port array
 
-let initial_capacity = 128
+let full = 0xFFFF_FFFF
 
-let make_port () =
-  {
-    keys = Array.make initial_capacity 0;
-    nexts = Array.make initial_capacity 0;
-    stamps = Array.make initial_capacity (-1);
-    mask = initial_capacity - 1;
-    live = 0;
-    tail = 0;
-  }
+(* Bits [b] to 31 of a word. *)
+let from_bit b = (full lsl b) land full
 
-let create ~n_ports = { ports = Array.init n_ports (fun _ -> make_port ()); epoch = 0 }
+let create ~n_ports = Array.init n_ports (fun _ -> { words = Array.make 8 0; tail = 0 })
 
-(* Fibonacci-style multiplicative hash; cycles are small non-negative
-   ints, the multiply spreads consecutive values across the table. *)
-let hash c = (c * 0x9E3779B1) lxor (c lsr 16)
+(* Index of the lowest set bit of [x], a nonzero 32-bit word: [x land
+   (-x)] isolates that bit, and multiplying the bit by a de Bruijn
+   constant leaves a distinct five-bit pattern in the product's top five
+   of 32 bits. *)
+let debruijn = 0x077C_B531
 
-(* Slot index of [k], or [-insert_position - 1] when absent. *)
-let rec probe_from p ~epoch k i =
-  if p.stamps.(i) <> epoch then -i - 1
-  else if p.keys.(i) = k then i
-  else probe_from p ~epoch k ((i + 1) land p.mask)
+let ctz_table =
+  let table = Array.make 32 0 in
+  for i = 0 to 31 do
+    table.((((1 lsl i) * debruijn) land full) lsr 27) <- i
+  done;
+  table
 
-let probe p ~epoch k = probe_from p ~epoch k (hash k land p.mask)
+let ctz x = ctz_table.((((x land (-x)) * debruijn) land full) lsr 27)
 
-let grow p ~epoch =
-  let old_keys = p.keys and old_nexts = p.nexts and old_stamps = p.stamps in
-  let cap = 2 * (p.mask + 1) in
-  p.keys <- Array.make cap 0;
-  p.nexts <- Array.make cap 0;
-  p.stamps <- Array.make cap (-1);
-  p.mask <- cap - 1;
-  for i = 0 to Array.length old_keys - 1 do
-    if old_stamps.(i) = epoch then begin
-      let j = -probe p ~epoch old_keys.(i) - 1 in
-      p.keys.(j) <- old_keys.(i);
-      p.nexts.(j) <- old_nexts.(i);
-      p.stamps.(j) <- epoch
-    end
-  done
+(* First free cycle among the cycles [mask] selects in word [w] and all
+   cycles of later words. It only runs below the tail, and the tail's own
+   cycle is free, so the scan stops at the tail's word at the latest. *)
+let rec free_from words w mask =
+  let free = lnot words.(w) land mask in
+  if free <> 0 then (w lsl 5) + ctz free else free_from words (w + 1) full
 
-let set p ~epoch k v =
-  let i = probe p ~epoch k in
-  if i >= 0 then p.nexts.(i) <- v
-  else begin
-    if 2 * (p.live + 1) > p.mask + 1 then grow p ~epoch;
-    let i = -probe p ~epoch k - 1 in
-    p.keys.(i) <- k;
-    p.nexts.(i) <- v;
-    p.stamps.(i) <- epoch;
-    p.live <- p.live + 1
-  end
+let first_free p c =
+  if c >= p.tail then c else free_from p.words (c lsr 5) (from_bit (c land 31))
 
-let rec find p ~epoch c =
-  let i = if c >= p.tail then -1 else probe p ~epoch c in
-  if i < 0 then c
-  else begin
-    let c' = p.nexts.(i) in
-    let root = find p ~epoch c' in
-    if root <> c' then p.nexts.(i) <- root;
-    root
-  end
-
-(** First free cycle >= [ready] on port [p], without claiming it. *)
-let peek t ~port ~ready = find t.ports.(port) ~epoch:t.epoch (max 0 ready)
-
-(* First occupied cycle among [start+k .. start+busy-1], or -1 when all
-   are free (cycles are non-negative, so -1 flags a clean run). *)
-let rec first_blocked p ~epoch ~busy start k =
-  if k >= busy then -1
+(* First occupied cycle below [limit] (at most the tail) from the
+   cycles [mask] selects in word [w] on, or [limit] when there is none. *)
+let rec used_from words w mask limit =
+  if w lsl 5 >= limit then limit
   else
-    let c = find p ~epoch (start + k) in
-    if c = start + k then first_blocked p ~epoch ~busy start (k + 1) else c
+    let used = words.(w) land mask in
+    if used <> 0 then min limit ((w lsl 5) + ctz used)
+    else used_from words (w + 1) full limit
 
-(* Earliest free cycle >= [start] that begins [busy] free cycles. *)
-let rec find_run p ~epoch ~busy start =
-  let blocked = first_blocked p ~epoch ~busy start 1 in
-  if blocked < 0 then start else find_run p ~epoch ~busy (find p ~epoch blocked)
+(** First free cycle >= [ready] on [port], without claiming it. *)
+let peek t ~port ~ready = first_free t.(port) (max 0 ready)
+
+(* Earliest free cycle >= [s], itself free, that begins [busy] free
+   cycles. Cycles past the tail are all free, so only the run's part
+   below the tail is checked. *)
+let rec find_run p ~busy s =
+  let limit = min (s + busy) p.tail in
+  if s >= limit then s
+  else
+    let u = used_from p.words (s lsr 5) (from_bit (s land 31)) limit in
+    if u >= limit then s else find_run p ~busy (first_free p (u + 1))
+
+(* Mark cycles [s] to [e - 1] occupied, growing the words so that the
+   word of the new tail exists. *)
+let occupy p s e =
+  if e lsr 5 >= Array.length p.words then begin
+    let n = ref (2 * Array.length p.words) in
+    while e lsr 5 >= !n do
+      n := 2 * !n
+    done;
+    let words = Array.make !n 0 in
+    Array.blit p.words 0 words 0 (Array.length p.words);
+    p.words <- words
+  end;
+  let w0 = s lsr 5 and w1 = (e - 1) lsr 5 in
+  for w = w0 to w1 do
+    let lo = if w = w0 then s land 31 else 0
+    and hi = if w = w1 then (e - 1) land 31 else 31 in
+    p.words.(w) <- p.words.(w) lor (from_bit lo land (full lsr (31 - hi)))
+  done;
+  if e > p.tail then p.tail <- e
 
 (** Claim [busy] consecutive free cycles, the first starting at or after
     [ready] on [port]; returns the start cycle. *)
 let claim t ~port ~ready ~busy =
-  let p = t.ports.(port) and epoch = t.epoch in
-  let start = find_run p ~epoch ~busy (find p ~epoch (max 0 ready)) in
-  for c = start to start + busy - 1 do
-    set p ~epoch c (c + 1)
-  done;
-  if start + busy > p.tail then p.tail <- start + busy;
+  let p = t.(port) in
+  let start = find_run p ~busy (first_free p (max 0 ready)) in
+  if busy > 0 then occupy p start (start + busy);
   start
 
-(** Forget every claim; O(ports), the backing arrays are retained. *)
+(** Forget every claim, clearing only the words that hold one; the words
+    are kept. *)
 let reset t =
-  t.epoch <- t.epoch + 1;
   Array.iter
     (fun p ->
-      p.live <- 0;
+      Array.fill p.words 0 ((p.tail + 31) lsr 5) 0;
       p.tail <- 0)
-    t.ports
+    t

@@ -254,15 +254,18 @@ let walk_matches_warmup_simulation =
                && caches_equal ())
              uarches))
 
-(* The flat trace == the list-based trace builder kept as a reference
+(* The trace == the list-based trace builder kept as a reference
    ({!Reference.of_steps}, fed the log's steps as records): the same
-   number of steps and, for every step, the same static info, code
-   address, loads and stores ((paddr, size, vaddr) in order), subnormal
-   flag and divide latency. Over LLVM, gzip and OpenBLAS blocks, all
-   three uarches and both mapping modes. A spliced-in pair of
-   instructions exercises each divide latency and, with gradual
-   underflow on, the subnormal flag: [psrld] turns the fill pattern
-   into a subnormal float. *)
+   number of steps and, for every step, the same static info and code
+   address, and what the core reads of the log: the loads and stores
+   ((paddr, size, vaddr) in order, then 8 bytes at address 0 for a uop
+   past the last one), the subnormal flag and the divide latency. Over
+   LLVM, gzip and OpenBLAS blocks, all three uarches and both mapping
+   modes. Spliced-in instructions
+   exercise each divide latency (a nonzero high half below the divisor
+   takes the slow path without faulting) and, with gradual underflow
+   on, the subnormal flag: [psrld] turns the fill pattern into a
+   subnormal float. *)
 let trace_matches_reference =
   let splices =
     List.map Parser.block_exn
@@ -271,6 +274,8 @@ let trace_matches_reference =
         "xorl %edx, %edx\ndivl %ecx";
         "xorq %rdx, %rdx\ndivq %rcx";
         "divq %rcx";
+        "movq $1, %rdx\nmovq $7, %rcx\ndivq %rcx";
+        "movl $1, %edx\nmovl $7, %ecx\ndivl %ecx";
         "psrld $12, %xmm0\naddss %xmm0, %xmm1";
       ]
   in
@@ -291,12 +296,21 @@ let trace_matches_reference =
       and after = List.filteri (fun i _ -> i >= at) block in
       (before @ splice @ after, unroll, mapping, disable_underflow))
   in
-  let accesses start paddr size vaddr i =
-    Array.init (start.(i + 1) - start.(i)) (fun k ->
-        let j = start.(i) + k in
-        (paddr.(j), size.(j), vaddr.(j)))
+  (* Step [i]'s loads or stores as the core takes them, one per uop,
+     and what a uop past the last one reads. *)
+  let accesses t ~store i =
+    let open Pipeline.Trace in
+    let limit = first_access t (i + 1) in
+    let rec go a acc =
+      let j = next_access t ~store a limit in
+      let read = (paddr t j, size t j, vaddr t j) in
+      if j < 0 then (Array.of_list (List.rev acc), read) else go (j + 1) (read :: acc)
+    in
+    go (first_access t i) []
   in
-  let with_vaddrs pairs vaddrs = Array.mapi (fun k (p, s) -> (p, s, vaddrs.(k))) pairs in
+  let with_vaddrs pairs vaddrs =
+    (Array.mapi (fun k (p, s) -> (p, s, vaddrs.(k))) pairs, (0, 8, 0))
+  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"flat trace == list-based reference" ~count:60
        (QCheck.make
@@ -324,12 +338,10 @@ let trace_matches_reference =
                          r.static_index = i
                          && Pipeline.Trace.static t i = r.static
                          && Pipeline.Trace.code_addr t i = r.code_addr
-                         && accesses t.load_start t.load_paddr t.load_size t.load_vaddr i
-                            = with_vaddrs r.loads r.load_vaddrs
-                         && accesses t.store_start t.store_paddr t.store_size t.store_vaddr i
-                            = with_vaddrs r.stores r.store_vaddrs
-                         && t.subnormal.(i) = r.subnormal
-                         && t.div_lat.(i) = r.div_lat)
+                         && accesses t ~store:false i = with_vaddrs r.loads r.load_vaddrs
+                         && accesses t ~store:true i = with_vaddrs r.stores r.store_vaddrs
+                         && Pipeline.Trace.subnormal t i = r.subnormal
+                         && Pipeline.Trace.div_latency t i = r.div_lat)
                        reference))
              uarches))
 
@@ -356,12 +368,12 @@ let allocated_words f =
 (* The cycle loop's allocation contract: a cache access and a port
    claim allocate nothing, and [Core.simulate] on a warm reused machine,
    like the [Core.warm] cache walk, allocates a per-call constant that
-   does not grow with the trace. Recording a run and building its trace
-   allocate per dynamic step only the step log's and the trace's flat
-   arrays, plus, in the executor, the boxed [int64] arithmetic of the
-   semantics: at most 32 and 8 words per step on these scalar blocks.
-   The bounds sit below what per-step records took (53-55 and 31-33
-   words), so a return to them fails here. *)
+   does not grow with the trace. Building a trace allocates per block
+   position only, so the same at unroll 8 and 64: it reads the step log
+   in place. Recording a run allocates per dynamic step only the step
+   log's flat arrays and the boxed [int64] arithmetic of the semantics:
+   at most 32 words per step on these scalar blocks, below the 53-55
+   words that per-step records took. *)
 let test_allocation_contract () =
   let c = Memsim.Cache.l1_default () in
   let addrs = Array.init 1000 (fun k -> k * 60) in
@@ -412,17 +424,18 @@ let test_allocation_contract () =
         | Xsem.Executor.Completed _ -> ()
         | Faulted _ -> Alcotest.fail "fault"
       in
-      let trace (m : Harness.Mapping.success) _ () =
-        ignore (Pipeline.Trace.of_steps Uarch.All.haswell m.steps)
-      in
       let words = per_step run in
       Alcotest.(check bool)
         (Printf.sprintf "%s: Executor.run_unrolled %.1f words/step <= 32" name words)
         true (words <= 32.);
-      let words = per_step trace in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: Trace.of_steps %.1f words/step <= 8" name words)
-        true (words <= 8.))
+      let trace (m : Harness.Mapping.success) () =
+        ignore (Pipeline.Trace.of_steps Uarch.All.haswell m.steps)
+      in
+      trace m8 ();
+      Alcotest.(check int)
+        (name ^ ": Trace.of_steps words, unroll 8 vs 64")
+        (int_of_float (allocated_words (trace m8)))
+        (int_of_float (allocated_words (trace m64))))
     [ ("contract block", block); ("gzip crc", Corpus.Paper_blocks.gzip_crc) ];
   List.iter
     (fun (d : Uarch.Descriptor.t) ->

@@ -104,6 +104,142 @@ let prop_cache_miss_bound =
       let m = Memsim.Cache.access c ~addr:addr ~size in
       m >= 1 && m <= 2)
 
+(* Cache operations for the model check: an access of [size] bytes at
+   [addr], an access to a line by index, or a flush. *)
+type cache_op = Access of int * int | Line of int | Flush
+
+let print_cache_op = function
+  | Access (addr, size) -> Printf.sprintf "access 0x%x+%d" addr size
+  | Line l -> Printf.sprintf "line %d" l
+  | Flush -> "flush"
+
+(* True LRU as a list of lines per set, most recent first: a hit moves
+   its line to the front, a miss pushes the line and drops the last one
+   of a full set. *)
+module Lru_model = struct
+  type t = {
+    sets : int;
+    ways : int;
+    line_bytes : int;
+    lines : int list array;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~sets ~ways ~line_bytes =
+    { sets; ways; line_bytes; lines = Array.make sets []; hits = 0; misses = 0 }
+
+  let access_line t line =
+    let set = line mod t.sets in
+    let l = t.lines.(set) in
+    let hit = List.mem line l in
+    let rest = List.filter (( <> ) line) l in
+    t.lines.(set) <- List.filteri (fun i _ -> i < t.ways) (line :: rest);
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    hit
+
+  let access t ~addr ~size =
+    let first = addr / t.line_bytes and last = (addr + max 1 size - 1) / t.line_bytes in
+    let hits = List.init (last - first + 1) (fun k -> access_line t (first + k)) in
+    List.length (List.filter not hits)
+
+  let flush t =
+    Array.fill t.lines 0 t.sets [];
+    t.hits <- 0;
+    t.misses <- 0
+end
+
+(* [Cache] against the list model, on small caches of 1 to 8 sets, 1 to
+   4 ways (3 included) and 16- to 64-byte lines, over lines from a pool
+   twice the cache's capacity: every result and the hit and miss counts
+   after every operation. Accesses repeat the previous one's line half
+   the time (hits of the cache's recent-slot probe), cross lines when
+   they run past a line's end, and interleave with flushes. *)
+let prop_cache_matches_lru_model =
+  let gen =
+    QCheck.Gen.(
+      let* sets = oneofl [ 1; 2; 4; 8 ] in
+      let* ways = int_range 1 4 in
+      let* line_bytes = oneofl [ 16; 32; 64 ] in
+      let pool = 2 * sets * ways in
+      let op prev =
+        frequency
+          [
+            ( 4,
+              let* line = int_bound (pool - 1) and* offset = int_bound (line_bytes - 1) in
+              let+ size = int_range 1 16 in
+              Access ((line * line_bytes) + offset, size) );
+            ( 4,
+              let* offset = int_bound (line_bytes - 1) in
+              let+ size = int_range 1 8 in
+              Access ((prev / line_bytes * line_bytes) + offset, size) );
+            (2, map (fun l -> Line l) (int_bound (pool - 1)));
+            (1, return Flush);
+          ]
+      in
+      let rec ops n prev acc =
+        if n = 0 then return (List.rev acc)
+        else
+          let* o = op prev in
+          let prev =
+            match o with Access (a, _) -> a | Line l -> l * line_bytes | Flush -> prev
+          in
+          ops (n - 1) prev (o :: acc)
+      in
+      let* n = int_range 1 120 in
+      let+ ops = ops n 0 [] in
+      (sets, ways, line_bytes, ops))
+  in
+  QCheck.Test.make ~name:"cache == true-LRU list model" ~count:300
+    (QCheck.make
+       ~print:(fun (sets, ways, line_bytes, ops) ->
+         Printf.sprintf "%d sets, %d ways, %d-byte lines: %s" sets ways line_bytes
+           (String.concat "; " (List.map print_cache_op ops)))
+       gen)
+    (fun (sets, ways, line_bytes, ops) ->
+      let c =
+        Memsim.Cache.create ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes
+      in
+      let m = Lru_model.create ~sets ~ways ~line_bytes in
+      List.for_all
+        (fun op ->
+          (match op with
+            | Access (addr, size) ->
+              Memsim.Cache.access c ~addr ~size = Lru_model.access m ~addr ~size
+            | Line l -> Memsim.Cache.access_line c l = Lru_model.access_line m l
+            | Flush ->
+              Memsim.Cache.flush c;
+              Lru_model.flush m;
+              true)
+          && Memsim.Cache.hits c = m.hits
+          && Memsim.Cache.misses c = m.misses)
+        ops)
+
+(* The set count and the line size must be powers of two (lines are
+   found by shift, sets by mask); the way count need not be. *)
+let test_cache_geometry () =
+  let refused (size_bytes, ways, line_bytes) =
+    match Memsim.Cache.create ~size_bytes ~ways ~line_bytes with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let check verdict ((size, ways, line) as g) =
+    Alcotest.(check bool)
+      (Printf.sprintf "%d B, %d ways, %d B lines %s" size ways line
+         (if verdict then "refused" else "accepted"))
+      verdict (refused g)
+  in
+  List.iter (check true)
+    [
+      (3 * 8 * 64, 8, 64);
+      (6 * 2 * 64, 2, 64);
+      (4 * 8 * 48, 8, 48);
+      (1000, 8, 64);
+      (0, 8, 64);
+    ];
+  List.iter (check false)
+    [ (32 * 1024, 8, 64); (256 * 1024, 8, 64); (4 * 3 * 64, 3, 64); (16, 1, 16) ]
+
 (* What a read or write of [size] bytes at [vaddr] made: one access,
    named by its first byte's physical address, or none for size 0. *)
 type access = { vaddr : int64; paddr : int64; size : int; is_store : bool }
@@ -255,5 +391,7 @@ let suite =
     Alcotest.test_case "cache capacity/LRU" `Quick test_cache_capacity;
     Alcotest.test_case "single page fits L1" `Quick test_cache_single_page_fits;
     QCheck_alcotest.to_alcotest prop_cache_miss_bound;
+    QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
+    Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
     QCheck_alcotest.to_alcotest prop_mmu_matches_bytewise;
   ]

@@ -129,21 +129,41 @@ let test_port_schedule () =
   Alcotest.(check int) "busy blocks range" 10 (Uarch.Port_schedule.claim ps ~port:1 ~ready:10 ~busy:5);
   Alcotest.(check int) "after busy run" 15 (Uarch.Port_schedule.claim ps ~port:1 ~ready:11 ~busy:1)
 
-(* Port-schedule operations for the reference check: a claim, a peek,
-   or a reset, on one of two ports. *)
-type port_op = Claim of int * int * int | Peek of int * int | Reset
+(* Port-schedule operations for the reference check: a claim, a run of
+   [n] single-cycle claims from one ready cycle (which packs whole words
+   of the bitmap), a peek, or a reset, on one of two ports. *)
+type port_op =
+  | Claim of int * int * int
+  | Fill of int * int * int
+  | Peek of int * int
+  | Reset
 
+(* Ready cycles up to about 300 and busy runs up to 96, the divider's
+   range; ready cycles on either side of the bitmap's word boundaries
+   (32 cycles to a word) come up often, and long busy runs span words. *)
 let port_op_gen =
   QCheck.Gen.(
+    let ready =
+      frequency
+        [
+          (4, int_range (-2) 300);
+          (3, oneofl [ 0; 30; 31; 32; 33; 62; 63; 64; 65; 95; 96; 127; 128; 160 ]);
+        ]
+    in
+    let busy =
+      frequency [ (5, int_range 1 4); (2, int_range 5 40); (1, int_range 41 96) ]
+    in
     frequency
       [
-        (6, map3 (fun p r b -> Claim (p, r, b)) (int_bound 1) (int_range (-2) 40) (int_range 1 4));
-        (3, map2 (fun p r -> Peek (p, r)) (int_bound 1) (int_range (-2) 60));
+        (6, map3 (fun p r b -> Claim (p, r, b)) (int_bound 1) ready busy);
+        (1, map3 (fun p r n -> Fill (p, r, n)) (int_bound 1) ready (int_range 1 100));
+        (4, map2 (fun p r -> Peek (p, r)) (int_bound 1) ready);
         (1, return Reset);
       ])
 
 let print_port_op = function
   | Claim (p, r, b) -> Printf.sprintf "claim p%d ready=%d busy=%d" p r b
+  | Fill (p, r, n) -> Printf.sprintf "%d claims p%d ready=%d" n p r
   | Peek (p, r) -> Printf.sprintf "peek p%d ready=%d" p r
   | Reset -> "reset"
 
@@ -154,22 +174,26 @@ let prop_port_schedule_no_overlap =
   QCheck.Test.make ~name:"port slots never collide" ~count:300
     (QCheck.make
        ~print:QCheck.Print.(list print_port_op)
-       QCheck.Gen.(list_size (int_range 1 80) port_op_gen))
+       QCheck.Gen.(list_size (int_range 1 60) port_op_gen))
     (fun ops ->
       let ps = Uarch.Port_schedule.create ~n_ports:2 in
       let used = Array.init 2 (fun _ -> Hashtbl.create 64) in
       let free p c = not (Hashtbl.mem used.(p) c) in
       let rec fits p s busy = busy = 0 || (free p s && fits p (s + 1) (busy - 1)) in
       let rec earliest p s busy = if fits p s busy then s else earliest p (s + 1) busy in
+      let claim port ready busy =
+        let want = earliest port (max 0 ready) busy in
+        let start = Uarch.Port_schedule.claim ps ~port ~ready ~busy in
+        for c = start to start + busy - 1 do
+          Hashtbl.replace used.(port) c ()
+        done;
+        start = want
+      in
       List.for_all
         (function
-          | Claim (port, ready, busy) ->
-            let want = earliest port (max 0 ready) busy in
-            let start = Uarch.Port_schedule.claim ps ~port ~ready ~busy in
-            for c = start to start + busy - 1 do
-              Hashtbl.replace used.(port) c ()
-            done;
-            start = want
+          | Claim (port, ready, busy) -> claim port ready busy
+          | Fill (port, ready, n) ->
+            List.for_all (fun _ -> claim port ready 1) (List.init n Fun.id)
           | Peek (port, ready) ->
             Uarch.Port_schedule.peek ps ~port ~ready = earliest port (max 0 ready) 1
           | Reset ->

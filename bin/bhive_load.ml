@@ -105,17 +105,19 @@ let count_refusal (t : tally) = function
    the initial connect retries with backoff — a mid-run reconnect
    fails immediately, so a killed server drains the remaining workload
    as fast losses instead of minutes of per-request retry sleeps.
-   [batch] >= 2 rides v2 predict_batch frames; each slot of a frame is
-   accounted exactly like a single request would be, with the frame's
-   round-trip latency attributed to every slot (that IS the latency a
-   batched caller observes per answer).
+   Each frame is a [(k, payload)] pair: a v1 predict ([batch] = 1,
+   k = 1) whose answer reads as a one-slot list, or a v2 predict_batch
+   of k blocks. Each slot of a frame is accounted exactly like a single
+   request would be, with the frame's round-trip latency attributed to
+   every slot (that IS the latency a batched caller observes per
+   answer).
 
-   [singles] / [groups] are request payloads pre-encoded once by the
-   caller and shared read-only by every thread: the generator pays the
-   JSON encoding per distinct frame, not per send, so on a box where
-   client and server share cores the measured throughput is the
-   server's, not the generator's. *)
-let replay ~socket ~repeat ~batch ~singles ~groups (t : tally) =
+   [frames] are request payloads pre-encoded once by the caller and
+   shared read-only by every thread: the generator pays the JSON
+   encoding per distinct frame, not per send, so on a box where client
+   and server share cores the measured throughput is the server's, not
+   the generator's. *)
+let replay ~socket ~repeat ~batch ~frames (t : tally) =
   let conn = ref None in
   let connect ?(retries = 0) () =
     match Serve.Client.connect ~retries ~retry_interval:0.1 socket with
@@ -127,36 +129,7 @@ let replay ~socket ~repeat ~batch ~singles ~groups (t : tally) =
       false
   in
   ignore (connect ~retries:20 ());
-  let record_frame k =
-    t.frames <- t.frames + 1;
-    Hashtbl.replace t.batch_hist k
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.batch_hist k))
-  in
-  let single payload =
-    match !conn with
-    | None ->
-      if connect () then ()
-      else (
-        t.sent <- t.sent + 1;
-        t.lost <- t.lost + 1)
-    | Some c -> (
-      t.sent <- t.sent + 1;
-      record_frame 1;
-      let t0 = Telemetry.Trace.now_ns () in
-      match Serve.Client.request_raw c payload with
-      | Ok (Serve.Wire.Result _) ->
-        let dt =
-          Int64.to_float (Int64.sub (Telemetry.Trace.now_ns ()) t0) /. 1e6
-        in
-        t.ok <- t.ok + 1;
-        t.lat_ms <- dt :: t.lat_ms
-      | Ok (Serve.Wire.Refused (kind, _)) -> count_refusal t kind
-      | Ok _ | Error _ ->
-        t.lost <- t.lost + 1;
-        Serve.Client.close c;
-        conn := None)
-  in
-  let batched (k, payload) =
+  let send (k, payload) =
     match !conn with
     | None ->
       if connect () then ()
@@ -165,10 +138,24 @@ let replay ~socket ~repeat ~batch ~singles ~groups (t : tally) =
         t.lost <- t.lost + k)
     | Some c -> (
       t.sent <- t.sent + k;
-      record_frame k;
+      t.frames <- t.frames + 1;
+      Hashtbl.replace t.batch_hist k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.batch_hist k));
       let t0 = Telemetry.Trace.now_ns () in
-      match Serve.Client.request_raw c payload with
-      | Ok (Serve.Wire.Results slots) when List.length slots = k ->
+      let slots =
+        match Serve.Client.request_raw c payload with
+        | Ok (Serve.Wire.Result _ as r) when batch = 1 -> Some [ r ]
+        | Ok (Serve.Wire.Results slots)
+          when batch > 1 && List.length slots = k ->
+          Some slots
+        | Ok (Serve.Wire.Refused _ as r) ->
+          (* a v1 refusal, or a whole-frame one (e.g. draining before
+             parse) *)
+          Some (List.init k (fun _ -> r))
+        | Ok _ | Error _ -> None
+      in
+      match slots with
+      | Some slots ->
         let dt =
           Int64.to_float (Int64.sub (Telemetry.Trace.now_ns ()) t0) /. 1e6
         in
@@ -180,18 +167,13 @@ let replay ~socket ~repeat ~batch ~singles ~groups (t : tally) =
             | Serve.Wire.Refused (kind, _) -> count_refusal t kind
             | _ -> t.lost <- t.lost + 1)
           slots
-      | Ok (Serve.Wire.Refused (kind, _)) ->
-        (* whole-frame refusal (e.g. draining before parse) *)
-        for _ = 1 to k do
-          count_refusal t kind
-        done
-      | Ok _ | Error _ ->
+      | None ->
         t.lost <- t.lost + k;
         Serve.Client.close c;
         conn := None)
   in
   for _ = 1 to repeat do
-    if batch > 1 then List.iter batched groups else List.iter single singles
+    List.iter send frames
   done;
   Option.iter Serve.Client.close !conn
 
@@ -317,23 +299,14 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
       exit 2));
   (* encode every frame once, up front; the threads replay shared
      read-only payload strings *)
-  let singles =
-    if batch > 1 then []
-    else
-      List.map
-        (fun b ->
-          Serve.Wire.request_to_string (predict_request ~uarch ~deadline_ms b))
-        blocks
-  in
-  let groups =
-    if batch > 1 then
-      List.map
-        (fun chunk ->
-          ( List.length chunk,
-            Serve.Wire.request_to_string
-              (batch_request ~uarch ~deadline_ms chunk) ))
-        (chunks batch blocks)
-    else []
+  let frames =
+    List.map
+      (fun chunk ->
+        ( List.length chunk,
+          Serve.Wire.request_to_string
+            (if batch > 1 then batch_request ~uarch ~deadline_ms chunk
+             else predict_request ~uarch ~deadline_ms (List.hd chunk)) ))
+      (chunks batch blocks)
   in
   let tallies = Array.init concurrency (fun _ -> fresh_tally ()) in
   let t0 = Telemetry.Trace.now_ns () in
@@ -341,7 +314,7 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     Array.mapi
       (fun i t ->
         Thread.create
-          (fun () -> replay ~socket ~repeat ~batch ~singles ~groups t)
+          (fun () -> replay ~socket ~repeat ~batch ~frames t)
           (ignore i))
       tallies
   in

@@ -4,9 +4,9 @@
    degrades under overload into typed refusals instead of hangs:
 
    - sharded dispatch: --shards dispatcher domains (default: one per
-     spare core; --jobs is an alias), each owning one engine, with
-     requests routed by job fingerprint so coalescing stays exact and
-     answers never depend on the pool size;
+     spare core), each owning one engine, with requests routed by job
+     fingerprint so coalescing stays exact and answers never depend on
+     the pool size;
    - admission control: bounded per-shard queues; a request that does
      not fit is refused with [overloaded] immediately;
    - coalescing: concurrent requests for the same job fingerprint
@@ -25,7 +25,7 @@
 
 open Cmdliner
 
-let run socket store jobs shards trace queue_capacity batch_max idle_timeout
+let run socket store shards trace queue_capacity batch_max idle_timeout
     write_timeout drain_grace =
   (match Engine.validate_env () with
   | Ok () -> ()
@@ -40,9 +40,9 @@ let run socket store jobs shards trace queue_capacity batch_max idle_timeout
     exit 2
   end;
   let nshards =
-    match (shards, jobs) with
-    | Some n, _ | None, Some n -> n
-    | None, None -> max 1 (Domain.recommended_domain_count () - 1)
+    match shards with
+    | Some n -> n
+    | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
   if nshards < 1 then begin
     prerr_endline "bhive_serve: --shards must be >= 1";
@@ -155,13 +155,12 @@ let cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Dispatcher pool size: N domains, each owning one engine. \
-             Defaults to $(b,--jobs) if given, else one per spare core.")
+             Defaults to one per spare core.")
   in
   let term =
     Term.(
-      const run $ socket $ Cli_common.store_arg $ Cli_common.jobs_arg $ shards
-      $ trace $ queue_capacity $ batch_max $ idle_timeout $ write_timeout
-      $ drain_grace)
+      const run $ socket $ Cli_common.store_arg $ shards $ trace
+      $ queue_capacity $ batch_max $ idle_timeout $ write_timeout $ drain_grace)
   in
   Cmd.v
     (Cmd.info "bhive_serve"

@@ -303,7 +303,6 @@ let shared = lazy (create ())
 let default () = Lazy.force shared
 let jobs t = t.n_jobs
 let faults t = t.faults
-let cache_size t = Hashtbl.length t.cache
 let store t = t.store
 
 (* Generation fingerprints, memoised by descriptor identity. *)
@@ -350,9 +349,7 @@ let store_key t fp gen =
 let peek t (j : job) : outcome option =
   let fp = fingerprint j in
   match Hashtbl.find_opt t.cache fp with
-  | Some r ->
-    t.cache_hits <- t.cache_hits + 1;
-    Some r
+  | Some _ as r -> r
   | None -> (
     match t.store with
     | None -> None
@@ -915,5 +912,3 @@ let summary_json t =
       ("workers", Json.List (List.map worker_json (worker_stats t)));
       ("sections", Json.List (List.map phase_json (phases t)));
     ]
-
-let phases_to_json t = Telemetry.Json.to_string (summary_json t)

@@ -229,7 +229,6 @@ val validate_env : unit -> (unit, string) result
 val jobs : t -> int
 val faults : t -> Faultsim.config
 val stats : t -> stats
-val cache_size : t -> int
 
 (** The engine's disk tier, if one is attached. *)
 val store : t -> Store.t option
@@ -249,9 +248,11 @@ val run_batch : t -> job list -> batch
     disk store — without executing anything. [Some outcome] is exactly
     what {!run_batch} would return for the job without a profiler
     call; [None] means resolving it requires execution. A store hit
-    fills the memo. Same threading contract as {!run_batch}: the
-    submitting thread only. This is the serve dispatcher's warm fast
-    path — a warm request is answered without occupying a batch slot. *)
+    fills the memo and counts in [store_hits]; a probe is not a
+    submission, so it leaves [submitted] and [cache_hits] alone. Same
+    threading contract as {!run_batch}: the submitting thread only.
+    This is the serve dispatcher's warm fast path — a warm request is
+    answered without occupying a batch slot. *)
 val peek : t -> job -> outcome option
 
 (** [profile t env uarch block] submits a single job — a memoising,
@@ -298,6 +299,3 @@ val worker_stats : t -> worker_stat list
     retry statistics, per-worker utilization, and per-phase sections —
     the object [bench/main.ml] extends into [bench_summary.json]. *)
 val summary_json : t -> Telemetry.Json.t
-
-(** [Telemetry.Json.to_string (summary_json t)]. *)
-val phases_to_json : t -> string

@@ -84,8 +84,6 @@ let is_clean t =
   t.l1d_read_misses = 0 && t.l1d_write_misses = 0 && t.l1i_misses = 0
   && t.context_switches = 0
 
-let total_port_cycles t = Array.fold_left ( + ) 0 t.port_cycles
-
 let pp_ports fmt t =
   Format.fprintf fmt "[";
   Array.iteri

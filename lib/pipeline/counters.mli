@@ -45,8 +45,4 @@ val diff : begin_:t -> end_:t -> t
     need no separate clause.) *)
 val is_clean : t -> bool
 
-(** Sum of {!field-port_cycles}. *)
-val total_port_cycles : t -> int
-
-val pp_ports : Format.formatter -> t -> unit
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,8 @@
      per-shard queues (or refuse: Overloaded / Shutting_down /
      Bad_request), block on their waiter until a dispatcher fulfils
      it, and write the response under a send timeout so a slow client
-     cannot wedge a dispatcher result;
+     cannot wedge a dispatcher result. Both predict ops take this one
+     path ([answer_predicts]): a v1 predict is a one-slot batch;
    - one dispatcher *domain* per shard owns that shard's engine
      (Engine.run_batch's memo cache is submitting-thread-only, and an
      engine created with [~jobs:1] executes its batch inline on the
@@ -229,8 +230,6 @@ let shard_index t fp =
     (Int64.rem (Int64.logand h Int64.max_int)
        (Int64.of_int (Array.length t.shards)))
 
-let shard_for t fp = t.shards.(shard_index t fp)
-
 let stats_json t =
   let queued = ref 0 and inflight = ref 0 in
   Array.iter
@@ -324,16 +323,6 @@ let cache_answer t fp reply =
           Hashtbl.reset t.answers;
         Hashtbl.replace t.answers fp (reply, Wire.response_to_string reply)
       end)
-
-(* Counter bump for requests answered straight from the handler's
-   answer cache: they never reach admission, but they are requests,
-   warm hits and completions all the same. *)
-let count_cache_hits t n =
-  if n > 0 then
-    with_lock t.cmutex (fun () ->
-        t.c.requests <- t.c.requests + n;
-        t.c.warm_hits <- t.c.warm_hits + n;
-        t.c.completed <- t.c.completed + n)
 
 let notify_waiters ws reply =
   List.iter
@@ -429,7 +418,12 @@ let dispatcher_cycle t sh =
             | `Run -> true))
         entries
     in
-    (* warm fast path: memo/store probe answers without a batch slot *)
+    (* warm fast path: memo/store probe answers without a batch slot.
+       [Engine.run_batch] answers a cycle's entries only once all of
+       them have resolved, while [peek] answers each warm entry as soon
+       as its store read returns; sending everything to [run_batch]
+       served fewer req/s on a warm store with a cold answer cache
+       (DESIGN.md §10). *)
     let cold =
       List.filter
         (fun e ->
@@ -518,46 +512,6 @@ let wait_reply w =
       done;
       Option.get w.w_reply)
 
-let submit_and_wait t ~fp (job : Engine.job) deadline_ms =
-  let sh = shard_for t fp in
-  match with_lock sh.s_mutex (fun () -> admit t sh ~fp job deadline_ms) with
-  | `Refuse r -> (r, false)
-  | `Wait w -> (wait_reply w, true)
-
-(* Admit many (fingerprint, job) pairs, taking each shard's lock only
-   once however many of the batch land on it. Returns one slot per
-   job, in order; [waited] is how many were admitted (their busy ticks
-   to release after the response is written). *)
-let submit_jobs t (jobs : (string * Engine.job) list) deadline_ms =
-  let items =
-    List.mapi (fun i (fp, job) -> (i, fp, job, shard_index t fp)) jobs
-  in
-  let out = Array.make (List.length jobs) None in
-  Array.iteri
-    (fun si sh ->
-      match List.filter (fun (_, _, _, s) -> s = si) items with
-      | [] -> ()
-      | mine ->
-        with_lock sh.s_mutex (fun () ->
-            List.iter
-              (fun (i, fp, job, _) ->
-                out.(i) <- Some (admit t sh ~fp job deadline_ms))
-              mine))
-    t.shards;
-  let waited = ref 0 in
-  let slots =
-    Array.to_list
-      (Array.map
-         (function
-           | Some (`Refuse r) -> r
-           | Some (`Wait w) ->
-             incr waited;
-             wait_reply w
-           | None -> assert false)
-         out)
-  in
-  (slots, !waited)
-
 let send_raw t fd payload =
   match Wire.write_frame fd payload with
   | () -> true
@@ -571,6 +525,68 @@ let send_response t fd response =
 
 let release_busy t n =
   if n > 0 then with_lock t.cmutex (fun () -> t.busy <- t.busy - n)
+
+(* The one request path behind both predict ops; a v1 predict is a
+   one-slot batch. Each slot is resolved and answered independently: a
+   malformed block answers Bad_request in place, a repeat of an
+   answered block answers from the answer cache (skipped while
+   draining, so a drain refuses uniformly), and the rest are admitted,
+   taking each shard's lock once however many slots land on it. [send]
+   gets the replies in slot order, each with its pre-rendered v1 frame
+   when it came from the cache, and returns whether it wrote them. *)
+let answer_predicts t preds deadline_ms send =
+  let draining = Atomic.get t.draining in
+  let slots =
+    Array.of_list
+      (List.map
+         (fun p ->
+           match resolve t p with
+           | Error msg ->
+             bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
+             `Refuse (Wire.Refused (Wire.Bad_request, msg))
+           | Ok (job, fp) -> (
+             match if draining then None else cached_answer t fp with
+             | Some hit -> `Hit hit
+             | None -> `Admit (shard_index t fp, fp, job)))
+         preds)
+  in
+  let count f = Array.fold_left (fun n s -> if f s then n + 1 else n) 0 slots in
+  (* cache hits never reach admission, but they are requests, warm
+     hits and completions all the same *)
+  let hits = count (function `Hit _ -> true | _ -> false) in
+  if hits > 0 then
+    bump t (fun c ->
+        c.requests <- c.requests + hits;
+        c.warm_hits <- c.warm_hits + hits;
+        c.completed <- c.completed + hits);
+  Array.iteri
+    (fun si sh ->
+      if Array.exists (function `Admit (s, _, _) -> s = si | _ -> false) slots
+      then
+        with_lock sh.s_mutex (fun () ->
+            Array.iteri
+              (fun i -> function
+                | `Admit (s, fp, job) when s = si ->
+                  slots.(i) <- admit t sh ~fp job deadline_ms
+                | _ -> ())
+              slots))
+    t.shards;
+  (* the busy ticks must be released on EVERY exit path out of the
+     waits and the send below, or a drain would wait out its full
+     grace on ticks nobody will return *)
+  Fun.protect
+    ~finally:(fun () ->
+      release_busy t (count (function `Wait _ -> true | _ -> false)))
+    (fun () ->
+      send
+        (Array.to_list
+           (Array.map
+              (function
+                | `Refuse r -> (r, None)
+                | `Hit (r, raw) -> (r, Some raw)
+                | `Wait w -> (wait_reply w, None)
+                | `Admit _ -> assert false)
+              slots)))
 
 let handle_connection t fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
@@ -598,88 +614,23 @@ let handle_connection t fd =
          | Ok Wire.Stats ->
            if not (send_response t fd (Wire.Stats_reply (stats_json t))) then
              finished := true
-         | Ok (Wire.Predict p) -> (
-           match resolve t p with
-           | Error msg ->
-             bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
-             if not (send_response t fd (Wire.Refused (Wire.Bad_request, msg)))
-             then finished := true
-           | Ok (job, fp) -> (
-             (* handler fast path: a repeat of an already-answered
-                block is written straight from the answer cache —
-                no admission, no dispatcher round trip. Skipped while
-                draining so a drain refuses uniformly. *)
-             match
-               if Atomic.get t.draining then None else cached_answer t fp
-             with
-             | Some (_, raw) ->
-               count_cache_hits t 1;
-               if not (send_raw t fd raw) then finished := true
-             | None ->
-               let reply, waited = submit_and_wait t ~fp job p.deadline_ms in
-               (* the busy tick must be released on EVERY exit path —
-                  an exception here would otherwise wedge
-                  [await_quiescent] for the full drain grace *)
-               let ok =
-                 Fun.protect
-                   ~finally:(fun () -> if waited then release_busy t 1)
-                   (fun () -> send_response t fd reply)
-               in
-               if not ok then finished := true))
+         | Ok (Wire.Predict p) ->
+           (* rendered as its one slot; a cache hit is written as its
+              pre-rendered frame *)
+           let send = function
+             | [ (_, Some raw) ] -> send_raw t fd raw
+             | [ (reply, None) ] -> send_response t fd reply
+             | _ -> assert false
+           in
+           if not (answer_predicts t [ p ] p.deadline_ms send) then
+             finished := true
          | Ok (Wire.Predict_batch pb) ->
-           (* each block is resolved and admitted independently: a
-              malformed slot answers Bad_request in place, a cached
-              slot answers from the handler, and only the rest of the
-              batch is admitted *)
-           let draining = Atomic.get t.draining in
-           let slots0 =
-             List.map
-               (fun bb ->
-                 match resolve t (Wire.predict_of_batch_block pb bb) with
-                 | Error msg ->
-                   bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
-                   `Bad msg
-                 | Ok (job, fp) -> (
-                   match if draining then None else cached_answer t fp with
-                   | Some (reply, _) -> `Hit reply
-                   | None -> `Submit (fp, job)))
-               pb.pb_blocks
+           let preds = List.map (Wire.predict_of_batch_block pb) pb.pb_blocks in
+           let send slots =
+             send_response t fd (Wire.Results (List.map fst slots))
            in
-           count_cache_hits t
-             (List.length
-                (List.filter (function `Hit _ -> true | _ -> false) slots0));
-           let jobs =
-             List.filter_map
-               (function `Submit fj -> Some fj | _ -> None)
-               slots0
-           in
-           let replies, waited = submit_jobs t jobs pb.pb_deadline_ms in
-           (* the busy ticks must be released on EVERY exit path out
-              of the re-interleave + send below (including a zip
-              assertion or an allocation failure), or a drain would
-              wait out its full grace on ticks nobody will return *)
-           let ok =
-             Fun.protect
-               ~finally:(fun () -> release_busy t waited)
-               (fun () ->
-                 (* re-interleave engine answers with the per-slot
-                    parse errors and cache hits *)
-                 let slots =
-                   let rec zip slots0 replies =
-                     match (slots0, replies) with
-                     | [], _ -> []
-                     | `Bad msg :: rest, replies ->
-                       Wire.Refused (Wire.Bad_request, msg) :: zip rest replies
-                     | `Hit reply :: rest, replies -> reply :: zip rest replies
-                     | `Submit _ :: rest, reply :: replies ->
-                       reply :: zip rest replies
-                     | `Submit _ :: _, [] -> assert false
-                   in
-                   zip slots0 replies
-                 in
-                 send_response t fd (Wire.Results slots))
-           in
-           if not ok then finished := true)
+           if not (answer_predicts t preds pb.pb_deadline_ms send) then
+             finished := true)
      done
    with _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ())

@@ -67,6 +67,27 @@ let test_memo_cache_hits () =
   Alcotest.(check bool) "memoised result identical" true
     (first.outcomes.(0) = again.outcomes.(0))
 
+(* A peek is a probe, not a submission: a memo hit leaves [submitted]
+   and [cache_hits] alone, so [cache_hits = submitted - executed] holds
+   however often a dispatcher peeks. *)
+let test_peek_keeps_accounting () =
+  let engine = Engine.create ~jobs:1 ~faults:Faultsim.none () in
+  let job =
+    {
+      Engine.env = Harness.Environment.default;
+      uarch = Uarch.All.haswell;
+      block = Corpus.Paper_blocks.gzip_crc;
+    }
+  in
+  let batch = Engine.run_batch engine [ job ] in
+  Alcotest.(check bool) "peek answers the memoised outcome" true
+    (Engine.peek engine job = Some batch.outcomes.(0));
+  let s = Engine.stats engine in
+  Alcotest.(check (list int)) "submitted, executed, cache_hits" [ 1; 1; 0 ]
+    [ s.submitted; s.executed; s.cache_hits ];
+  Alcotest.(check int) "cache_hits = submitted - executed"
+    (s.submitted - s.executed) s.cache_hits
+
 let test_batch_dedup () =
   let engine = Engine.create ~jobs:2 ~faults:Faultsim.none () in
   let job block =
@@ -137,7 +158,7 @@ let test_phase_metrics () =
     Alcotest.(check int) "first executes" 1 p1.phase_executed;
     Alcotest.(check int) "second hits cache" 1 p2.phase_cache_hits;
     Alcotest.(check int) "second executes nothing" 0 p2.phase_executed;
-    let json = Engine.phases_to_json engine in
+    let json = Telemetry.Json.to_string (Engine.summary_json engine) in
     let contains needle =
       let n = String.length needle and h = String.length json in
       let rec at i = i + n <= h && (String.sub json i n = needle || at (i + 1)) in
@@ -367,6 +388,8 @@ let suite =
     Alcotest.test_case "worker-count independence (1/2/4)" `Quick
       test_worker_count_independent;
     Alcotest.test_case "memo cache hits" `Quick test_memo_cache_hits;
+    Alcotest.test_case "peek keeps the accounting identity" `Quick
+      test_peek_keeps_accounting;
     Alcotest.test_case "in-batch dedup" `Quick test_batch_dedup;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
     Alcotest.test_case "progress hook" `Quick test_progress_hook;

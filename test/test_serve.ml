@@ -215,9 +215,10 @@ let set_gate g open_ =
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_mutex
 
-let with_server ?(configure = Server.default_config) ?(shards = 1) ?gate f =
+let with_server ?(configure = Server.default_config) ?(shards = 1) ?gate ?store
+    f =
   let socket = temp_socket () in
-  let engines = Array.init shards (fun _ -> Engine.create ~jobs:1 ()) in
+  let engines = Array.init shards (fun _ -> Engine.create ~jobs:1 ?store ()) in
   let config = configure socket in
   let server =
     match gate with
@@ -257,6 +258,12 @@ let request_exn what client req =
   match Client.request client req with
   | Ok r -> r
   | Error msg -> Alcotest.fail (what ^ ": " ^ msg)
+
+(* The stats op's counters, read by JSON path. *)
+let stats_counters c =
+  match request_exn "stats" c Wire.Stats with
+  | Wire.Stats_reply s -> fun path -> Option.bind (Json.path path s) Json.number
+  | _ -> Alcotest.fail "stats refused"
 
 let asm_a = "add %rbx, %r10\ncmp %r11, %rax"
 let asm_b = "sub %rcx, %rdx\nmov %rdx, %r9"
@@ -472,41 +479,104 @@ let test_serve_coalesced_deadline_loosens () =
 let test_serve_batch_identity () =
   (* one v2 batch frame must produce exactly the slot bodies the v1
      path produces for the same blocks, in request order *)
+  let asms = [ asm_a; asm_b; asm_c ] in
+  let results what = function
+    | Wire.Results slots ->
+      List.map
+        (function
+          | Wire.Result r -> Json.to_string ~compact:true r
+          | _ -> Alcotest.fail (what ^ ": batch slot refused"))
+        slots
+    | _ -> Alcotest.fail (what ^ ": batch request refused")
+  in
+  let singles =
+    with_server ~shards:2 (fun _server socket ->
+        match Client.connect ~retries:20 socket with
+        | Error msg -> Alcotest.fail msg
+        | Ok c ->
+          let singles =
+            List.map
+              (fun asm ->
+                match request_exn "v1 predict" c (predict asm) with
+                | Wire.Result r -> Json.to_string ~compact:true r
+                | _ -> Alcotest.fail "v1 predict refused")
+              asms
+          in
+          Alcotest.(check (list string)) "batch slots match v1 answers"
+            singles
+            (results "cached" (request_exn "v2 batch" c (batch asms)));
+          (* a bad slot is refused in place without poisoning its
+             neighbours *)
+          (match
+             request_exn "mixed batch" c (batch [ asm_a; "not asm!"; asm_b ])
+           with
+          | Wire.Results
+              [ Wire.Result _; Wire.Refused (Wire.Bad_request, _); Wire.Result _ ]
+            -> ()
+          | _ -> Alcotest.fail "mixed batch not refused slot-wise");
+          Client.close c;
+          singles)
+  in
+  (* the slots above replay the answer cache the v1 requests filled; a
+     fresh server computes them *)
   with_server ~shards:2 (fun _server socket ->
       match Client.connect ~retries:20 socket with
       | Error msg -> Alcotest.fail msg
       | Ok c ->
-        let asms = [ asm_a; asm_b; asm_c ] in
-        let singles =
-          List.map
-            (fun asm ->
-              match request_exn "v1 predict" c (predict asm) with
-              | Wire.Result r -> Json.to_string ~compact:true r
-              | _ -> Alcotest.fail "v1 predict refused")
-            asms
-        in
-        (match request_exn "v2 batch" c (batch asms) with
-        | Wire.Results slots ->
-          let batched =
-            List.map
-              (function
-                | Wire.Result r -> Json.to_string ~compact:true r
-                | _ -> Alcotest.fail "batch slot refused")
-              slots
-          in
-          Alcotest.(check (list string)) "batch slots match v1 answers"
-            singles batched
-        | _ -> Alcotest.fail "batch request refused");
-        (* a bad slot is refused in place without poisoning its
-           neighbours *)
-        (match
-           request_exn "mixed batch" c (batch [ asm_a; "not asm!"; asm_b ])
-         with
-        | Wire.Results
-            [ Wire.Result _; Wire.Refused (Wire.Bad_request, _); Wire.Result _ ]
-          -> ()
-        | _ -> Alcotest.fail "mixed batch not refused slot-wise");
+        Alcotest.(check (list string)) "computed batch slots match v1 answers"
+          singles
+          (results "computed" (request_exn "v2 batch" c (batch asms)));
+        let stat = stats_counters c in
+        Alcotest.(check (option (float 0.0))) "every slot executed"
+          (Some 3.0) (stat [ "serving"; "executed" ]);
+        Alcotest.(check (option (float 0.0))) "no warm hits" (Some 0.0)
+          (stat [ "serving"; "warm_hits" ]);
         Client.close c)
+
+(* The dispatcher's warm path: a daemon over a store that a separate
+   engine filled answers through [Engine.peek], with no execution and
+   no profiler call, in the bytes that engine rendered. *)
+let test_serve_warm_store () =
+  Test_store.with_store_dir "bhive_serve_warm" (fun dir ->
+      let job =
+        {
+          Engine.env =
+            Manifest.Spec.environment_of_filters Manifest.Spec.default_filters;
+          uarch = Uarch.All.haswell;
+          block = Result.get_ok (X86.Parser.block asm_a);
+        }
+      in
+      let warm = Engine.create ~jobs:1 ~faults:Faultsim.none ~store_path:dir () in
+      let local =
+        Json.to_string ~compact:true
+          (Wire.outcome_json (Engine.run_batch warm [ job ]).Engine.outcomes.(0))
+      in
+      Option.iter Store.close (Engine.store warm);
+      let store = Store.open_ dir in
+      Fun.protect
+        ~finally:(fun () -> Store.close store)
+        (fun () ->
+          with_server ~store (fun _server socket ->
+              match Client.connect ~retries:20 socket with
+              | Error msg -> Alcotest.fail msg
+              | Ok c ->
+                (match request_exn "predict" c (predict asm_a) with
+                | Wire.Result r ->
+                  Alcotest.(check string) "store answer byte-identical" local
+                    (Json.to_string ~compact:true r)
+                | _ -> Alcotest.fail "predict refused");
+                let stat = stats_counters c in
+                List.iter
+                  (fun (path, v) ->
+                    Alcotest.(check (option (float 0.0)))
+                      (String.concat "." path) (Some v) (stat path))
+                  [
+                    ([ "serving"; "warm_hits" ], 1.0);
+                    ([ "serving"; "executed" ], 0.0);
+                    ([ "engine"; "profiler_calls" ], 0.0);
+                    ([ "engine"; "store_hits" ], 1.0);
+                  ];
+                Client.close c)))
 
 let test_serve_shard_determinism () =
   (* the determinism matrix: answers must not depend on the pool size *)
@@ -598,6 +668,8 @@ let suite =
     Alcotest.test_case "serve: coalesced deadline loosens" `Quick
       test_serve_coalesced_deadline_loosens;
     Alcotest.test_case "serve: batch identity" `Quick test_serve_batch_identity;
+    Alcotest.test_case "serve: warm store answers through peek" `Quick
+      test_serve_warm_store;
     Alcotest.test_case "serve: shard determinism" `Quick
       test_serve_shard_determinism;
     Alcotest.test_case "serve: shed inflight hygiene" `Quick

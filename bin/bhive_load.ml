@@ -309,6 +309,10 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
       (chunks batch blocks)
   in
   let tallies = Array.init concurrency (fun _ -> fresh_tally ()) in
+  (* a daemon that dies mid-request must show as lost requests, not
+     end the generator: with SIGPIPE ignored, a write to its closed
+     socket fails with EPIPE, which [replay] counts as a loss *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t0 = Telemetry.Trace.now_ns () in
   let threads =
     Array.mapi
@@ -411,11 +415,6 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     let rps =
       if wall_seconds > 0.0 then float_of_int total.ok /. wall_seconds else 0.0
     in
-    let store_counter name =
-      Option.bind server_stats (fun s -> Json.path [ "store"; name ] s)
-      |> Fun.flip Option.bind Json.number
-      |> Option.value ~default:0.0
-    in
     let histogram =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) total.batch_hist []
       |> List.sort compare
@@ -454,12 +453,6 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
                  n "size" batch;
                  n "frames" total.frames;
                  ("histogram", Json.Object histogram);
-               ] );
-           ( "index_opens",
-             Json.Object
-               [
-                 f "persisted" (store_counter "index_persisted");
-                 f "scanned" (store_counter "index_scanned");
                ] );
            n "verified" verified;
            n "mismatches" mismatches;

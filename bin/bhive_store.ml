@@ -41,18 +41,14 @@ let run_stats dir =
   Printf.printf "stale segments: %d (incompatible writer)\n"
     s.Store.s_stale_segments;
   Printf.printf "bytes:          %d\n" s.Store.s_bytes;
-  Printf.printf "index opens:    %d persisted, %d scanned\n"
-    s.Store.s_index_persisted s.Store.s_index_scanned;
   Printf.printf "open time:      %.6f s\n" s.Store.s_open_seconds;
   List.iter
     (fun ss ->
       if ss.Store.ss_records > 0 || ss.Store.ss_live > 0 then
         Printf.printf
-          "  shard %02d: %d live / %d records, %d bytes, %s open (%.6f s)\n"
+          "  shard %02d: %d live / %d records, %d bytes, open %.6f s\n"
           ss.Store.ss_shard ss.Store.ss_live ss.Store.ss_records
-          ss.Store.ss_bytes
-          (if ss.Store.ss_persisted then "persisted-index" else "scan")
-          ss.Store.ss_open_seconds)
+          ss.Store.ss_bytes ss.Store.ss_open_seconds)
     s.Store.s_per_shard;
   let gens = Store.gen_stats st in
   Printf.printf "generations:    %d\n" (List.length gens);
@@ -72,15 +68,9 @@ let run_verify dir =
   Printf.printf "corrupt:        %d\n" v.Store.v_corrupt;
   Printf.printf "torn at open:   %d\n" v.Store.v_torn;
   Printf.printf "stale segments: %d\n" v.Store.v_stale_segments;
-  Printf.printf "index entries:  %d checked, %d mismatched, %d missing\n"
-    v.Store.v_index_entries v.Store.v_index_mismatched v.Store.v_index_missing;
   Store.close st;
   if v.Store.v_corrupt > 0 then begin
     prerr_endline "bhive_store: verify FAILED (checksum errors)";
-    exit 1
-  end
-  else if v.Store.v_index_mismatched > 0 then begin
-    prerr_endline "bhive_store: verify FAILED (sidecar index disagrees)";
     exit 1
   end
   else print_endline "verify OK"
@@ -180,9 +170,8 @@ let cmd =
     Cmd.v
       (Cmd.info "verify"
          ~doc:
-           "Re-scan every segment, re-check every record checksum and \
-            validate the sidecar indexes; exit 1 on corruption or a \
-            disagreeing index entry.")
+           "Re-scan every segment and re-check every record checksum; \
+            exit 1 on corruption.")
       Term.(const run_verify $ dir_pos)
   in
   let gc =

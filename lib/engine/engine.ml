@@ -341,6 +341,24 @@ let generation_for t fp (j : job) =
 let store_key t fp gen =
   match t.block_gen with None -> fp | Some _ -> fp ^ "@" ^ gen
 
+(* The disk tier's record of job [j] (fingerprint [fp]), decoded:
+   [None] without a store. The payload is decoded here and nowhere
+   else; a checksummed but undecodable payload (which the format tag,
+   pinning the Marshal dialect and the payload version, should rule
+   out) reads as a miss, so the job is re-profiled and overwritten. *)
+let store_read t fp (j : job) =
+  Option.map
+    (fun st ->
+      let gen = generation_for t fp j in
+      match Store.get st ~key:(store_key t fp gen) ~gen with
+      | Store.Hit payload -> (
+        match (Marshal.from_string payload 0 : outcome) with
+        | r -> `Hit r
+        | exception _ -> `Miss)
+      | Store.Stale -> `Stale
+      | Store.Miss -> `Miss)
+    t.store
+
 (* Cache probe without execution: memo tier, then the disk store. A
    store hit fills the memo so later probes and batches resolve in
    memory. Same threading contract as [run_batch] — submitting thread
@@ -351,22 +369,13 @@ let peek t (j : job) : outcome option =
   match Hashtbl.find_opt t.cache fp with
   | Some _ as r -> r
   | None -> (
-    match t.store with
-    | None -> None
-    | Some st -> (
-      let gen = generation_for t fp j in
-      match Store.get st ~key:(store_key t fp gen) ~gen with
-      | Store.Hit payload -> (
-        match
-          try Some (Marshal.from_string payload 0 : outcome) with _ -> None
-        with
-        | Some r ->
-          t.store_hit_count <- t.store_hit_count + 1;
-          Telemetry.Metrics.incr m_store_hits;
-          Hashtbl.replace t.cache fp r;
-          Some r
-        | None -> None)
-      | Store.Stale | Store.Miss -> None))
+    match store_read t fp j with
+    | Some (`Hit r) ->
+      t.store_hit_count <- t.store_hit_count + 1;
+      Telemetry.Metrics.incr m_store_hits;
+      Hashtbl.replace t.cache fp r;
+      Some r
+    | Some (`Stale | `Miss) | None -> None)
 
 let stats t =
   let memo = Harness.Mapping_memo.stats t.memo in
@@ -461,48 +470,32 @@ let run_batch t (submission : job list) : batch =
        same job, written under a different generation of the uarch
        tables or profiler — is the invalidation path. *)
     let store_lookup i fp (j : job) : outcome option =
-      match t.store with
+      match store_read t fp j with
       | None -> None
-      | Some st -> (
-        let gen = generation_for t fp j in
-        match Store.get st ~key:(store_key t fp gen) ~gen with
-        | Store.Hit payload -> (
-          match
-            try Some (Marshal.from_string payload 0 : outcome)
-            with _ -> None
-          with
-          | Some r ->
-            incr b_store_hits;
-            Telemetry.Metrics.incr m_store_hits;
-            if traced then
-              Telemetry.Trace.instant "engine.store_hit" ~attrs:(fun () ->
-                  [
-                    ("slot", Telemetry.Trace.Int i);
-                    ("fingerprint", Telemetry.Trace.Str fp);
-                  ]);
-            Some r
-          | None ->
-            (* checksummed but undecodable (should not happen: the
-               format tag pins the Marshal dialect) — re-profile and
-               overwrite *)
-            incr b_store_misses;
-            Telemetry.Metrics.incr m_store_misses;
-            None)
-        | Store.Stale ->
-          incr b_store_invalidated;
-          Telemetry.Metrics.incr m_store_invalidated;
-          if traced then
-            Telemetry.Trace.instant "engine.store_invalidated"
-              ~attrs:(fun () ->
-                [
-                  ("slot", Telemetry.Trace.Int i);
-                  ("fingerprint", Telemetry.Trace.Str fp);
-                ]);
-          None
-        | Store.Miss ->
-          incr b_store_misses;
-          Telemetry.Metrics.incr m_store_misses;
-          None)
+      | Some (`Hit r) ->
+        incr b_store_hits;
+        Telemetry.Metrics.incr m_store_hits;
+        if traced then
+          Telemetry.Trace.instant "engine.store_hit" ~attrs:(fun () ->
+              [
+                ("slot", Telemetry.Trace.Int i);
+                ("fingerprint", Telemetry.Trace.Str fp);
+              ]);
+        Some r
+      | Some `Stale ->
+        incr b_store_invalidated;
+        Telemetry.Metrics.incr m_store_invalidated;
+        if traced then
+          Telemetry.Trace.instant "engine.store_invalidated" ~attrs:(fun () ->
+              [
+                ("slot", Telemetry.Trace.Int i);
+                ("fingerprint", Telemetry.Trace.Str fp);
+              ]);
+        None
+      | Some `Miss ->
+        incr b_store_misses;
+        Telemetry.Metrics.incr m_store_misses;
+        None
     in
     Array.iteri
       (fun i j ->

@@ -61,18 +61,12 @@ let m_rejected_unstable =
 
 let h_profile_seconds = Telemetry.Metrics.histogram "profiler.seconds"
 
-type timing = {
-  cycles : int;
-  counters : Pipeline.Counters.t;
-  clean : bool;
-}
-
 (* Result of measuring one unrolled instance. *)
 type point = {
   unroll : int;
   accepted_cycles : int option;  (** agreed-upon clean cycle count *)
   best_cycles : int;  (** minimum observed, reported even when unclean *)
-  timings : timing list;
+  clean_timings : int;  (** of the [env.timings] taken *)
   faults : int;
   distinct_frames : int;
   counters : Pipeline.Counters.t;  (** from the first timed run *)
@@ -87,25 +81,22 @@ type profile = {
   factors : Unroll.factors;
 }
 
-(* OS / measurement noise model: a context switch pollutes the counters
+(* OS / measurement noise model: a context switch dirties the timing
    and adds many cycles; small timer jitter perturbs the cycle count
-   without dirtying the counters. Both are what the 16-timings /
-   8-identical-clean rule exists to filter. *)
-let apply_noise (env : Environment.t) rng ~cycles
-    (counters : Pipeline.Counters.t) =
-  let counters = Pipeline.Counters.copy counters in
-  let cycles =
-    if Bstats.Rng.bernoulli rng env.context_switch_rate then begin
-      counters.context_switches <- counters.context_switches + 1;
-      cycles + 3000 + Bstats.Rng.int rng 4000
-    end
-    else cycles
+   without dirtying it. Both are what the 16-timings /
+   8-identical-clean rule exists to filter. Given the noise-free run's
+   cycles and cleanliness, returns one noisy timing's. *)
+let apply_noise (env : Environment.t) rng ~cycles ~clean =
+  let cycles, clean =
+    if Bstats.Rng.bernoulli rng env.context_switch_rate then
+      (cycles + 3000 + Bstats.Rng.int rng 4000, false)
+    else (cycles, clean)
   in
   let cycles =
     if Bstats.Rng.bernoulli rng 0.05 then cycles + 1 + Bstats.Rng.int rng 3
     else cycles
   in
-  (cycles, counters)
+  (cycles, clean)
 
 (* The measure point's mapping, from the memo when one is given, wrapped
    in a "profiler.mapping" span. The monitor's mapping attempts are its
@@ -164,21 +155,21 @@ let measure_point_untraced ?memo (env : Environment.t)
        own independently sampled OS noise, exactly what the repeat-and-
        filter protocol exists to reject. *)
     let base = Pipeline.Machine.simulate machine trace in
+    let base_clean = Pipeline.Counters.is_clean base.counters in
     let timings =
       List.init env.timings (fun _ ->
-          let cycles, counters =
-            apply_noise env rng ~cycles:base.cycles base.counters
-          in
-          { cycles; counters; clean = Pipeline.Counters.is_clean counters })
+          apply_noise env rng ~cycles:base.cycles ~clean:base_clean)
     in
     (* Most frequent cycle count among clean timings. *)
-    let clean = List.filter (fun t -> t.clean) timings in
+    let clean =
+      List.filter_map (fun (c, ok) -> if ok then Some c else None) timings
+    in
     let accepted_cycles =
       let tbl = Hashtbl.create 8 in
       List.iter
-        (fun t ->
-          Hashtbl.replace tbl t.cycles
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl t.cycles)))
+        (fun c ->
+          Hashtbl.replace tbl c
+            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl c)))
         clean;
       Hashtbl.fold
         (fun cyc count best ->
@@ -190,14 +181,14 @@ let measure_point_untraced ?memo (env : Environment.t)
       |> Option.map fst
     in
     let best_cycles =
-      List.fold_left (fun acc t -> min acc t.cycles) max_int timings
+      List.fold_left (fun acc (c, _) -> min acc c) max_int timings
     in
     Ok
       {
         unroll;
         accepted_cycles;
         best_cycles;
-        timings;
+        clean_timings = List.length clean;
         faults = mapped.faults;
         distinct_frames = mapped.distinct_frames;
         counters = base.counters;
@@ -267,7 +258,7 @@ let profile_untraced ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.
       let reject =
         if misaligned then Some Misaligned_access
         else if not all_clean_present then
-          if List.exists (fun t -> t.clean) large.timings then Some Unstable
+          if large.clean_timings > 0 then Some Unstable
           else Some Never_clean
         else None
       in

@@ -26,19 +26,14 @@ type failure =
     back to its quarantine-manifest / trace entry. *)
 val failure_to_string : ?fingerprint:string -> failure -> string
 
-(** One timed execution of the unrolled block, with its counters. *)
-type timing = {
-  cycles : int;
-  counters : Pipeline.Counters.t;
-  clean : bool;  (** no cache misses of any kind, no context switches *)
-}
-
 (** Result of measuring one unrolled instance of the block. *)
 type point = {
   unroll : int;
   accepted_cycles : int option;  (** agreed-upon clean cycle count *)
   best_cycles : int;  (** minimum observed, reported even when unclean *)
-  timings : timing list;
+  clean_timings : int;
+      (** how many of the [env.timings] timed runs were clean: no cache
+          misses of any kind, no context switch *)
   faults : int;  (** pages the monitor mapped *)
   distinct_frames : int;  (** 1 under single-physical-page mapping *)
   counters : Pipeline.Counters.t;  (** from the first timed run *)

@@ -49,35 +49,6 @@ let create () =
     port_contention_cycles = 0;
   }
 
-let copy t = { t with port_cycles = Array.copy t.port_cycles }
-
-let diff_ports ~begin_ ~end_ =
-  let n = max (Array.length begin_) (Array.length end_) in
-  let get a i = if i < Array.length a then a.(i) else 0 in
-  Array.init n (fun i -> get end_ i - get begin_ i)
-
-(* Counter delta, as computed from the begin/end reads in the paper's
-   measure() routine. *)
-let diff ~begin_ ~end_ =
-  {
-    core_cycles = end_.core_cycles - begin_.core_cycles;
-    instructions = end_.instructions - begin_.instructions;
-    uops = end_.uops - begin_.uops;
-    l1d_read_misses = end_.l1d_read_misses - begin_.l1d_read_misses;
-    l1d_write_misses = end_.l1d_write_misses - begin_.l1d_write_misses;
-    l1i_misses = end_.l1i_misses - begin_.l1i_misses;
-    l2_misses = end_.l2_misses - begin_.l2_misses;
-    misaligned_mem_refs = end_.misaligned_mem_refs - begin_.misaligned_mem_refs;
-    context_switches = end_.context_switches - begin_.context_switches;
-    subnormal_assists = end_.subnormal_assists - begin_.subnormal_assists;
-    port_cycles = diff_ports ~begin_:begin_.port_cycles ~end_:end_.port_cycles;
-    frontend_stall_cycles =
-      end_.frontend_stall_cycles - begin_.frontend_stall_cycles;
-    rob_stall_cycles = end_.rob_stall_cycles - begin_.rob_stall_cycles;
-    port_contention_cycles =
-      end_.port_contention_cycles - begin_.port_contention_cycles;
-  }
-
 (* A "clean" measurement in the BHive sense: no cache misses of any kind
    and no context switches. *)
 let is_clean t =

@@ -32,14 +32,6 @@ type t = {
 
 val create : unit -> t
 
-(** Deep copy (the port array is duplicated). *)
-val copy : t -> t
-
-(** Counter delta, as computed from the begin/end reads in the paper's
-    measure() routine. Port arrays of different lengths are
-    zero-padded. *)
-val diff : begin_:t -> end_:t -> t
-
 (** A "clean" measurement in the BHive sense: no cache misses of any
     kind and no context switches. (L2 misses imply L1 misses, so they
     need no separate clause.) *)

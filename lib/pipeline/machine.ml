@@ -1,9 +1,9 @@
 (** A simulated machine: one microarchitecture core plus its L1D, L1I
-    and unified L2 caches. Cache contents persist across [run] calls
+    and unified L2 caches. Cache contents persist across simulations
     until [reset], mirroring warm-up behaviour on real hardware. The
     machine also owns the simulator's scratch state ({!Core.Scratch}),
-    so repeated [run] calls perform no per-simulation machine-state
-    allocation. *)
+    so repeated [simulate] calls perform no per-simulation
+    machine-state allocation. *)
 
 type t = {
   descriptor : Uarch.Descriptor.t;
@@ -97,8 +97,6 @@ let simulate ?record_schedule t (trace : Trace.t) : Core.result =
 let warm t (trace : Trace.t) =
   timed (fun () -> Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace);
   Telemetry.Metrics.incr m_blocks
-
-let run ?record_schedule t steps = simulate ?record_schedule t (trace t steps)
 
 (* Per-domain machine cache, keyed by descriptor physical identity. The
    shipped descriptors are module-level constants, so this holds at most

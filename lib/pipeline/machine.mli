@@ -1,8 +1,8 @@
 (** A simulated machine: one microarchitecture core plus its L1D, L1I
-    and unified L2 caches. Cache contents persist across [run] calls
+    and unified L2 caches. Cache contents persist across simulations
     until [reset], mirroring warm-up behaviour on real hardware. The
     machine also owns the simulator's reusable scratch state, so
-    repeated [run] calls perform no per-simulation machine-state
+    repeated [simulate] calls perform no per-simulation machine-state
     allocation. *)
 
 type t = {
@@ -36,9 +36,6 @@ val simulate : ?record_schedule:bool -> t -> Trace.t -> Core.result
     block in [pipeline.blocks] and adds its time to [pipeline.sim_ns],
     so a measure point (warm-up, then timed run) counts two blocks. *)
 val warm : t -> Trace.t -> unit
-
-(** [trace] followed by [simulate]. *)
-val run : ?record_schedule:bool -> t -> Xsem.Step_log.t -> Core.result
 
 (** The calling domain's machine for [d], created on first use and
     reused afterwards (keyed by descriptor physical identity). Domains

@@ -284,8 +284,6 @@ let stats_json t =
         ( "store",
           Json.Object
             [
-              n "index_persisted" s.Store.s_index_persisted;
-              n "index_scanned" s.Store.s_index_scanned;
               ("open_seconds", Json.Number s.Store.s_open_seconds);
               n "live" s.Store.s_live;
             ] );

@@ -7,24 +7,26 @@ module Eintr = Eintr
 
 let shard_count = 16
 let segment_magic = "BHIVESTORE1\n"
-let idx_magic = "BHIVEIDX1\n"
 
 (* Payloads are Marshal blobs, which are not stable across OCaml
-   releases or word sizes. The writer stamps its format into the
-   segment header; a segment from an incompatible writer is treated as
-   empty (stale) and rewritten on first append, so an OCaml upgrade
-   degrades to a cold store instead of undefined behaviour. The
-   sidecar index carries the same tag, so a foreign sidecar is never
-   trusted either. *)
-let format_tag = Printf.sprintf "marshal/%s/%d" Sys.ocaml_version Sys.word_size
+   releases or word sizes, nor across changes to the marshalled type.
+   The writer stamps its format into the segment header: the OCaml
+   release, the word size and [payload_version], bumped whenever the
+   engine's outcome type changes shape. A segment from an incompatible
+   writer is treated as empty (stale) and rewritten on first append,
+   so an upgrade degrades to a cold store instead of decoding a
+   payload as the wrong type. *)
+let payload_version = 2
+
+let format_tag =
+  Printf.sprintf "marshal/%s/%d/v%d" Sys.ocaml_version Sys.word_size
+    payload_version
+
 let record_magic = 0xB17EC0DE
-let idx_entry_magic = 0xB17E1DE5
 let max_key_len = 4096
 let max_payload_len = 1 lsl 26
 
 type entry = { e_gen : string; e_off : int; e_len : int }
-
-type index_mode = Persisted | Scanned
 
 type shard = {
   path : string;
@@ -40,7 +42,6 @@ type shard = {
   mutable size : int; (* valid byte length of the segment *)
   mutable oc : out_channel option;
   mutable ic : in_channel option;
-  mutable idx_oc : out_channel option; (* sidecar append channel *)
   mutable read_fd : Unix.file_descr option;
       (* lock-free pread descriptor for [get]'s warm path. Deliberately
          NOT closed by [close_channels]: a reader may be mid-pread on
@@ -68,7 +69,6 @@ type shard = {
   mutable superseded : int;
   mutable torn : int; (* torn-tail truncation events at open/resync *)
   mutable stale : bool;
-  mutable index_mode : index_mode; (* how this shard's open resolved *)
   mutable open_seconds : float; (* wall time of the open *)
 }
 
@@ -98,17 +98,6 @@ let header () =
   Buffer.add_string buf segment_magic;
   Codec.str buf format_tag;
   Buffer.contents buf
-
-let idx_header () =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf idx_magic;
-  Codec.str buf format_tag;
-  Buffer.contents buf
-
-(* The segment header is a pure function of the format tag, so the
-   data region always starts at the same offset — which is what lets
-   the sidecar loader validate the header with one small pread. *)
-let data_start = lazy (String.length (header ()))
 
 let encode_record ~key ~gen payload =
   let buf =
@@ -185,131 +174,6 @@ let read_file path =
       let b = Bytes.create len in
       really_input ic b 0 len;
       b)
-
-(* ------------------------------------------------------------------ *)
-(* The persisted sidecar index                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each segment [seg-NN.bhs] may carry a sidecar [seg-NN.bhs.idx]:
-   the index header (magic + format tag) followed by one checksummed
-   entry per segment record, appended in segment order:
-
-     u32 magic | i64 record_off | u16 key_len | u16 gen_len
-     | u32 payload_len | key | gen | u64 FNV-1a over all of the above
-
-   The entry names the record's absolute offset in the segment, so a
-   warm open indexes the shard with no segment scan at all. The
-   discipline is segment-record-first, sidecar-entry-second (both
-   under the shard file lock), which bounds what a crash can leave:
-
-   - a torn sidecar *tail* (killed mid-entry-append): truncated at
-     open, and the records it no longer covers are re-scanned from
-     the segment suffix and the entries re-appended;
-   - a sidecar *gap* (killed between the segment append and the entry
-     append, possibly with another process appending afterwards): the
-     open-time walk scans exactly the gap bytes from the segment and
-     heals the sidecar;
-   - anything else — bad header, overlapping or out-of-bounds entries,
-     a tail entry whose record bytes do not verify against the
-     segment — distrusts the whole sidecar and falls back to today's
-     full segment scan (which then rewrites a fresh sidecar).
-
-   Every fallback path re-derives the index from segment bytes and
-   per-record checksums, so sidecar corruption can cost time, never
-   wrong answers. *)
-
-type ientry = { i_off : int; i_key : string; i_gen : string; i_plen : int }
-
-let idx_path path = path ^ ".idx"
-
-let ientry_payload_off e =
-  e.i_off + 12 + String.length e.i_key + String.length e.i_gen
-
-let ientry_end e = ientry_payload_off e + e.i_plen + 8
-
-let encode_idx_entry ~record_off ~key ~gen ~payload_len =
-  let buf = Buffer.create (28 + String.length key + String.length gen) in
-  Codec.u32 buf idx_entry_magic;
-  Codec.i64 buf (Int64.of_int record_off);
-  Codec.u16 buf (String.length key);
-  Codec.u16 buf (String.length gen);
-  Codec.u32 buf payload_len;
-  Buffer.add_string buf key;
-  Buffer.add_string buf gen;
-  let sum = Codec.fnv1a64 (Buffer.contents buf) in
-  Codec.i64 buf sum;
-  Buffer.contents buf
-
-(* Same good-prefix discipline as [scan_records]: the first entry that
-   fails bounds or checksum ends the scan, and everything after it is
-   treated as a torn tail. *)
-let scan_idx_entries b ~start ~len ~emit =
-  let pos = ref start in
-  let torn = ref false in
-  (try
-     while !pos < len do
-       let off = !pos in
-       if off + 20 > len then raise Exit;
-       if Codec.get_u32 b off <> idx_entry_magic then raise Exit;
-       let roff = Codec.get_i64 b (off + 4) in
-       let klen = Codec.get_u16 b (off + 12) in
-       let glen = Codec.get_u16 b (off + 14) in
-       let plen = Codec.get_u32 b (off + 16) in
-       if klen = 0 || klen > max_key_len || glen > max_key_len
-          || plen > max_payload_len
-          || Int64.compare roff 0L < 0
-          || Int64.compare roff (Int64.of_int max_int) > 0
-       then raise Exit;
-       let body_len = 20 + klen + glen in
-       if off + body_len + 8 > len then raise Exit;
-       let sum = Codec.fnv1a64_bytes ~off ~len:body_len b in
-       if sum <> Codec.get_i64 b (off + body_len) then raise Exit;
-       let key = Bytes.sub_string b (off + 20) klen in
-       let gen = Bytes.sub_string b (off + 20 + klen) glen in
-       emit { i_off = Int64.to_int roff; i_key = key; i_gen = gen; i_plen = plen };
-       pos := off + body_len + 8
-     done
-   with Exit -> torn := true);
-  (!pos, !torn)
-
-(* Parse a sidecar image: [None] if the header is missing, foreign or
-   malformed; otherwise the good-prefix entries plus the prefix end
-   (entries beyond it are a torn tail). *)
-let parse_idx_image b =
-  let len = Bytes.length b in
-  let hm = String.length idx_magic in
-  if len < hm + 4 then None
-  else if Bytes.sub_string b 0 hm <> idx_magic then None
-  else
-    let tag_len = Codec.get_u32 b hm in
-    if tag_len > 256 || len < hm + 4 + tag_len then None
-    else if Bytes.sub_string b (hm + 4) tag_len <> format_tag then None
-    else begin
-      let entries = ref [] in
-      let good, _torn =
-        scan_idx_entries b ~start:(hm + 4 + tag_len) ~len ~emit:(fun e ->
-            entries := e :: !entries)
-      in
-      Some (List.rev !entries, good)
-    end
-
-(* Atomically replace the sidecar with a fresh one describing
-   [records] (in segment order). Caller holds the shard file lock. *)
-let write_sidecar path records =
-  let tmp = idx_path path ^ ".tmp" in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-  in
-  output_string oc (idx_header ());
-  List.iter
-    (fun (record_off, key, gen, payload_len) ->
-      output_string oc (encode_idx_entry ~record_off ~key ~gen ~payload_len))
-    records;
-  close_out oc;
-  Sys.rename tmp (idx_path path)
-
-let remove_if_exists path =
-  if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* pread                                                               *)
@@ -403,38 +267,16 @@ let close_channels sh =
     close_out_noerr oc;
     sh.oc <- None
   | None -> ());
-  (match sh.idx_oc with
-  | Some oc ->
-    close_out_noerr oc;
-    sh.idx_oc <- None
-  | None -> ());
   match sh.ic with
   | Some ic ->
     close_in_noerr ic;
     sh.ic <- None
   | None -> ()
 
-let ensure_idx_oc sh =
-  match sh.idx_oc with
-  | Some oc -> oc
-  | None ->
-    let oc =
-      open_out_gen
-        [ Open_wronly; Open_creat; Open_append; Open_binary ]
-        0o644 (idx_path sh.path)
-    in
-    if out_channel_length oc = 0 then begin
-      output_string oc (idx_header ());
-      flush oc
-    end;
-    sh.idx_oc <- Some oc;
-    oc
-
 (* Rebuild the shard's index from the segment bytes on disk,
-   truncating any torn tail, and rewrite the sidecar to match (or
-   remove it, for stale/absent segments). Must hold both the shard
-   Mutex and the shard file lock (the truncate races with another
-   process's in-flight append otherwise). *)
+   truncating any torn tail. This is how a shard opens. Must hold both
+   the shard Mutex and the shard file lock (the truncate races with
+   another process's in-flight append otherwise). *)
 let rescan_locked sh =
   close_channels sh;
   Hashtbl.reset sh.index;
@@ -445,213 +287,27 @@ let rescan_locked sh =
   if Sys.file_exists sh.path then begin
     let b = read_file sh.path in
     let len = Bytes.length b in
-    let sidecar = ref [] in
     let result, torn =
       scan_image b ~len ~emit:(fun ~key ~gen ~payload_off ~payload_len ->
           sh.records <- sh.records + 1;
           if Hashtbl.mem sh.index key then sh.superseded <- sh.superseded + 1;
           Hashtbl.replace sh.index key
-            { e_gen = gen; e_off = payload_off; e_len = payload_len };
-          let record_off =
-            payload_off - 12 - String.length key - String.length gen
-          in
-          sidecar := (record_off, key, gen, payload_len) :: !sidecar)
+            { e_gen = gen; e_off = payload_off; e_len = payload_len })
     in
     sh.torn <- sh.torn + torn;
     match result with
     | `Stale nonempty ->
       (* foreign or pre-format segment: serve nothing from it and
          rewrite it wholesale on first append *)
-      sh.stale <- nonempty;
-      sh.size <- 0;
-      remove_if_exists (idx_path sh.path)
+      sh.stale <- nonempty
     | `Good good ->
       if good < len then Unix.truncate sh.path good;
-      sh.size <- good;
-      write_sidecar sh.path (List.rev !sidecar)
-  end
-  else remove_if_exists (idx_path sh.path);
+      sh.size <- good
+  end;
   (* the rescan may have been triggered by a sibling process swapping
      the segment inode (gc): repoint the read descriptor at whatever
      the index now describes *)
   reanchor_locked sh
-
-(* Open a shard through its persisted sidecar: validate the sidecar,
-   check the segment header and the last indexed record against the
-   segment bytes, scan only the bytes the sidecar does not cover
-   (gaps from crashed writers, the un-indexed suffix), and heal the
-   sidecar with what those scans found. [false] means the sidecar
-   cannot be trusted and the caller must fall back to a full scan.
-   Must hold the shard Mutex and the shard file lock. *)
-let try_load_index_locked sh =
-  match parse_idx_image (read_file (idx_path sh.path)) with
-  | None -> false
-  | Some (entries, good_prefix) ->
-    (* drop the torn sidecar tail now so later appends land on an
-       entry boundary; the records it no longer covers are re-scanned
-       below as part of the suffix *)
-    let isize = (Unix.stat (idx_path sh.path)).Unix.st_size in
-    if good_prefix < isize then Unix.truncate (idx_path sh.path) good_prefix;
-    let seg_len =
-      match Unix.stat sh.path with
-      | st -> st.Unix.st_size
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
-    in
-    let ds = Lazy.force data_start in
-    let fd = ensure_read_fd sh in
-    let header_ok =
-      seg_len >= ds
-      &&
-      let hb = Bytes.create ds in
-      pread_exact fd hb ~pos:0 ~len:ds ~off:0
-      && Bytes.to_string hb = header ()
-    in
-    if not header_ok then false
-    else begin
-      let entries =
-        List.sort (fun a b -> compare a.i_off b.i_off) entries
-      in
-      (* binding check: the last indexed record's bytes must verify
-         against its entry, which catches a sidecar describing a
-         segment that was since rewritten *)
-      let entry_verifies e =
-        let rend = ientry_end e in
-        let rlen = rend - e.i_off in
-        let klen = String.length e.i_key and glen = String.length e.i_gen in
-        rend <= seg_len
-        &&
-        let b = Bytes.create rlen in
-        pread_exact fd b ~pos:0 ~len:rlen ~off:e.i_off
-        && Codec.get_u32 b 0 = record_magic
-        && Codec.get_u16 b 4 = klen
-        && Codec.get_u16 b 6 = glen
-        && Codec.get_u32 b 8 = e.i_plen
-        && Bytes.sub_string b 12 klen = e.i_key
-        && Bytes.sub_string b (12 + klen) glen = e.i_gen
-        && Codec.fnv1a64_bytes ~off:0 ~len:(rlen - 8) b
-           = Codec.get_i64 b (rlen - 8)
-      in
-      let tail_ok =
-        match List.rev entries with [] -> true | last :: _ -> entry_verifies last
-      in
-      if not tail_ok then false
-      else begin
-        let ok = ref true in
-        let emitted = ref [] (* reverse segment order *) in
-        let repairs = ref [] (* entries to append for scanned records *) in
-        (* scan segment bytes [start, stop) that the sidecar does not
-           cover; a torn record is tolerated only at the very tail of
-           the file *)
-        let scan_region ~start ~stop ~is_tail =
-          let rlen = stop - start in
-          let b = Bytes.create rlen in
-          if not (pread_exact fd b ~pos:0 ~len:rlen ~off:start) then begin
-            ok := false;
-            start
-          end
-          else begin
-            let good, torn =
-              scan_records b ~start:0 ~len:rlen
-                ~emit:(fun ~key ~gen ~payload_off ~payload_len ->
-                  let record_off =
-                    start + payload_off - 12 - String.length key
-                    - String.length gen
-                  in
-                  let r = (record_off, key, gen, payload_len) in
-                  emitted := r :: !emitted;
-                  repairs := r :: !repairs)
-            in
-            if torn then
-              if is_tail then begin
-                sh.torn <- sh.torn + 1;
-                Unix.truncate sh.path (start + good)
-              end
-              else ok := false
-            else if (not is_tail) && start + good <> stop then ok := false;
-            start + good
-          end
-        in
-        let pos = ref ds in
-        List.iter
-          (fun e ->
-            if !ok then
-              if e.i_off < !pos then ok := false (* overlap: distrust *)
-              else begin
-                if e.i_off > !pos then
-                  ignore (scan_region ~start:!pos ~stop:e.i_off ~is_tail:false);
-                if !ok then begin
-                  let rend = ientry_end e in
-                  if rend > seg_len then ok := false
-                  else begin
-                    emitted := (e.i_off, e.i_key, e.i_gen, e.i_plen) :: !emitted;
-                    pos := rend
-                  end
-                end
-              end)
-          entries;
-        let final =
-          if !ok && !pos < seg_len then
-            scan_region ~start:!pos ~stop:seg_len ~is_tail:true
-          else !pos
-        in
-        if not !ok then false
-        else begin
-          Hashtbl.reset sh.index;
-          sh.records <- 0;
-          sh.superseded <- 0;
-          sh.stale <- false;
-          List.iter
-            (fun (record_off, key, gen, payload_len) ->
-              sh.records <- sh.records + 1;
-              if Hashtbl.mem sh.index key then
-                sh.superseded <- sh.superseded + 1;
-              Hashtbl.replace sh.index key
-                {
-                  e_gen = gen;
-                  e_off = record_off + 12 + String.length key
-                          + String.length gen;
-                  e_len = payload_len;
-                })
-            (List.rev !emitted);
-          sh.size <- final;
-          (* heal: persist entries for every record a region scan
-             found, so the next open needs no scan at all *)
-          (match List.rev !repairs with
-          | [] -> ()
-          | rs ->
-            let oc = ensure_idx_oc sh in
-            List.iter
-              (fun (record_off, key, gen, payload_len) ->
-                output_string oc
-                  (encode_idx_entry ~record_off ~key ~gen ~payload_len))
-              rs;
-            flush oc);
-          true
-        end
-      end
-    end
-
-let load_shard_locked sh =
-  let loaded =
-    Sys.file_exists sh.path
-    && Sys.file_exists (idx_path sh.path)
-    && (try try_load_index_locked sh
-        with Unix.Unix_error _ | Sys_error _ -> false)
-  in
-  if loaded then begin
-    sh.index_mode <- Persisted;
-    (* the sidecar was validated against the inode behind read_fd;
-       that inode is what the index now describes *)
-    match sh.read_fd with
-    | Some fd ->
-      let st = Unix.fstat fd in
-      sh.seg_id <- (st.Unix.st_dev, st.Unix.st_ino)
-    | None -> ()
-  end
-  else begin
-    rescan_locked sh;
-    sh.index_mode <- Scanned
-  end
 
 let lock_path path = path ^ ".lock"
 
@@ -670,19 +326,17 @@ let open_shard path =
       size = 0;
       oc = None;
       ic = None;
-      idx_oc = None;
       read_fd = None;
       seg_id = no_seg_id;
       records = 0;
       superseded = 0;
       torn = 0;
       stale = false;
-      index_mode = Scanned;
       open_seconds = 0.0;
     }
   in
   let t0 = Unix.gettimeofday () in
-  with_file_lock sh (fun () -> load_shard_locked sh);
+  with_file_lock sh (fun () -> rescan_locked sh);
   sh.open_seconds <- Unix.gettimeofday () -. t0;
   sh
 
@@ -732,10 +386,7 @@ let ensure_ic sh =
    hold both the shard Mutex and the shard file lock. Writers append
    whole records while holding the file lock, so the un-indexed suffix
    always starts on a record boundary; only a crash mid-append leaves
-   a torn (checksum-failing) tail. Foreign writers append their own
-   sidecar entries under the same lock, so the sidecar needs no
-   maintenance here — a foreign crash between the two appends leaves a
-   gap the next open heals. *)
+   a torn (checksum-failing) tail. *)
 let resync sh =
   let real, replaced =
     match Unix.stat sh.path with
@@ -806,13 +457,6 @@ let ensure_oc sh =
         sh.records <- 0;
         sh.superseded <- 0;
         Hashtbl.reset sh.index;
-        (* the fresh segment invalidates whatever the sidecar said *)
-        (match sh.idx_oc with
-        | Some c ->
-          close_out_noerr c;
-          sh.idx_oc <- None
-        | None -> ());
-        write_sidecar sh.path [];
         (* O_CREAT may just have made a brand-new inode (the previous
            segment was removed by a sibling's gc): re-anchor the read
            descriptor and recorded identity to it *)
@@ -892,13 +536,6 @@ let put t ~key ~gen payload =
               sh.size <- record_off + String.length rec_;
               sh.records <- sh.records + 1;
               if prev <> None then sh.superseded <- sh.superseded + 1;
-              (* segment first, sidecar second: a crash between the
-                 two leaves a gap the next open re-scans and heals *)
-              let ioc = ensure_idx_oc sh in
-              output_string ioc
-                (encode_idx_entry ~record_off ~key ~gen
-                   ~payload_len:(String.length payload));
-              flush ioc;
               true))
 
 let live_entries_sorted sh =
@@ -961,7 +598,6 @@ type shard_stats = {
   ss_live : int;
   ss_records : int;
   ss_bytes : int;
-  ss_persisted : bool;
   ss_open_seconds : float;
 }
 
@@ -974,15 +610,13 @@ type stats = {
   s_torn : int;
   s_stale_segments : int;
   s_bytes : int;
-  s_index_persisted : int;
-  s_index_scanned : int;
   s_open_seconds : float;
   s_per_shard : shard_stats list;
 }
 
 let stats t =
   let acc = ref (0, 0, 0, 0, 0, 0) in
-  let persisted = ref 0 and scanned = ref 0 and open_s = ref 0.0 in
+  let open_s = ref 0.0 in
   let per_shard = ref [] in
   Array.iteri
     (fun i sh ->
@@ -995,9 +629,6 @@ let stats t =
               torn + sh.torn,
               (stale + if sh.stale then 1 else 0),
               bytes + sh.size );
-          (match sh.index_mode with
-          | Persisted -> incr persisted
-          | Scanned -> incr scanned);
           open_s := !open_s +. sh.open_seconds;
           per_shard :=
             {
@@ -1005,7 +636,6 @@ let stats t =
               ss_live = Hashtbl.length sh.index;
               ss_records = sh.records;
               ss_bytes = sh.size;
-              ss_persisted = sh.index_mode = Persisted;
               ss_open_seconds = sh.open_seconds;
             }
             :: !per_shard))
@@ -1020,8 +650,6 @@ let stats t =
     s_torn = torn;
     s_stale_segments = stale;
     s_bytes = bytes;
-    s_index_persisted = !persisted;
-    s_index_scanned = !scanned;
     s_open_seconds = !open_s;
     s_per_shard = List.rev !per_shard;
   }
@@ -1032,15 +660,11 @@ type verify_report = {
   v_corrupt : int;
   v_torn : int;
   v_stale_segments : int;
-  v_index_entries : int;
-  v_index_mismatched : int;
-  v_index_missing : int;
 }
 
 let verify t =
   let live = ref 0 and records = ref 0 and corrupt = ref 0 in
   let torn = ref 0 and stale = ref 0 in
-  let idx_entries = ref 0 and idx_mismatched = ref 0 and idx_missing = ref 0 in
   Array.iter
     (fun sh ->
       with_lock sh.lock (fun () ->
@@ -1054,49 +678,16 @@ let verify t =
               if sh.stale then incr stale
               else if Sys.file_exists sh.path then begin
                 (match sh.oc with Some oc -> flush oc | None -> ());
-                let on_disk = Hashtbl.create 64 in
                 let b = read_file sh.path in
-                let len = Bytes.length b in
                 let result, bad =
-                  scan_image b ~len
-                    ~emit:(fun ~key ~gen ~payload_off ~payload_len ->
-                      incr records;
-                      let record_off =
-                        payload_off - 12 - String.length key
-                        - String.length gen
-                      in
-                      Hashtbl.replace on_disk record_off
-                        (key, gen, payload_len))
+                  scan_image b ~len:(Bytes.length b)
+                    ~emit:(fun ~key:_ ~gen:_ ~payload_off:_ ~payload_len:_ ->
+                      incr records)
                 in
                 corrupt := !corrupt + bad;
-                (match result with
+                match result with
                 | `Stale nonempty -> if nonempty then incr stale
-                | `Good _ -> ());
-                (* sidecar validation: every entry must describe a
-                   record that really sits at its offset. Entries may
-                   legitimately be a subset (a crash between segment
-                   and sidecar appends leaves a gap the next open
-                   heals); they may never disagree. *)
-                if Hashtbl.length on_disk > 0 then begin
-                  (match sh.idx_oc with Some oc -> flush oc | None -> ());
-                  match
-                    if Sys.file_exists (idx_path sh.path) then
-                      parse_idx_image (read_file (idx_path sh.path))
-                    else None
-                  with
-                  | None -> incr idx_missing
-                  | Some (entries, _good) ->
-                    List.iter
-                      (fun e ->
-                        incr idx_entries;
-                        match Hashtbl.find_opt on_disk e.i_off with
-                        | Some (key, gen, plen)
-                          when key = e.i_key && gen = e.i_gen
-                               && plen = e.i_plen ->
-                          ()
-                        | _ -> incr idx_mismatched)
-                      entries
-                end
+                | `Good _ -> ()
               end)))
     t.shards;
   {
@@ -1105,9 +696,6 @@ let verify t =
     v_corrupt = !corrupt;
     v_torn = !torn;
     v_stale_segments = !stale;
-    v_index_entries = !idx_entries;
-    v_index_mismatched = !idx_mismatched;
-    v_index_missing = !idx_missing;
   }
 
 type gc_report = {
@@ -1133,10 +721,6 @@ let gc t =
               (live_entries_sorted sh)
           in
           close_channels sh;
-          (* the sidecar describes the old segment layout; remove it
-             before the rewrite so a crash mid-gc leaves a segment
-             with no sidecar (full scan) rather than a wrong one *)
-          remove_if_exists (idx_path sh.path);
           if entries = [] then begin
             if Sys.file_exists sh.path then Sys.remove sh.path;
             Hashtbl.reset sh.index;
@@ -1152,7 +736,6 @@ let gc t =
             let h = header () in
             output_string oc h;
             let pos = ref (String.length h) in
-            let sidecar = ref [] in
             Hashtbl.reset sh.index;
             List.iter
               (fun (key, gen, payload) ->
@@ -1164,12 +747,10 @@ let gc t =
                     e_off = !pos + 12 + String.length key + String.length gen;
                     e_len = String.length payload;
                   };
-                sidecar := (!pos, key, gen, String.length payload) :: !sidecar;
                 pos := !pos + String.length rec_)
               entries;
             close_out oc;
             Sys.rename tmp sh.path;
-            write_sidecar sh.path (List.rev !sidecar);
             sh.size <- !pos
           end;
           (* the rename (or remove) replaced the segment inode: any

@@ -4,6 +4,16 @@
     -> disk store -> real profiler). A store is a directory of 16
     append-only binary segments, sharded by key so engine worker
     domains append concurrently without contending on one file lock.
+    A shard is its segment plus a [.lock] sibling; the segment is the
+    only on-disk format (an [.idx] file that an older store left next
+    to a segment is ignored).
+
+    A segment starts with a header naming the writer's payload format:
+    the Marshal dialect (OCaml release, word size) and the version of
+    the marshalled outcome type. A segment whose header names another
+    format is stale: served as empty, counted in [s_stale_segments],
+    and rewritten by the first append, so its payloads are never
+    decoded as the current type.
 
     Records are framed as
 
@@ -45,20 +55,12 @@
 type t
 
 (** Open (creating if needed) the store rooted at a directory path.
-    Each segment may carry a checksummed sidecar index ([.idx]
-    sibling, written on every append and rewritten by every full
-    scan); a warm open loads the index from the sidecar after
-    verifying it against the segment (header bytes, entry bounds and
-    tiling, and the last indexed record's checksum), scanning only the
-    segment bytes the sidecar does not cover. Any disagreement —
-    foreign header, torn or bit-flipped entries beyond the tail,
-    overlap, a tail record that fails verification — distrusts the
-    sidecar entirely and falls back to the full segment scan, which
-    rewrites a fresh sidecar. Either way the resulting index is
-    derived from (or verified against) checksummed segment bytes, so
-    sidecar corruption costs open time, never wrong answers. Torn
-    segment tails are truncated as before. Raises [Failure] if the
-    path exists and is not a directory. *)
+    Each shard opens by one scan of its segment under the shard's file
+    lock: every record's frame and checksum are checked and the
+    in-memory index is built from the intact prefix. A torn or
+    bit-flipped tail is truncated away (counted in [s_torn]), never
+    served. Raises [Failure] if the path exists and is not a
+    directory. *)
 val open_ : string -> t
 
 val close : t -> unit
@@ -104,8 +106,6 @@ type shard_stats = {
   ss_live : int;
   ss_records : int;
   ss_bytes : int;
-  ss_persisted : bool;
-      (** this shard's open was served by the sidecar index *)
   ss_open_seconds : float;
 }
 
@@ -121,9 +121,7 @@ type stats = {
           (different format or OCaml version); treated as empty and
           rewritten on first append *)
   s_bytes : int;
-  s_index_persisted : int;  (** shards opened from their sidecar index *)
-  s_index_scanned : int;  (** shards opened by a full segment scan *)
-  s_open_seconds : float;  (** summed per-shard open wall time *)
+  s_open_seconds : float;  (** summed per-shard open (scan) wall time *)
   s_per_shard : shard_stats list;
 }
 
@@ -135,20 +133,10 @@ type verify_report = {
   v_corrupt : int;  (** checksum failures found by this scan *)
   v_torn : int;  (** torn-tail events recorded when the store was opened *)
   v_stale_segments : int;
-  v_index_entries : int;  (** valid sidecar entries checked *)
-  v_index_mismatched : int;
-      (** sidecar entries that disagree with the record actually at
-          their offset — the only sidecar failure mode that counts as
-          corruption (a missing or subset sidecar merely costs the
-          next open a scan) *)
-  v_index_missing : int;
-      (** non-empty segments with no parseable sidecar *)
 }
 
-(** Re-scan every segment from disk, re-check every record checksum,
-    and validate every sidecar index entry against the record at its
-    offset. A clean store reports [v_corrupt = 0] and
-    [v_index_mismatched = 0]. *)
+(** Re-scan every segment from disk and re-check every record
+    checksum. A clean store reports [v_corrupt = 0]. *)
 val verify : t -> verify_report
 
 type gc_report = {

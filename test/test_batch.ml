@@ -58,11 +58,11 @@ let batch_matches_fresh =
            List.for_all
              (fun d ->
                let fresh =
-                 Pipeline.Machine.run ~record_schedule:true
+                 Sim.run ~record_schedule:true
                    (Pipeline.Machine.create d) mapped.steps
                in
                match
-                 Pipeline.simulate_batch ~record_schedule:true d
+                 Sim.simulate_batch ~record_schedule:true d
                    [ mapped.steps; mapped.steps ]
                with
                | [ first; second ] ->
@@ -168,17 +168,17 @@ let test_batch_mixed_block () =
     List.iter
       (fun (d : Uarch.Descriptor.t) ->
         let fresh =
-          Pipeline.Machine.run (Pipeline.Machine.create d) mapped.steps
+          Sim.run (Pipeline.Machine.create d) mapped.steps
         in
         List.iter
           (fun (r : Pipeline.Core.result) ->
             Alcotest.(check int) (d.short ^ " cycles") fresh.cycles r.cycles;
             Alcotest.(check bool) (d.short ^ " counters") true
               (counters_equal fresh.counters r.counters))
-          (Pipeline.simulate_batch d [ mapped.steps; mapped.steps ]))
+          (Sim.simulate_batch d [ mapped.steps; mapped.steps ]))
       uarches
 
-(* One trace simulated twice on a machine == two [Machine.run]s of its
+(* One trace simulated twice on a machine == two [Sim.run]s of its
    steps on a fresh one: the profiler's warm-up and timed run share a
    trace, so simulating it must leave it reusable and each run must see
    exactly the cache state a rebuilt trace would. *)
@@ -196,7 +196,7 @@ let trace_reuse_matches_run =
                let trace = Pipeline.Machine.trace m mapped.steps in
                let shared = List.init 2 (fun _ -> Pipeline.Machine.simulate m trace) in
                let m = Pipeline.Machine.create d in
-               let runs = List.init 2 (fun _ -> Pipeline.Machine.run m mapped.steps) in
+               let runs = List.init 2 (fun _ -> Sim.run m mapped.steps) in
                List.for_all2
                  (fun (a : Pipeline.Core.result) (b : Pipeline.Core.result) ->
                    a.cycles = b.cycles && counters_equal a.counters b.counters)

@@ -105,20 +105,32 @@ let test_timings_protocol () =
   let block = Parser.block_exn "add $1, %rax" in
   match Harness.Profiler.profile default Uarch.All.haswell block with
   | Ok p ->
-    Alcotest.(check int) "16 timings" default.timings (List.length p.large.timings);
-    let clean = List.filter (fun (t : Harness.Profiler.timing) -> t.clean) p.large.timings in
-    Alcotest.(check bool) "most timings clean" true
-      (List.length clean >= default.min_clean);
+    Alcotest.(check bool) "most of the 16 timings clean" true
+      (p.large.clean_timings >= default.min_clean
+      && p.large.clean_timings <= default.timings);
     Alcotest.(check bool) "accepted cycles agreed" true (p.large.accepted_cycles <> None)
   | Error f -> Alcotest.failf "%s" (Harness.Profiler.failure_to_string f)
 
 let test_noisy_environment_rejects () =
-  (* with context switches on every run, no clean timing survives *)
-  let env = { default with context_switch_rate = 1.0 } in
   let block = Parser.block_exn "add $1, %rax" in
-  match Harness.Profiler.profile env Uarch.All.haswell block with
-  | Ok p -> Alcotest.(check bool) "rejected under noise" false p.accepted
-  | Error f -> Alcotest.failf "%s" (Harness.Profiler.failure_to_string f)
+  let measure env =
+    match Harness.Profiler.profile env Uarch.All.haswell block with
+    | Ok p -> p
+    | Error f -> Alcotest.failf "%s" (Harness.Profiler.failure_to_string f)
+  in
+  (* with context switches on every run, no clean timing survives *)
+  let p = measure { default with context_switch_rate = 1.0 } in
+  Alcotest.(check bool) "rejected under noise" false p.accepted;
+  Alcotest.(check int) "no clean timing" 0 p.large.clean_timings;
+  Alcotest.(check bool) "never clean" true
+    (p.reject = Some Harness.Profiler.Never_clean);
+  (* clean timings exist, but [min_clean] exceeds the timings taken, so
+     no cycle count gathers enough of them *)
+  let p = measure { default with min_clean = default.timings + 1 } in
+  Alcotest.(check bool) "rejected without agreement" false p.accepted;
+  Alcotest.(check bool) "some clean timing" true (p.large.clean_timings > 0);
+  Alcotest.(check bool) "unstable" true
+    (p.reject = Some Harness.Profiler.Unstable)
 
 let test_determinism () =
   let block = Corpus.Paper_blocks.gzip_crc in

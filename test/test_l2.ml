@@ -15,7 +15,7 @@ let test_l2_capacity_between_levels () =
   let run () =
     let st = Xsem.Machine_state.copy st in
     match Xsem.Executor.run_unrolled st mmu block ~unroll:32 with
-    | Xsem.Executor.Completed log -> Pipeline.Machine.run machine log
+    | Xsem.Executor.Completed log -> Sim.run machine log
     | Faulted _ -> Alcotest.fail "fault"
   in
   let cold = run () in

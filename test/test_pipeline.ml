@@ -128,7 +128,7 @@ let test_schedule_recording () =
   | Error f -> Alcotest.failf "%s" (Harness.Mapping.failure_to_string f)
   | Ok mapped ->
     let machine = Pipeline.Machine.create Uarch.All.haswell in
-    let r = Pipeline.Machine.run ~record_schedule:true machine mapped.steps in
+    let r = Sim.run ~record_schedule:true machine mapped.steps in
     Alcotest.(check bool) "schedule non-empty" true (r.schedule <> []);
     List.iter
       (fun (e : Pipeline.Core.schedule_entry) ->

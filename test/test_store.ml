@@ -277,26 +277,22 @@ let test_bitflip_detected () =
       Alcotest.(check int) "counted as a torn tail" 1 (Store.stats st).Store.s_torn;
       Store.close st)
 
-(* --- sidecar index crash safety --------------------------------------- *)
+(* --- leftovers of older stores ----------------------------------------- *)
 
-let idx_file dir key = shard_file dir key ^ ".idx"
-
-let snapshot st =
-  Store.fold st ~init:[] ~f:(fun acc ~key ~gen payload ->
-      (key, gen, payload) :: acc)
-  |> List.rev
-
-(* Three keys in one shard, written and closed; [reference] is what any
-   correct open must serve, however mangled the sidecar is. *)
-let with_indexed_shard prefix f =
-  with_store_dir prefix (fun dir ->
+(* Stores written before the segment became the only on-disk format
+   kept a sidecar index ([seg-NN.bhs.idx]) next to each segment. Such
+   a file is ignored: a segment torn mid-append after earlier records
+   serves exactly its intact prefix, whatever the sidecar holds, and
+   neither open, put nor gc reads, rewrites or adds an index file. *)
+let test_sidecar_torn_segment_with_index () =
+  with_store_dir "bhive_idx_both" (fun dir ->
       let shard0 = shard_of_key (key_of 0) in
-      let same_shard =
-        List.filter (fun i -> shard_of_key (key_of i) = shard0)
-          (List.init 400 Fun.id)
-      in
       let keys =
-        match same_shard with
+        match
+          List.filter
+            (fun i -> shard_of_key (key_of i) = shard0)
+            (List.init 400 Fun.id)
+        with
         | a :: b :: c :: _ -> [ key_of a; key_of b; key_of c ]
         | _ -> Alcotest.fail "could not find three keys in one shard"
       in
@@ -305,214 +301,44 @@ let with_indexed_shard prefix f =
         (fun i key ->
           ignore (Store.put st ~key ~gen:gen_a (Printf.sprintf "payload-%d" i)))
         keys;
-      let reference = snapshot st in
       Store.close st;
-      f dir keys reference)
-
-let check_serves what dir keys reference =
-  let st = Store.open_ dir in
-  Alcotest.(check bool) (what ^ ": records byte-identical") true
-    (snapshot st = reference);
-  List.iteri
-    (fun i key ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: key %d served" what i)
-        true
-        (Store.get st ~key ~gen:gen_a = Store.Hit (Printf.sprintf "payload-%d" i)))
-    keys;
-  let v = Store.verify st in
-  Alcotest.(check int) (what ^ ": verify clean") 0 v.Store.v_corrupt;
-  Alcotest.(check int) (what ^ ": index agrees after heal") 0
-    v.Store.v_index_mismatched;
-  Store.close st
-
-let test_sidecar_persisted_open () =
-  with_store_dir "bhive_idx_open" (fun dir ->
-      let st = Store.open_ dir in
-      for i = 0 to 63 do
-        ignore
-          (Store.put st ~key:(key_of i) ~gen:gen_a (Printf.sprintf "p%d" i))
-      done;
-      let reference = snapshot st in
-      Store.close st;
-      let st = Store.open_ dir in
-      let s = Store.stats st in
-      Alcotest.(check bool) "some shard opened from its sidecar" true
-        (s.Store.s_index_persisted > 0);
-      List.iter
-        (fun ss ->
-          if ss.Store.ss_records > 0 then
-            Alcotest.(check bool)
-              (Printf.sprintf "shard %d used its persisted index"
-                 ss.Store.ss_shard)
-              true ss.Store.ss_persisted)
-        s.Store.s_per_shard;
-      Alcotest.(check bool) "persisted open serves identical records" true
-        (snapshot st = reference);
-      Alcotest.(check bool) "warm get hits" true
-        (Store.get st ~key:(key_of 5) ~gen:gen_a = Store.Hit "p5");
-      let v = Store.verify st in
-      Alcotest.(check bool) "verify checked the sidecar entries" true
-        (v.Store.v_index_entries >= 64);
-      Alcotest.(check int) "verify: no index disagreement" 0
-        v.Store.v_index_mismatched;
-      Alcotest.(check int) "verify: no index gaps" 0 v.Store.v_index_missing;
-      Store.close st)
-
-(* The satellite matrix: truncate the sidecar at every byte offset and
-   flip a bit at every byte offset. Whatever the damage, the open must
-   degrade to the segment scan (or heal the tail) and serve exactly the
-   intact store's records — corruption costs open time, never answers. *)
-let test_sidecar_truncation_at_every_offset () =
-  with_indexed_shard "bhive_idx_torn" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      for cut = 0 to String.length intact - 1 do
-        write_file idx (String.sub intact 0 cut);
-        check_serves (Printf.sprintf "idx cut@%d" cut) dir keys reference
-      done;
-      (* a missing sidecar entirely *)
-      Sys.remove idx;
-      check_serves "idx removed" dir keys reference;
-      (* the heal rewrote it: the next open is persisted again *)
-      let st = Store.open_ dir in
-      Alcotest.(check bool) "healed sidecar used on the next open" true
-        ((Store.stats st).Store.s_index_persisted > 0);
-      Store.close st)
-
-let test_sidecar_bitflip_at_every_offset () =
-  with_indexed_shard "bhive_idx_flip" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      for pos = 0 to String.length intact - 1 do
-        let b = Bytes.of_string intact in
-        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-        write_file idx (Bytes.to_string b);
-        check_serves (Printf.sprintf "idx flip@%d" pos) dir keys reference
-      done)
-
-(* A SIGKILL can land between the segment append and the sidecar
-   append: the segment holds a record its sidecar does not know about.
-   The open must notice the unindexed suffix, scan it, serve it, and
-   heal the sidecar. Simulated by chopping whole entries off the tail
-   (the write ordering — segment first, sidecar second — makes this
-   exactly the on-disk state such a crash leaves). *)
-let test_sidecar_lagging_entries_healed () =
-  with_indexed_shard "bhive_idx_lag" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      (* entry sizes vary with key/gen length; find entry boundaries by
-         re-deriving them from the fixed layout: magic u32 | off i64 |
-         klen u16 | glen u16 | plen u32 | key | gen | fnv u64 *)
-      let header_len =
-        (* the header ends where the first entry magic begins *)
-        let magic =
-          let b = Buffer.create 4 in
-          Store.Codec.u32 b 0xB17E1DE5;
-          Buffer.contents b
-        in
-        let rec find i =
-          if i + 4 > String.length intact then
-            Alcotest.fail "no entry magic in sidecar"
-          else if String.sub intact i 4 = magic then i
-          else find (i + 1)
-        in
-        find 0
-      in
-      let entry_end off =
-        let s = Bytes.of_string intact in
-        let klen = Store.Codec.get_u16 s (off + 12) in
-        let glen = Store.Codec.get_u16 s (off + 14) in
-        off + 20 + klen + glen + 8
-      in
-      let boundaries =
-        let rec go off acc =
-          if off >= String.length intact then List.rev acc
-          else
-            let e = entry_end off in
-            go e (e :: acc)
-        in
-        go header_len [ header_len ]
-      in
-      Alcotest.(check int) "one boundary per record plus the header" 4
-        (List.length boundaries);
-      List.iter
-        (fun cut ->
-          write_file idx (String.sub intact 0 cut);
-          check_serves (Printf.sprintf "idx lag@%d" cut) dir keys reference;
-          (* after the heal, the very next open is persisted and still
-             byte-identical *)
-          let st = Store.open_ dir in
-          Alcotest.(check bool)
-            (Printf.sprintf "idx lag@%d: healed open is persisted" cut)
-            true
-            ((Store.stats st).Store.s_index_persisted > 0);
-          Alcotest.(check bool)
-            (Printf.sprintf "idx lag@%d: healed open identical" cut)
-            true
-            (snapshot st = reference);
-          Store.close st)
-        boundaries)
-
-let test_sidecar_torn_segment_with_index () =
-  (* both files torn (crash mid segment append after earlier indexed
-     records): open truncates the torn segment record AND drops the
-     sidecar entries past it *)
-  with_indexed_shard "bhive_idx_both" (fun dir keys _reference ->
       let seg = shard_file dir (List.hd keys) in
-      let intact = read_file seg in
+      let idx = seg ^ ".idx" in
+      let leftover = "BHIVEIDX1\n" ^ String.make 64 '\x5a' in
+      write_file idx leftover;
       (* chop the final segment record in half *)
-      let st = Store.open_ dir in
-      let before_stats = Store.stats st in
-      Store.close st;
-      ignore before_stats;
+      let intact = read_file seg in
       write_file seg (String.sub intact 0 (String.length intact - 7));
       let st = Store.open_ dir in
-      let survivors = List.filteri (fun i _ -> i < 2) keys in
       List.iteri
         (fun i key ->
-          Alcotest.(check bool)
-            (Printf.sprintf "torn-both: earlier key %d survives" i)
-            true
-            (Store.get st ~key ~gen:gen_a
-            = Store.Hit (Printf.sprintf "payload-%d" i)))
-        survivors;
+          if i < 2 then
+            Alcotest.(check bool)
+              (Printf.sprintf "torn-both: earlier key %d survives" i)
+              true
+              (Store.get st ~key ~gen:gen_a
+              = Store.Hit (Printf.sprintf "payload-%d" i)))
+        keys;
       Alcotest.(check bool) "torn-both: torn record never served" true
         (Store.get st ~key:(List.nth keys 2) ~gen:gen_a = Store.Miss);
-      let v = Store.verify st in
-      Alcotest.(check int) "torn-both: verify clean" 0 v.Store.v_corrupt;
-      Alcotest.(check int) "torn-both: no index disagreement" 0
-        v.Store.v_index_mismatched;
-      Store.close st)
-
-let test_gc_rewrites_sidecar () =
-  with_store_dir "bhive_idx_gc" (fun dir ->
-      let st = Store.open_ dir in
-      for i = 0 to 31 do
-        ignore (Store.put st ~key:(key_of i) ~gen:gen_a (Printf.sprintf "a%d" i))
-      done;
-      for i = 0 to 15 do
-        ignore (Store.put st ~key:(key_of i) ~gen:gen_b (Printf.sprintf "b%d" i))
-      done;
+      Alcotest.(check int) "torn-both: torn tail counted" 1
+        (Store.stats st).Store.s_torn;
+      Alcotest.(check int) "torn-both: verify clean" 0
+        (Store.verify st).Store.v_corrupt;
+      ignore (Store.put st ~key:(List.nth keys 2) ~gen:gen_a "payload-2");
       ignore (Store.gc st);
-      let v = Store.verify st in
-      Alcotest.(check int) "gc'd sidecar agrees with the segments" 0
-        v.Store.v_index_mismatched;
-      let reference = snapshot st in
       Store.close st;
-      (* the compacted store opens from its rewritten sidecars *)
-      let st = Store.open_ dir in
-      let s = Store.stats st in
-      List.iter
-        (fun ss ->
-          if ss.Store.ss_records > 0 then
-            Alcotest.(check bool)
-              (Printf.sprintf "shard %d persisted after gc" ss.Store.ss_shard)
-              true ss.Store.ss_persisted)
-        s.Store.s_per_shard;
-      Alcotest.(check bool) "post-gc persisted open identical" true
-        (snapshot st = reference);
-      Store.close st)
+      Alcotest.(check string) "the leftover index is left as it was" leftover
+        (read_file idx);
+      Array.iter
+        (fun f ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: a segment or its lock file" f)
+            true
+            (Filename.check_suffix f ".bhs"
+            || Filename.check_suffix f ".bhs.lock"
+            || f = Filename.basename idx))
+        (Sys.readdir dir))
 
 (* --- compaction ------------------------------------------------------- *)
 
@@ -775,6 +601,73 @@ let test_warm_run_zero_profiler_calls () =
       Alcotest.(check int) "memo shields the store" n s2.store_hits;
       Alcotest.(check int) "resubmission hits the memo" n s2.cache_hits;
       Option.iter Store.close (Engine.store warm))
+
+(* A segment whose header names another payload format is stale. The
+   planted segment carries the header of a store written before the
+   payload version joined the format tag, and one record: a well-formed
+   outcome under the job's own key and generation, with a throughput
+   no profile gives. The open serves it as empty and counts it stale;
+   the engine re-profiles rather than decode the planted payload; and
+   the first put rewrites the segment in the current format. *)
+let test_foreign_format_tag_is_stale () =
+  with_store_dir "bhive_store_format" (fun dir ->
+      let job = List.hd (paper_jobs Uarch.All.haswell) in
+      let key = Engine.fingerprint job and gen = Engine.generation job.uarch in
+      let measured =
+        (Engine.run_batch (Engine.create ~jobs:1 ~faults:Faultsim.none ()) [ job ])
+          .outcomes.(0)
+      in
+      let planted : Engine.outcome =
+        match measured with
+        | Ok p -> Ok { p with throughput = p.throughput +. 1000.0 }
+        | Error _ -> Alcotest.fail "the job should measure"
+      in
+      let st = Store.open_ dir in
+      ignore (Store.put st ~key ~gen (Marshal.to_string planted []));
+      Store.close st;
+      let seg = shard_file dir key in
+      let image = read_file seg in
+      let magic = "BHIVESTORE1\n" in
+      let tag_len =
+        Store.Codec.get_u32 (Bytes.of_string image) (String.length magic)
+      in
+      let data = String.length magic + 4 + tag_len in
+      let b = Buffer.create (String.length image) in
+      Buffer.add_string b magic;
+      Store.Codec.str b
+        (Printf.sprintf "marshal/%s/%d" Sys.ocaml_version Sys.word_size);
+      Buffer.add_string b (String.sub image data (String.length image - data));
+      write_file seg (Buffer.contents b);
+      let st = Store.open_ dir in
+      let s = Store.stats st in
+      Alcotest.(check int) "counted as a stale segment" 1
+        s.Store.s_stale_segments;
+      Alcotest.(check int) "served as empty" 0 s.Store.s_live;
+      Alcotest.(check bool) "its record is a miss" true
+        (Store.get st ~key ~gen = Store.Miss);
+      let v = Store.verify st in
+      Alcotest.(check int) "verify counts it stale" 1 v.Store.v_stale_segments;
+      Alcotest.(check int) "and not corrupt" 0 v.Store.v_corrupt;
+      Store.close st;
+      let engine = Engine.create ~jobs:1 ~faults:Faultsim.none ~store_path:dir () in
+      let served = (Engine.run_batch engine [ job ]).outcomes.(0) in
+      let es = Engine.stats engine in
+      Option.iter Store.close (Engine.store engine);
+      Alcotest.(check int) "the engine misses the store" 1 es.store_misses;
+      Alcotest.(check int) "and re-profiles" 1 es.executed;
+      Alcotest.(check bool) "the planted payload is never served" true
+        (served = measured);
+      let st = Store.open_ dir in
+      let s = Store.stats st in
+      Alcotest.(check int) "the first put rewrote the segment" 0
+        s.Store.s_stale_segments;
+      Alcotest.(check int) "it holds the one fresh record" 1 s.Store.s_live;
+      (match Store.get st ~key ~gen with
+      | Store.Hit payload ->
+        Alcotest.(check bool) "the fresh record is the measured outcome" true
+          ((Marshal.from_string payload 0 : Engine.outcome) = measured)
+      | Store.Stale | Store.Miss -> Alcotest.fail "the fresh record is missing");
+      Store.close st)
 
 (* Perturbing one uarch table entry invalidates exactly that uarch's
    entries: the other uarch's records still hit. *)
@@ -1120,18 +1013,8 @@ let suite =
       test_truncation_at_every_offset;
     Alcotest.test_case "crash safety: bit flip detected" `Quick
       test_bitflip_detected;
-    Alcotest.test_case "sidecar: persisted open" `Quick
-      test_sidecar_persisted_open;
-    Alcotest.test_case "sidecar: truncation at every offset" `Quick
-      test_sidecar_truncation_at_every_offset;
-    Alcotest.test_case "sidecar: bit flip at every offset" `Quick
-      test_sidecar_bitflip_at_every_offset;
-    Alcotest.test_case "sidecar: lagging entries healed" `Quick
-      test_sidecar_lagging_entries_healed;
     Alcotest.test_case "sidecar: torn segment with index" `Quick
       test_sidecar_torn_segment_with_index;
-    Alcotest.test_case "sidecar: gc rewrites the index" `Quick
-      test_gc_rewrites_sidecar;
     Alcotest.test_case "gc: compaction" `Quick test_gc_compaction;
     Alcotest.test_case "gc: re-anchors the lock-free read fd" `Quick
       test_gc_reanchors_read_fd;
@@ -1145,6 +1028,8 @@ let suite =
       test_generation_sensitivity;
     Alcotest.test_case "warm run: zero profiler calls" `Quick
       test_warm_run_zero_profiler_calls;
+    Alcotest.test_case "stale segment: foreign format tag" `Quick
+      test_foreign_format_tag_is_stale;
     Alcotest.test_case "invalidation is surgical" `Quick
       test_invalidation_is_surgical;
     Alcotest.test_case "quarantines are not persisted" `Quick

@@ -100,8 +100,10 @@ let count_refusal (t : tally) = function
   | Serve.Wire.Bad_request -> t.r_bad <- t.r_bad + 1
 
 (* One thread's replay: [repeat] passes over the whole corpus, all
-   threads in the same order. A transport error loses that request and
-   reconnects; refusals are counted by kind and are not losses. Only
+   threads in the same order. A transport error loses that request; the
+   next frame reconnects and goes out on the new connection, or is lost
+   too if the reconnect fails, so every frame counts in [sent].
+   Refusals are counted by kind and are not losses. Only
    the initial connect retries with backoff — a mid-run reconnect
    fails immediately, so a killed server drains the remaining workload
    as fast losses instead of minutes of per-request retry sleeps.
@@ -129,10 +131,10 @@ let replay ~socket ~repeat ~batch ~frames (t : tally) =
       false
   in
   ignore (connect ~retries:20 ());
-  let send (k, payload) =
+  let rec send ((k, payload) as frame) =
     match !conn with
     | None ->
-      if connect () then ()
+      if connect () then send frame
       else (
         t.sent <- t.sent + k;
         t.lost <- t.lost + k)
@@ -444,7 +446,6 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
            f "p999_ms" p999;
            f "max_ms" pmax;
            f "mean_ms" mean;
-           f "throughput_rps" rps;
            f "requests_per_sec" rps;
            f "wall_seconds" wall_seconds;
            ( "batch",

@@ -52,7 +52,9 @@ let run socket store shards trace queue_capacity batch_max idle_timeout
      file locks are per-process, so per-engine opens of the same
      directory would break intra-process append exclusion *)
   let store_path =
-    match store with Some _ as p -> p | None -> Engine.default_store_path ()
+    match store with
+    | Some _ as p -> p
+    | None -> Result.value ~default:None (Engine.store_path_from_env ())
   in
   let shared_store = Option.map Store.open_ store_path in
   let engines =

@@ -10,7 +10,9 @@ let () =
   let blocks = Corpus.Suite.generate ~config () in
   Printf.printf "generated %d blocks; profiling on Haswell...\n%!" (List.length blocks);
 
-  let dataset = Bhive.Dataset.build Uarch.All.haswell blocks in
+  let dataset =
+    Bhive.Dataset.build ~engine:(Engine.create ()) Uarch.All.haswell blocks
+  in
   Printf.printf "dataset: %d measured blocks (%.1f%% of the corpus)\n%!"
     (Bhive.Dataset.size dataset)
     (100.0 *. Bhive.Dataset.profiled_fraction dataset);

@@ -10,7 +10,7 @@ let () =
     (List.length block)
     (X86.Encoder.block_length block)
     (100 * X86.Encoder.block_length block / 1024);
-  let rows = Bhive.Ablation.block_ablation block in
+  let rows = Bhive.Ablation.block_ablation ~engine:(Engine.create ()) block in
   Bhive.Report.block_ablation Format.std_formatter rows;
 
   (* The production configuration measures it cleanly. *)

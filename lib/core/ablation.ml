@@ -28,9 +28,8 @@ let technique_envs =
 
 (* Table I: percentage of the suite profiled under each incremental
    technique. One engine batch per technique environment. *)
-let suite_ablation ?(uarch = Uarch.All.haswell) ?engine
+let suite_ablation ?(uarch = Uarch.All.haswell) ~engine
     (blocks : Corpus.Block.t list) : suite_row list =
-  let engine = match engine with Some e -> e | None -> Engine.default () in
   List.map
     (fun (technique, env) ->
       let { Engine.outcomes; _ } =
@@ -65,9 +64,8 @@ type block_row = {
 }
 
 (* Table II: one block through the five incremental configurations. *)
-let block_ablation ?(uarch = Uarch.All.haswell) ?engine
+let block_ablation ?(uarch = Uarch.All.haswell) ~engine
     (block : X86.Inst.t list) : block_row list =
-  let engine = match engine with Some e -> e | None -> Engine.default () in
   let configs =
     [
       ("None", Harness.Environment.agner_baseline);

@@ -32,11 +32,8 @@ type t = {
    microarchitectures without AVX2 support, as in the paper's Ivy
    Bridge validation. The engine aggregates in submission order, so
    entries/failures/rejected keep corpus order for any worker count. *)
-let build ?(env = Harness.Environment.default) ?engine
+let build ?(env = Harness.Environment.default) ~engine
     (uarch : Uarch.Descriptor.t) (blocks : Corpus.Block.t list) : t =
-  let engine =
-    match engine with Some e -> e | None -> Engine.default ()
-  in
   let n_avx2 = ref 0 in
   let considered =
     List.filter

@@ -32,13 +32,13 @@ type t = {
           fault injection); empty when faults are off or recoverable *)
 }
 
-(** Profile every block of the corpus on [uarch] as one engine batch;
+(** Profile every block of the corpus on [uarch] as one [engine] batch;
     deterministic, and entry/failure/rejection order follows corpus
-    order for any worker count. [engine] defaults to {!Engine.default}
-    so independent builds share the memo cache. *)
+    order for any worker count. Builds that share an engine share its
+    memo cache. *)
 val build :
   ?env:Harness.Environment.t ->
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   Uarch.Descriptor.t ->
   Corpus.Block.t list ->
   t

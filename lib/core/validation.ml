@@ -106,38 +106,33 @@ let by_length (e : eval) : (string * float * int) list =
       (bucket_name (lo, hi), Bstats.Error.average errs, List.length errs))
     length_buckets
 
-(* Ground truth for a split. Without an engine, trust the dataset's
-   stored measurements. With one, re-derive each entry's throughput
-   through the engine: when the same engine built the dataset this is
-   pure memo-cache hits; with a fresh engine it is an independent
-   re-measurement, which the profiler's determinism guarantees agrees
-   bit-for-bit with the stored value. *)
-let ground_truth ?engine (dataset : Dataset.t) (entries : Dataset.entry list) :
+(* Ground truth for a split, re-derived through the engine: when the
+   same engine built the dataset this is pure memo-cache hits; with a
+   fresh engine it is an independent re-measurement, which the
+   profiler's determinism guarantees agrees bit-for-bit with the
+   stored value. *)
+let ground_truth ~engine (dataset : Dataset.t) (entries : Dataset.entry list) :
     (X86.Inst.t list * float) list =
-  match engine with
-  | None ->
-    List.map (fun (e : Dataset.entry) -> (e.block.insts, e.throughput)) entries
-  | Some engine ->
-    let { Engine.outcomes; _ } =
-      Engine.run_batch engine
-        (List.map
-           (fun (e : Dataset.entry) ->
-             { Engine.env = dataset.env; uarch = dataset.uarch; block = e.block.insts })
-           entries)
-    in
-    List.mapi
-      (fun i (e : Dataset.entry) ->
-        match Harness.Profiler.accepted_throughput outcomes.(i) with
-        | Some tp -> (e.block.insts, tp)
-        | None -> (e.block.insts, e.throughput))
-      entries
+  let { Engine.outcomes; _ } =
+    Engine.run_batch engine
+      (List.map
+         (fun (e : Dataset.entry) ->
+           { Engine.env = dataset.env; uarch = dataset.uarch; block = e.block.insts })
+         entries)
+  in
+  List.mapi
+    (fun i (e : Dataset.entry) ->
+      match Harness.Profiler.accepted_throughput outcomes.(i) with
+      | Some tp -> (e.block.insts, tp)
+      | None -> (e.block.insts, e.throughput))
+    entries
 
 (** The paper's four models, instantiated for a dataset's uarch; the
     learned model is trained on the dataset's training split. *)
-let standard_models ?(train_fraction = 0.85) ?engine (dataset : Dataset.t) :
+let standard_models ?(train_fraction = 0.85) ~engine (dataset : Dataset.t) :
     Models.Model_intf.t list * Dataset.entry list =
   let train, eval_entries = Dataset.split ~train_fraction dataset in
-  let trained = Models.Ithemal.train (ground_truth ?engine dataset train) in
+  let trained = Models.Ithemal.train (ground_truth ~engine dataset train) in
   ( [
       Models.Iaca.create dataset.uarch;
       Models.Llvm_mca.create dataset.uarch;
@@ -148,17 +143,14 @@ let standard_models ?(train_fraction = 0.85) ?engine (dataset : Dataset.t) :
 
 (* Full Table-"overall" style evaluation of one dataset: all four models
    on the held-out entries. *)
-let evaluate_all ?train_fraction ?engine (dataset : Dataset.t) : eval list =
-  let models, entries = standard_models ?train_fraction ?engine dataset in
+let evaluate_all ?train_fraction ~engine (dataset : Dataset.t) : eval list =
+  let models, entries = standard_models ?train_fraction ~engine dataset in
+  (* evaluate against engine-derived ground truth (identical to the
+     stored values by determinism; keeps the split cache-resident) *)
   let entries =
-    match engine with
-    | None -> entries
-    | Some _ ->
-      (* evaluate against engine-derived ground truth (identical to the
-         stored values by determinism; keeps the split cache-resident) *)
-      List.map2
-        (fun (e : Dataset.entry) (_, tp) -> { e with throughput = tp })
-        entries
-        (ground_truth ?engine dataset entries)
+    List.map2
+      (fun (e : Dataset.entry) (_, tp) -> { e with throughput = tp })
+      entries
+      (ground_truth ~engine dataset entries)
   in
   List.map (fun m -> evaluate_entries dataset.uarch m entries) models

@@ -37,28 +37,26 @@ val by_category :
     the error-vs-length analysis the paper leaves as an open TODO. *)
 val by_length : eval -> (string * float * int) list
 
-(** Ground-truth (block, throughput) pairs for [entries] of [dataset].
-    Without an engine the stored measurements are used; with one, the
-    entries are re-profiled through the engine's memo cache — free when
-    the same engine built the dataset, an independent re-measurement
+(** Ground-truth (block, throughput) pairs for [entries] of [dataset],
+    re-profiled through [engine]'s memo cache — free when the same
+    engine built the dataset, an independent re-measurement
     (bit-identical, since the profiler is deterministic) otherwise. *)
 val ground_truth :
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   Dataset.t ->
   Dataset.entry list ->
   (X86.Inst.t list * float) list
 
 (** The paper's four models for this dataset's microarchitecture; the
-    learned model is trained on the dataset's training split, and the
-    returned entries are the held-out evaluation set. When [engine] is
-    given, the training split's ground truth is derived through
-    {!ground_truth}. *)
+    learned model is trained on the dataset's training split, whose
+    ground truth comes from {!ground_truth}, and the returned entries
+    are the held-out evaluation set. *)
 val standard_models :
   ?train_fraction:float ->
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   Dataset.t ->
   Models.Model_intf.t list * Dataset.entry list
 
-(** All four models evaluated on the held-out entries (Table V rows).
-    When [engine] is given, both splits go through {!ground_truth}. *)
-val evaluate_all : ?train_fraction:float -> ?engine:Engine.t -> Dataset.t -> eval list
+(** All four models evaluated on the held-out entries (Table V rows);
+    both splits go through {!ground_truth}. *)
+val evaluate_all : ?train_fraction:float -> engine:Engine.t -> Dataset.t -> eval list

@@ -45,11 +45,9 @@ let overlay_digest = Stable_key.overlay_digest
 
 (* --- persistent store tier -------------------------------------------- *)
 
-(* Process-default store path: the [--store] CLI flag wins over
-   [BHIVE_STORE]; unset/empty means no disk tier. *)
-let store_override : string option ref = ref None
-let set_default_store path = store_override := Some path
-
+(* [BHIVE_STORE], unset/empty meaning no disk tier. The engine never
+   opens a store itself: its caller resolves the path, opens the store,
+   hands it to [create] and closes it. *)
 let store_path_from_env () =
   match Sys.getenv_opt "BHIVE_STORE" with
   | None -> Ok None
@@ -61,12 +59,6 @@ let store_path_from_env () =
         (Printf.sprintf "invalid BHIVE_STORE=%S: exists and is not a directory"
            s)
     else Ok (Some s)
-
-let default_store_path () =
-  match !store_override with
-  | Some _ as p -> p
-  | None -> (
-    match store_path_from_env () with Ok p -> p | Error msg -> failwith msg)
 
 let jobs_from_env () =
   match Sys.getenv_opt "BHIVE_JOBS" with
@@ -157,16 +149,6 @@ let store_hit_rate (s : stats) =
   let denom = s.store_hits + s.store_misses + s.store_invalidated in
   if denom = 0 then 0.0 else float_of_int s.store_hits /. float_of_int denom
 
-type phase_metrics = {
-  phase_name : string;
-  phase_wall_seconds : float;
-  phase_submitted : int;
-  phase_executed : int;
-  phase_cache_hits : int;
-  phase_retries : int;
-  phase_quarantined : int;
-}
-
 type worker_stat = { worker_id : int; jobs_run : int; busy_seconds : float }
 
 type t = {
@@ -178,7 +160,7 @@ type t = {
   memo : Harness.Mapping_memo.t;
       (** page mappings shared across uarches; a generation per batch
           that runs the profiler *)
-  store : Store.t option;  (** disk tier; absent without BHIVE_STORE/--store *)
+  store : Store.t option;  (** disk tier; the caller opens and closes it *)
   mutable gen_cache : (Uarch.Descriptor.t * string) list;
       (** generation fingerprints memoised by descriptor identity
           (physical equality — a perturbed copy of a descriptor must
@@ -195,42 +177,30 @@ type t = {
       (** per-worker-slot execution time; only the slot's current
           occupant writes it *)
   worker_jobs : int array;
-  mutable submitted : int;
-  mutable executed : int;
-  mutable cache_hits : int;
-  mutable completed : int;
-  mutable quarantined_slots : int;
-  mutable profiler_calls : int;
-  mutable retries : int;
-  mutable crashes : int;
-  mutable workers_replenished : int;
-  mutable store_hit_count : int;
-  mutable store_miss_count : int;
-  mutable store_invalidated_count : int;
-  mutable store_write_count : int;
+  (* [stats]'s counters, one cell per event: whichever thread sees the
+     event (the submitting thread or a worker) increments its cell, and
+     nothing else holds a copy *)
+  submitted : int Atomic.t;
+  executed : int Atomic.t;
+  cache_hits : int Atomic.t;
+  completed : int Atomic.t;
+  quarantined : int Atomic.t;
+  profiler_calls : int Atomic.t;
+  retries : int Atomic.t;
+  crashes : int Atomic.t;
+  workers_replenished : int Atomic.t;
+  store_hits : int Atomic.t;
+  store_misses : int Atomic.t;
+  store_invalidated : int Atomic.t;
+  store_writes : int Atomic.t;
   mutable wall_seconds : float;
-  mutable phase_log : phase_metrics list;  (** reverse order *)
   mutable quarantine_log : quarantine list;  (** reverse order *)
 }
 
-let m_submitted = Telemetry.Metrics.counter "engine.submitted"
-let m_executed = Telemetry.Metrics.counter "engine.executed"
-let m_cache_hits = Telemetry.Metrics.counter "engine.cache_hits"
-let m_profiler_calls = Telemetry.Metrics.counter "engine.profiler_calls"
-let m_retries = Telemetry.Metrics.counter "engine.retries"
-let m_crashes = Telemetry.Metrics.counter "engine.crashes"
-let m_quarantined = Telemetry.Metrics.counter "engine.quarantined"
-
-let m_replenished =
-  Telemetry.Metrics.counter "engine.workers_replenished"
-
-let m_store_hits = Telemetry.Metrics.counter "engine.store_hits"
-let m_store_misses = Telemetry.Metrics.counter "engine.store_misses"
-let m_store_invalidated = Telemetry.Metrics.counter "engine.store_invalidated"
-let m_store_writes = Telemetry.Metrics.counter "engine.store_writes"
+(* The registry keeps what no [stats] field carries: the mapping memo's
+   traffic and the latency histograms. *)
 let m_mapping_hits = Telemetry.Metrics.counter "engine.mapping_memo.hits"
 let m_mapping_misses = Telemetry.Metrics.counter "engine.mapping_memo.misses"
-
 let h_job_seconds = Telemetry.Metrics.histogram "engine.job_seconds"
 let h_batch_seconds = Telemetry.Metrics.histogram "engine.batch_seconds"
 
@@ -240,34 +210,11 @@ let default_jobs () =
   | Ok None -> Domain.recommended_domain_count ()
   | Error msg -> failwith msg
 
-let open_store path =
-  if Telemetry.Trace.enabled () then begin
-    let opened = ref None in
-    Telemetry.Trace.span "engine.store_open"
-      ~attrs:(fun () -> [ ("path", Telemetry.Trace.Str path) ])
-      (fun () -> opened := Some (Store.open_ path));
-    Option.get !opened
-  end
-  else Store.open_ path
-
-let create ?jobs ?progress ?faults ?store ?store_path ?(max_retries = 4)
+let create ?jobs ?progress ?faults ?store ?(max_retries = 4)
     ?(block_generation = false) () =
   let n_jobs = max 1 (match jobs with Some n -> n | None -> default_jobs ()) in
   let faults = match faults with Some f -> f | None -> Faultsim.of_env () in
-  let store =
-    (* an already-open handle wins over any path: the store's
-       cross-process file locks are per-process, so several engines of
-       one process (the daemon's shard pool) must share ONE handle —
-       a second open_ in the same process would silently break the
-       intra-process append exclusion *)
-    match store with
-    | Some _ as s -> s
-    | None ->
-      let store_path =
-        match store_path with Some _ as p -> p | None -> default_store_path ()
-      in
-      Option.map open_store store_path
-  in
+  let zero () = Atomic.make 0 in
   {
     n_jobs;
     progress;
@@ -281,26 +228,23 @@ let create ?jobs ?progress ?faults ?store ?store_path ?(max_retries = 4)
     lock = Mutex.create ();
     worker_busy_ns = Array.make n_jobs 0L;
     worker_jobs = Array.make n_jobs 0;
-    submitted = 0;
-    executed = 0;
-    cache_hits = 0;
-    completed = 0;
-    quarantined_slots = 0;
-    profiler_calls = 0;
-    retries = 0;
-    crashes = 0;
-    workers_replenished = 0;
-    store_hit_count = 0;
-    store_miss_count = 0;
-    store_invalidated_count = 0;
-    store_write_count = 0;
+    submitted = zero ();
+    executed = zero ();
+    cache_hits = zero ();
+    completed = zero ();
+    quarantined = zero ();
+    profiler_calls = zero ();
+    retries = zero ();
+    crashes = zero ();
+    workers_replenished = zero ();
+    store_hits = zero ();
+    store_misses = zero ();
+    store_invalidated = zero ();
+    store_writes = zero ();
     wall_seconds = 0.0;
-    phase_log = [];
     quarantine_log = [];
   }
 
-let shared = lazy (create ())
-let default () = Lazy.force shared
 let jobs t = t.n_jobs
 let faults t = t.faults
 let store t = t.store
@@ -371,28 +315,28 @@ let peek t (j : job) : outcome option =
   | None -> (
     match store_read t fp j with
     | Some (`Hit r) ->
-      t.store_hit_count <- t.store_hit_count + 1;
-      Telemetry.Metrics.incr m_store_hits;
+      Atomic.incr t.store_hits;
       Hashtbl.replace t.cache fp r;
       Some r
     | Some (`Stale | `Miss) | None -> None)
 
-let stats t =
+let stats t : stats =
   let memo = Harness.Mapping_memo.stats t.memo in
+  let get = Atomic.get in
   {
-    submitted = t.submitted;
-    executed = t.executed;
-    cache_hits = t.cache_hits;
-    completed = t.completed;
-    quarantined = t.quarantined_slots;
-    profiler_calls = t.profiler_calls;
-    retries = t.retries;
-    crashes = t.crashes;
-    workers_replenished = t.workers_replenished;
-    store_hits = t.store_hit_count;
-    store_misses = t.store_miss_count;
-    store_invalidated = t.store_invalidated_count;
-    store_writes = t.store_write_count;
+    submitted = get t.submitted;
+    executed = get t.executed;
+    cache_hits = get t.cache_hits;
+    completed = get t.completed;
+    quarantined = get t.quarantined;
+    profiler_calls = get t.profiler_calls;
+    retries = get t.retries;
+    crashes = get t.crashes;
+    workers_replenished = get t.workers_replenished;
+    store_hits = get t.store_hits;
+    store_misses = get t.store_misses;
+    store_invalidated = get t.store_invalidated;
+    store_writes = get t.store_writes;
     mapping_hits = memo.hits;
     mapping_misses = memo.misses;
     wall_seconds = t.wall_seconds;
@@ -435,22 +379,9 @@ let run_batch t (submission : job list) : batch =
   let batch_start_ns = Telemetry.Trace.now_ns () in
   let submission = Array.of_list submission in
   let n = Array.length submission in
+  ignore (Atomic.fetch_and_add t.submitted n);
   let results : outcome option array = Array.make n None in
-  let m_ref = ref 0 in
-  let batch_hits = ref 0 in
-  (* disk-tier accounting; lookups happen on the submitting thread,
-     writes in the workers *)
-  let b_store_hits = ref 0 in
-  let b_store_misses = ref 0 in
-  let b_store_invalidated = ref 0 in
-  let a_store_writes = Atomic.make 0 in
   let fresh_quarantines = ref [] in
-  (* batch-local fault/retry accounting; folded into [t] after the pool
-     drains (workers may not touch [t]'s mutable fields directly) *)
-  let a_profiler_calls = Atomic.make 0 in
-  let a_retries = Atomic.make 0 in
-  let a_crashes = Atomic.make 0 in
-  let a_replenished = Atomic.make 0 in
   let memo_before = Harness.Mapping_memo.stats t.memo in
   let body () =
     let batch_span = Telemetry.Trace.current_span () in
@@ -473,8 +404,7 @@ let run_batch t (submission : job list) : batch =
       match store_read t fp j with
       | None -> None
       | Some (`Hit r) ->
-        incr b_store_hits;
-        Telemetry.Metrics.incr m_store_hits;
+        Atomic.incr t.store_hits;
         if traced then
           Telemetry.Trace.instant "engine.store_hit" ~attrs:(fun () ->
               [
@@ -483,8 +413,7 @@ let run_batch t (submission : job list) : batch =
               ]);
         Some r
       | Some `Stale ->
-        incr b_store_invalidated;
-        Telemetry.Metrics.incr m_store_invalidated;
+        Atomic.incr t.store_invalidated;
         if traced then
           Telemetry.Trace.instant "engine.store_invalidated" ~attrs:(fun () ->
               [
@@ -493,8 +422,7 @@ let run_batch t (submission : job list) : batch =
               ]);
         None
       | Some `Miss ->
-        incr b_store_misses;
-        Telemetry.Metrics.incr m_store_misses;
+        Atomic.incr t.store_misses;
         None
     in
     Array.iteri
@@ -502,7 +430,7 @@ let run_batch t (submission : job list) : batch =
         let fp = fingerprint j in
         match Hashtbl.find_opt t.cache fp with
         | Some r ->
-          incr batch_hits;
+          Atomic.incr t.cache_hits;
           if traced then
             Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
                 [ ("slot", Telemetry.Trace.Int i) ]);
@@ -510,7 +438,7 @@ let run_batch t (submission : job list) : batch =
         | None -> (
           match Hashtbl.find_opt claims fp with
           | Some slots ->
-            incr batch_hits;
+            Atomic.incr t.cache_hits;
             if traced then
               Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
                   [
@@ -529,7 +457,6 @@ let run_batch t (submission : job list) : batch =
       submission;
     let worklist = Array.of_list (List.rev !worklist) in
     let m = Array.length worklist in
-    m_ref := m;
     (* A batch that runs the profiler opens a memo generation: what the
        previous such batch mapped stays reachable for this one. *)
     if m > 0 then Harness.Mapping_memo.rotate t.memo;
@@ -561,8 +488,7 @@ let run_batch t (submission : job list) : batch =
               ~gen:gens.(u)
               (Marshal.to_string r [])
           then begin
-            Atomic.incr a_store_writes;
-            Telemetry.Metrics.incr m_store_writes;
+            Atomic.incr t.store_writes;
             if traced then
               Telemetry.Trace.instant "engine.store_write" ~attrs:(fun () ->
                   [ ("fingerprint", Telemetry.Trace.Str fp) ])
@@ -583,9 +509,12 @@ let run_batch t (submission : job list) : batch =
       Queue.add item queue;
       Mutex.unlock queue_lock
     in
-    let resolved = Atomic.make 0 in
+    (* A unique job is executed once it resolves, measured or
+       quarantined; only this batch moves [executed] while it runs, so
+       the count past [executed_before] is the progress hook's [done_]. *)
+    let executed_before = Atomic.get t.executed in
     let mark_resolved () =
-      let d = 1 + Atomic.fetch_and_add resolved 1 in
+      let d = 1 + Atomic.fetch_and_add t.executed 1 - executed_before in
       match t.progress with
       | None -> ()
       | Some hook ->
@@ -606,7 +535,6 @@ let run_batch t (submission : job list) : batch =
         }
       in
       out.(u) <- Some (Error (Quarantined q));
-      Telemetry.Metrics.incr m_quarantined;
       if traced then
         Telemetry.Trace.instant "engine.quarantine" ~attrs:(fun () ->
             [
@@ -641,8 +569,7 @@ let run_batch t (submission : job list) : batch =
       let busy = Int64.sub (Telemetry.Trace.now_ns ()) start_ns in
       t.worker_busy_ns.(worker) <- Int64.add t.worker_busy_ns.(worker) busy;
       t.worker_jobs.(worker) <- t.worker_jobs.(worker) + 1;
-      Atomic.incr a_profiler_calls;
-      Telemetry.Metrics.incr m_profiler_calls;
+      Atomic.incr t.profiler_calls;
       Telemetry.Metrics.observe h_job_seconds (seconds_of_ns busy);
       Option.get !result
     in
@@ -651,8 +578,7 @@ let run_batch t (submission : job list) : batch =
     let run_attempt ~worker u attempt =
       let fp, slot = worklist.(u) in
       if Faultsim.crashes t.faults ~fingerprint:fp ~attempt then begin
-        Atomic.incr a_crashes;
-        Telemetry.Metrics.incr m_crashes;
+        Atomic.incr t.crashes;
         if traced then
           Telemetry.Trace.instant "engine.crash" ~attrs:(fun () ->
               [
@@ -683,11 +609,9 @@ let run_batch t (submission : job list) : batch =
     (* The supervisor's half of crash recovery: requeue or quarantine
        the in-flight job, count the replacement. *)
     let recover ~unique ~attempt =
-      Atomic.incr a_replenished;
-      Telemetry.Metrics.incr m_replenished;
+      Atomic.incr t.workers_replenished;
       if attempt < t.max_retries then begin
-        Atomic.incr a_retries;
-        Telemetry.Metrics.incr m_retries;
+        Atomic.incr t.retries;
         push (unique, attempt + 1)
       end
       else finalize_quarantine unique ~attempts:(attempt + 1)
@@ -749,45 +673,33 @@ let run_batch t (submission : job list) : batch =
         List.iter (fun i -> results.(i) <- Some r) !(Hashtbl.find claims fp))
       worklist
   in
-  if Telemetry.Trace.enabled () then
-    Telemetry.Trace.span "engine.run_batch"
-      ~attrs:(fun () ->
-        [
-          ("submitted", Telemetry.Trace.Int n);
-          ("executed", Telemetry.Trace.Int !m_ref);
-          ("cache_hits", Telemetry.Trace.Int !batch_hits);
-          ("workers", Telemetry.Trace.Int (min t.n_jobs !m_ref));
-          ("retries", Telemetry.Trace.Int (Atomic.get a_retries));
-          ("quarantined", Telemetry.Trace.Int (List.length !fresh_quarantines));
-        ])
-      body
-  else body ();
+  (if Telemetry.Trace.enabled () then
+     let before = stats t in
+     Telemetry.Trace.span "engine.run_batch"
+       ~attrs:(fun () ->
+         let after = stats t in
+         let executed = after.executed - before.executed in
+         [
+           ("submitted", Telemetry.Trace.Int n);
+           ("executed", Telemetry.Trace.Int executed);
+           ( "cache_hits",
+             Telemetry.Trace.Int (after.cache_hits - before.cache_hits) );
+           ("workers", Telemetry.Trace.Int (min t.n_jobs executed));
+           ("retries", Telemetry.Trace.Int (after.retries - before.retries));
+           ("quarantined", Telemetry.Trace.Int (List.length !fresh_quarantines));
+         ])
+       body
+   else body ());
   let outcomes = Array.map Option.get results in
   let quarantined = List.rev !fresh_quarantines in
   (* Slot-level accounting: every submitted slot is either completed or
      quarantined; nothing is ever lost. *)
-  let q_slots =
-    Array.fold_left
-      (fun acc -> function Error (Quarantined _) -> acc + 1 | _ -> acc)
-      0 outcomes
-  in
-  t.submitted <- t.submitted + n;
-  t.executed <- t.executed + !m_ref;
-  t.cache_hits <- t.cache_hits + !batch_hits;
-  t.completed <- t.completed + (n - q_slots);
-  t.quarantined_slots <- t.quarantined_slots + q_slots;
-  t.profiler_calls <- t.profiler_calls + Atomic.get a_profiler_calls;
-  t.retries <- t.retries + Atomic.get a_retries;
-  t.crashes <- t.crashes + Atomic.get a_crashes;
-  t.workers_replenished <- t.workers_replenished + Atomic.get a_replenished;
-  t.store_hit_count <- t.store_hit_count + !b_store_hits;
-  t.store_miss_count <- t.store_miss_count + !b_store_misses;
-  t.store_invalidated_count <- t.store_invalidated_count + !b_store_invalidated;
-  t.store_write_count <- t.store_write_count + Atomic.get a_store_writes;
+  Array.iter
+    (function
+      | Error (Quarantined _) -> Atomic.incr t.quarantined
+      | _ -> Atomic.incr t.completed)
+    outcomes;
   t.quarantine_log <- List.rev_append quarantined t.quarantine_log;
-  Telemetry.Metrics.add m_submitted n;
-  Telemetry.Metrics.add m_executed !m_ref;
-  Telemetry.Metrics.add m_cache_hits !batch_hits;
   let memo_after = Harness.Mapping_memo.stats t.memo in
   Telemetry.Metrics.add m_mapping_hits (memo_after.hits - memo_before.hits);
   Telemetry.Metrics.add m_mapping_misses (memo_after.misses - memo_before.misses);
@@ -799,49 +711,10 @@ let run_batch t (submission : job list) : batch =
 let profile t env uarch block =
   (run_batch t [ { env; uarch; block } ]).outcomes.(0)
 
-let phase t name f =
-  let before = stats t in
-  let t0 = Unix.gettimeofday () in
-  let finally () =
-    let after = stats t in
-    t.phase_log <-
-      {
-        phase_name = name;
-        phase_wall_seconds = Unix.gettimeofday () -. t0;
-        phase_submitted = after.submitted - before.submitted;
-        phase_executed = after.executed - before.executed;
-        phase_cache_hits = after.cache_hits - before.cache_hits;
-        phase_retries = after.retries - before.retries;
-        phase_quarantined = after.quarantined - before.quarantined;
-      }
-      :: t.phase_log
-  in
-  Fun.protect ~finally f
-
-let phases t = List.rev t.phase_log
-
 let summary_json t =
   let open Telemetry in
   let s = stats t in
   let num i = Json.Number (float_of_int i) in
-  let phase_json p =
-    let rate =
-      if p.phase_submitted = 0 then 0.0
-      else float_of_int p.phase_cache_hits /. float_of_int p.phase_submitted
-    in
-    Json.Object
-      [
-        ("section", Json.String p.phase_name);
-        ("wall_seconds", Json.Number p.phase_wall_seconds);
-        ("jobs", num t.n_jobs);
-        ("submitted", num p.phase_submitted);
-        ("executed", num p.phase_executed);
-        ("cache_hits", num p.phase_cache_hits);
-        ("cache_hit_rate", Json.Number rate);
-        ("retries", num p.phase_retries);
-        ("quarantined", num p.phase_quarantined);
-      ]
-  in
   let worker_json (w : worker_stat) =
     let utilization =
       if s.wall_seconds <= 0.0 then 0.0 else w.busy_seconds /. s.wall_seconds
@@ -903,5 +776,4 @@ let summary_json t =
       ("store", store_json);
       ("faults", fault_json);
       ("workers", Json.List (List.map worker_json (worker_stats t)));
-      ("sections", Json.List (List.map phase_json (phases t)));
     ]

@@ -121,11 +121,16 @@ type batch = { outcomes : outcome array; quarantined : quarantine list }
 
 (** Cumulative engine counters. [submitted] is every job ever handed to
     the engine; [executed] is how many {e unique fresh} jobs the engine
-    resolved by running (measured or quarantined);
-    [cache_hits = submitted - executed] counts memoised results
-    (including duplicates within a single batch). The accounting
-    identity [completed + quarantined = submitted] always holds —
-    {!lost} is 0 unless the engine itself is broken. *)
+    resolved by running (measured or quarantined); [cache_hits] counts
+    memoised results (including duplicates within a single batch). A
+    submission is one of the three or a store hit, so
+    [cache_hits = submitted - executed] when no store served one. The
+    accounting identity [completed + quarantined = submitted] always
+    holds — {!lost} is 0 unless the engine itself is broken.
+
+    Each field but the memo's and [wall_seconds] reads one per-engine
+    atomic counter, incremented once where its event happens (on the
+    submitting thread or in a worker); no other copy is kept. *)
 type stats = {
   submitted : int;
   executed : int;
@@ -148,7 +153,9 @@ type stats = {
   wall_seconds : float;  (** total wall time spent inside [run_batch] *)
 }
 
-(** [submitted - completed - quarantined]; 0 for a healthy engine. *)
+(** [submitted - completed - quarantined]; 0 for a healthy engine. A
+    batch aborted by an exception (a progress hook that raises) leaves
+    its unresolved slots counted here. *)
 val lost : stats -> int
 
 (** Disk-tier hit rate: [store_hits] over all store consultations
@@ -158,25 +165,24 @@ val store_hit_rate : stats -> float
 
 type t
 
-(** [create ?jobs ?progress ?faults ?max_retries ()] makes a fresh
-    engine. [jobs] defaults to [$BHIVE_JOBS], falling back to
+(** [create ?jobs ?progress ?faults ?store ?max_retries ()] makes a
+    fresh engine. [jobs] defaults to [$BHIVE_JOBS], falling back to
     [Domain.recommended_domain_count ()]; values are clamped to at
     least 1. [progress] is invoked (under a lock) once per resolved
     unique job. [faults] defaults to {!Faultsim.of_env}.
     [max_retries] (default 4, clamped to at least 0) is how many times
     a crashed job is requeued before it is quarantined.
 
-    [store] (an already-open handle) wins over [store_path]: the
-    store's cross-process file locks are per-process, so multiple
-    engines of one process — the daemon's shard pool — must share one
-    handle rather than each opening the same directory. The caller
-    keeps ownership: engines never close a store they were handed. *)
+    [store] is the disk tier, an already-open handle; without it the
+    engine has none. The caller opens the store and closes it once the
+    engine is done with it: the store's cross-process file locks are
+    per-process, so several engines of one process (the daemon's shard
+    pool, refinement's engine per candidate) share one handle. *)
 val create :
   ?jobs:int ->
   ?progress:(done_:int -> total:int -> unit) ->
   ?faults:Faultsim.config ->
   ?store:Store.t ->
-  ?store_path:string ->
   ?max_retries:int ->
   ?block_generation:bool ->
   unit -> t
@@ -187,12 +193,6 @@ val create :
     descriptor edit its block never reads. This is what makes each
     refinement candidate evaluation incremental; normal runs keep the
     default scheme so their store keys and golden pins are unchanged. *)
-
-(** The shared process-wide engine (created on first use from
-    [BHIVE_JOBS], [BHIVE_FAULTS] and {!default_store_path}).
-    Drivers that are not handed an explicit engine use this one, so
-    independent experiment sections share its memo cache. *)
-val default : unit -> t
 
 (** Worker-pool size resolved from [$BHIVE_JOBS] (what [create]
     uses when [?jobs] is omitted). Raises [Failure] on a malformed
@@ -207,18 +207,9 @@ val jobs_from_env : unit -> (int option, string) result
 
 (** {1 Persistent store tier} *)
 
-(** Process-default store path (the [--store] CLI flag; wins over
-    [$BHIVE_STORE]). Must be called before the first engine is
-    created. *)
-val set_default_store : string -> unit
-
 (** [$BHIVE_STORE] parsed strictly: unset/empty is [Ok None]; a path
     that exists but is not a directory is [Error msg]. *)
 val store_path_from_env : unit -> (string option, string) result
-
-(** The store path [create] uses when [?store_path] is omitted: the
-    {!set_default_store} override if any, else [$BHIVE_STORE]. *)
-val default_store_path : unit -> string option
 
 (** Validate every engine-relevant environment variable
     ([BHIVE_JOBS], [BHIVE_FAULTS], [BHIVE_STORE]) without side
@@ -269,23 +260,6 @@ val quarantines : t -> quarantine list
     returns the number of records written. *)
 val write_quarantine_manifest : t -> string -> int
 
-(** [phase t name f] runs [f ()] and records its wall time (and the
-    engine counter deltas it caused) under [name]. *)
-val phase : t -> string -> (unit -> 'a) -> 'a
-
-(** Per-phase metrics, in the order the phases ran. *)
-type phase_metrics = {
-  phase_name : string;
-  phase_wall_seconds : float;
-  phase_submitted : int;
-  phase_executed : int;
-  phase_cache_hits : int;
-  phase_retries : int;
-  phase_quarantined : int;
-}
-
-val phases : t -> phase_metrics list
-
 (** Per-worker execution accounting, tracked unconditionally (two
     monotonic clock reads per executed job): how many jobs each pool
     slot ran and for how long. Utilization is
@@ -296,6 +270,7 @@ type worker_stat = { worker_id : int; jobs_run : int; busy_seconds : float }
 val worker_stats : t -> worker_stat list
 
 (** The machine-readable engine report: cumulative counters, crash and
-    retry statistics, per-worker utilization, and per-phase sections —
-    the object [bench/main.ml] extends into [bench_summary.json]. *)
+    retry statistics, store traffic and per-worker utilization — the
+    object [Manifest.Runner] extends into [bench_summary.json], whose
+    per-section counters come from the run's journal. *)
 val summary_json : t -> Telemetry.Json.t

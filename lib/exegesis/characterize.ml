@@ -16,20 +16,11 @@ type result = {
    blocks are tiny) and misalignment never occurs (aligned slots). *)
 let env = { Harness.Environment.default with unroll = Harness.Environment.Naive 100 }
 
-(* Microbenchmarks route through the engine when one is given — gaining
-   its memoisation and fault supervision — and fall back to the bare
-   profiler otherwise. *)
-let measure_block ?engine (uarch : Uarch.Descriptor.t) block :
+(* Microbenchmarks route through the engine, gaining its memoisation
+   and fault supervision. *)
+let measure_block ~engine (uarch : Uarch.Descriptor.t) block :
     (float * float) option =
-  let outcome : Engine.outcome =
-    match engine with
-    | Some e -> Engine.profile e env uarch block
-    | None -> (
-      match Harness.Profiler.profile env uarch block with
-      | Ok p -> Ok p
-      | Error f -> Error (Engine.Profiler_failure f))
-  in
-  match outcome with
+  match Engine.profile engine env uarch block with
   | Ok p when p.accepted ->
     let c = p.large.counters in
     let uops_per_inst =
@@ -39,19 +30,19 @@ let measure_block ?engine (uarch : Uarch.Descriptor.t) block :
   | _ -> None
 
 (** Characterise one instruction form. *)
-let characterize ?engine (uarch : Uarch.Descriptor.t) (form : Benchgen.form) :
+let characterize ~engine (uarch : Uarch.Descriptor.t) (form : Benchgen.form) :
     result option =
   (* latency: a single chained instance per iteration; the steady-state
      cycles/iteration of the unrolled chain is the latency *)
   let latency =
     match Benchgen.latency_block form ~n:1 with
     | None -> None
-    | Some block -> Option.map fst (measure_block ?engine uarch block)
+    | Some block -> Option.map fst (measure_block ~engine uarch block)
   in
   (* throughput: as many disjoint copies as the register pool allows *)
   let copies = Benchgen.default_copies form in
   let tp_block = Benchgen.throughput_block form ~copies in
-  match measure_block ?engine uarch tp_block with
+  match measure_block ~engine uarch tp_block with
   | None -> None
   | Some (cycles_per_iter, uops) ->
     Some
@@ -63,8 +54,8 @@ let characterize ?engine (uarch : Uarch.Descriptor.t) (form : Benchgen.form) :
       }
 
 (** The full standard table for one microarchitecture. *)
-let table ?engine (uarch : Uarch.Descriptor.t) : result list =
-  List.filter_map (characterize ?engine uarch) Benchgen.standard_forms
+let table ~engine (uarch : Uarch.Descriptor.t) : result list =
+  List.filter_map (characterize ~engine uarch) Benchgen.standard_forms
 
 let pp_row fmt (r : result) =
   Format.fprintf fmt "%-16s lat=%-6s rtp=%-6.2f uops=%.1f"

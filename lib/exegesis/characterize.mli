@@ -11,13 +11,13 @@ type result = {
 }
 
 (** Characterise one form; [None] if neither benchmark could be
-    measured. [?engine] routes the microbenchmarks through a supervising
-    engine (memoised, fault-tolerant) instead of the bare profiler. *)
+    measured. The microbenchmarks run through [engine] (memoised,
+    fault-tolerant). *)
 val characterize :
-  ?engine:Engine.t -> Uarch.Descriptor.t -> Benchgen.form -> result option
+  engine:Engine.t -> Uarch.Descriptor.t -> Benchgen.form -> result option
 
 (** The full standard-form table for one microarchitecture. *)
-val table : ?engine:Engine.t -> Uarch.Descriptor.t -> result list
+val table : engine:Engine.t -> Uarch.Descriptor.t -> result list
 
 val pp_row : Format.formatter -> result -> unit
 val pp_table : Format.formatter -> result list -> unit

@@ -54,24 +54,18 @@ let baseline_block (combo : Uarch.Port.set) : Inst.t list =
 
 let env = { Harness.Environment.default with unroll = Harness.Environment.Naive 100 }
 
-let throughput ?engine uarch block =
-  match engine with
-  | Some e -> (
-    match Engine.profile e env uarch block with
-    | Ok p -> Some p.Harness.Profiler.throughput
-    | Error _ -> None)
-  | None -> (
-    match Harness.Profiler.profile env uarch block with
-    | Ok p -> Some p.throughput
-    | Error _ -> None)
+let throughput ~engine uarch block =
+  match Engine.profile engine env uarch block with
+  | Ok p -> Some p.Harness.Profiler.throughput
+  | Error _ -> None
 
 (** Measured slowdown caused by adding the target to a saturated
     combination. *)
-let pressure_delta ?engine (uarch : Uarch.Descriptor.t) (target : Inst.t)
+let pressure_delta ~engine (uarch : Uarch.Descriptor.t) (target : Inst.t)
     (combo : Uarch.Port.set) : float option =
   match
-    ( throughput ?engine uarch (probe_block target combo),
-      throughput ?engine uarch (baseline_block combo) )
+    ( throughput ~engine uarch (probe_block target combo),
+      throughput ~engine uarch (baseline_block combo) )
   with
   | Some combined, Some baseline -> Some (combined -. baseline)
   | _ -> None
@@ -80,7 +74,7 @@ let pressure_delta ?engine (uarch : Uarch.Descriptor.t) (target : Inst.t)
     smallest candidate set whose saturation the target cannot escape.
     [None] when no candidate confines it (its ports lie outside the
     supported blockers, e.g. memory ports). *)
-let infer ?engine (uarch : Uarch.Descriptor.t) (target : Inst.t) :
+let infer ~engine (uarch : Uarch.Descriptor.t) (target : Inst.t) :
     Uarch.Port.set option =
   let confined =
     List.filter
@@ -88,7 +82,7 @@ let infer ?engine (uarch : Uarch.Descriptor.t) (target : Inst.t) :
         (* a confined micro-op adds 1 cycle spread over the combo's
            ports; an escaping one adds (nearly) nothing *)
         let threshold = 0.8 /. float_of_int (Uarch.Port.cardinal combo) in
-        match pressure_delta ?engine uarch target combo with
+        match pressure_delta ~engine uarch target combo with
         | Some delta -> delta >= threshold
         | None -> false)
       candidate_combos
@@ -116,13 +110,13 @@ let expected_ports (uarch : Uarch.Descriptor.t) (target : Inst.t) =
       if u.kind = Uarch.Uop.Exec then Some u.ports else None)
     d.uops
 
-let survey ?engine (uarch : Uarch.Descriptor.t)
+let survey ~engine (uarch : Uarch.Descriptor.t)
     (targets : (string * Inst.t) list) : entry list =
   List.map
     (fun (name, target) ->
       {
         name;
-        inferred = infer ?engine uarch target;
+        inferred = infer ~engine uarch target;
         expected = expected_ports uarch target;
       })
     targets

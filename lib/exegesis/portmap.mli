@@ -12,17 +12,16 @@ val blocker_for_port : int -> int -> X86.Inst.t
 val supported_ports : int list
 
 (** Measured slowdown from adding the target to a saturated combination;
-    [None] when either measurement fails. [?engine] routes the probe
-    measurements through a supervising engine (memoised, fault-tolerant)
-    instead of the bare profiler. *)
+    [None] when either measurement fails. The probe measurements run
+    through [engine] (memoised, fault-tolerant). *)
 val pressure_delta :
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set -> float option
 
 (** Infer the execution-port combination of the target's compute
     micro-op; [None] when no supported candidate set confines it. *)
 val infer :
-  ?engine:Engine.t -> Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set option
+  engine:Engine.t -> Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set option
 
 type entry = {
   name : string;
@@ -35,7 +34,7 @@ type entry = {
 val expected_ports : Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set option
 
 val survey :
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   Uarch.Descriptor.t -> (string * X86.Inst.t) list -> entry list
 
 (** Non-accumulating target forms whose port sets the survey infers. *)

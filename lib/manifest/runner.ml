@@ -613,7 +613,6 @@ let summary_json ~(spec : Spec.t) ~manifest_id ~experiment_id ~journal_digest
   in
   match Engine.summary_json engine with
   | Json.Object fields ->
-    let fields = List.filter (fun (k, _) -> k <> "sections") fields in
     (* Simulator throughput, from the pipeline's always-on counters.
        [blocks_per_sec] is simulated blocks over cumulative in-simulator
        core-seconds — a machine-load-insensitive rate the CI perf job
@@ -713,9 +712,11 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
           incr count;
           if !count >= n then raise Killed)
   in
-  let engine =
-    Engine.create ?jobs ?progress ?faults ?store_path ?max_retries ()
-  in
+  (* the run owns its store: opened here, handed to the engine and
+     closed when the run ends, however it ends *)
+  let store = Option.map Store.open_ store_path in
+  Fun.protect ~finally:(fun () -> Option.iter Store.close store) @@ fun () ->
+  let engine = Engine.create ?jobs ?progress ?faults ?store ?max_retries () in
   let* journal =
     match spec.output.journal with
     | None -> Ok (Journal.memory ())
@@ -747,8 +748,7 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
               let t0 = Unix.gettimeofday () in
               let buf = Buffer.create 4096 in
               let bfmt = Format.formatter_of_buffer buf in
-              Engine.phase engine name (fun () ->
-                  exec_section ctx bfmt ~name s.kind);
+              exec_section ctx bfmt ~name s.kind;
               Format.pp_print_flush bfmt ();
               let output = Buffer.contents buf in
               let wall = Unix.gettimeofday () -. t0 in

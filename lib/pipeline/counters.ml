@@ -1,8 +1,10 @@
 (** Hardware performance counters, as read by the measurement framework.
 
     These mirror the events BHive monitors: core cycles, the three L1
-    miss counters, MISALIGNED_MEM_REFERENCE, and the OS context-switch
-    count (the latter is a software counter on real systems).
+    miss counters and MISALIGNED_MEM_REFERENCE. BHive's OS
+    context-switch count has no field: the simulator is never
+    preempted, and the profiler's noise model marks a timing that a
+    context switch hits unclean itself.
 
     Beyond the paper's event set, the simulator also exposes its own
     introspection counters — per-port busy cycles and per-cause stall
@@ -19,7 +21,6 @@ type t = {
   mutable l1i_misses : int;
   mutable l2_misses : int;
   mutable misaligned_mem_refs : int;
-  mutable context_switches : int;
   mutable subnormal_assists : int;
   mutable port_cycles : int array;
       (** busy cycles per execution port (length = the uarch's port
@@ -41,7 +42,6 @@ let create () =
     l1i_misses = 0;
     l2_misses = 0;
     misaligned_mem_refs = 0;
-    context_switches = 0;
     subnormal_assists = 0;
     port_cycles = [||];
     frontend_stall_cycles = 0;
@@ -49,11 +49,10 @@ let create () =
     port_contention_cycles = 0;
   }
 
-(* A "clean" measurement in the BHive sense: no cache misses of any kind
-   and no context switches. *)
+(* A "clean" simulation in the BHive sense: no cache misses of any
+   kind. *)
 let is_clean t =
   t.l1d_read_misses = 0 && t.l1d_write_misses = 0 && t.l1i_misses = 0
-  && t.context_switches = 0
 
 let pp_ports fmt t =
   Format.fprintf fmt "[";
@@ -67,9 +66,9 @@ let pp_ports fmt t =
 let pp fmt t =
   Format.fprintf fmt
     "cycles=%d insts=%d uops=%d l1d_rd_miss=%d l1d_wr_miss=%d l1i_miss=%d \
-     l2_miss=%d misaligned=%d ctx_switches=%d assists=%d ports=%a \
+     l2_miss=%d misaligned=%d assists=%d ports=%a \
      fe_stall=%d rob_stall=%d port_stall=%d"
     t.core_cycles t.instructions t.uops t.l1d_read_misses t.l1d_write_misses
-    t.l1i_misses t.l2_misses t.misaligned_mem_refs t.context_switches
+    t.l1i_misses t.l2_misses t.misaligned_mem_refs
     t.subnormal_assists pp_ports t t.frontend_stall_cycles t.rob_stall_cycles
     t.port_contention_cycles

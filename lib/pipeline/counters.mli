@@ -1,6 +1,9 @@
 (** Hardware performance counters as read by the measurement framework,
     mirroring the events BHive monitors: core cycles, the cache-miss
-    counters, MISALIGNED_MEM_REFERENCE, and the OS context-switch count.
+    counters and MISALIGNED_MEM_REFERENCE. BHive's OS context-switch
+    count has no field: the simulator is never preempted, and the
+    profiler's noise model marks a timing that a context switch hits
+    unclean itself.
 
     The simulator additionally exposes introspection counters — busy
     cycles per execution port and stall cycles per cause (front-end
@@ -18,7 +21,6 @@ type t = {
   mutable l1i_misses : int;
   mutable l2_misses : int;
   mutable misaligned_mem_refs : int;
-  mutable context_switches : int;
   mutable subnormal_assists : int;
   mutable port_cycles : int array;
       (** busy cycles per execution port; [[||]] until a simulation
@@ -32,9 +34,8 @@ type t = {
 
 val create : unit -> t
 
-(** A "clean" measurement in the BHive sense: no cache misses of any
-    kind and no context switches. (L2 misses imply L1 misses, so they
-    need no separate clause.) *)
+(** A "clean" simulation in the BHive sense: no cache misses of any
+    kind. (L2 misses imply L1 misses, so they need no separate clause.) *)
 val is_clean : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,7 @@ let segment_magic = "BHIVESTORE1\n"
    writer is treated as empty (stale) and rewritten on first append,
    so an upgrade degrades to a cold store instead of decoding a
    payload as the wrong type. *)
-let payload_version = 2
+let payload_version = 3
 
 let format_tag =
   Printf.sprintf "marshal/%s/%d/v%d" Sys.ocaml_version Sys.word_size

@@ -22,7 +22,6 @@ let counters_equal (a : Pipeline.Counters.t) (b : Pipeline.Counters.t) =
   && a.l1i_misses = b.l1i_misses
   && a.l2_misses = b.l2_misses
   && a.misaligned_mem_refs = b.misaligned_mem_refs
-  && a.context_switches = b.context_switches
   && a.subnormal_assists = b.subnormal_assists
   && a.port_cycles = b.port_cycles
   && a.frontend_stall_cycles = b.frontend_stall_cycles

@@ -5,7 +5,11 @@ let config = { Corpus.Suite.default_config with scale = 2000 }
 
 let blocks = lazy (Corpus.Suite.generate ~config ())
 
-let hsw_dataset = lazy (Bhive.Dataset.build Uarch.All.haswell (Lazy.force blocks))
+(* one engine for the whole file, so the tables share its memo cache *)
+let engine = Engine.create ()
+
+let hsw_dataset =
+  lazy (Bhive.Dataset.build ~engine Uarch.All.haswell (Lazy.force blocks))
 
 let test_dataset_builds () =
   let ds = Lazy.force hsw_dataset in
@@ -17,7 +21,9 @@ let test_dataset_builds () =
     ds.entries
 
 let test_avx2_exclusion () =
-  let ds_ivb = Bhive.Dataset.build Uarch.All.ivy_bridge (Lazy.force blocks) in
+  let ds_ivb =
+    Bhive.Dataset.build ~engine Uarch.All.ivy_bridge (Lazy.force blocks)
+  in
   let has_avx2 =
     List.exists Corpus.Block.uses_avx2 (Lazy.force blocks)
   in
@@ -39,7 +45,7 @@ let test_split_deterministic_partition () =
 
 let test_validation_runs () =
   let ds = Lazy.force hsw_dataset in
-  let evals = Bhive.Validation.evaluate_all ds in
+  let evals = Bhive.Validation.evaluate_all ~engine ds in
   Alcotest.(check int) "four models" 4 (List.length evals);
   List.iter
     (fun (e : Bhive.Validation.eval) ->
@@ -55,7 +61,7 @@ let test_model_ordering () =
      is best and OSACA is worst; the threshold here is lenient because
      the corpus is tiny *)
   let ds = Lazy.force hsw_dataset in
-  let evals = Bhive.Validation.evaluate_all ds in
+  let evals = Bhive.Validation.evaluate_all ~engine ds in
   let err name =
     (List.find (fun (e : Bhive.Validation.eval) -> e.model = name) evals).average_error
   in
@@ -66,7 +72,7 @@ let test_model_ordering () =
 
 let test_by_app_breakdown () =
   let ds = Lazy.force hsw_dataset in
-  let evals = Bhive.Validation.evaluate_all ds in
+  let evals = Bhive.Validation.evaluate_all ~engine ds in
   let by_app = Bhive.Validation.by_app (List.hd evals) in
   Alcotest.(check bool) "has apps" true (by_app <> []);
   List.iter
@@ -75,7 +81,7 @@ let test_by_app_breakdown () =
     by_app
 
 let test_suite_ablation_monotone () =
-  let rows = Bhive.Ablation.suite_ablation (Lazy.force blocks) in
+  let rows = Bhive.Ablation.suite_ablation ~engine (Lazy.force blocks) in
   match rows with
   | [ none; mapping; unrolling ] ->
     Alcotest.(check bool)
@@ -89,7 +95,9 @@ let test_suite_ablation_monotone () =
   | _ -> Alcotest.fail "expected three rows"
 
 let test_block_ablation_rows () =
-  let rows = Bhive.Ablation.block_ablation Corpus.Paper_blocks.tensorflow_ablation in
+  let rows =
+    Bhive.Ablation.block_ablation ~engine Corpus.Paper_blocks.tensorflow_ablation
+  in
   Alcotest.(check int) "five rows" 5 (List.length rows);
   (match rows with
   | first :: rest ->
@@ -113,7 +121,7 @@ let test_block_ablation_rows () =
 
 let test_by_length_buckets () =
   let ds = Lazy.force hsw_dataset in
-  let evals = Bhive.Validation.evaluate_all ds in
+  let evals = Bhive.Validation.evaluate_all ~engine ds in
   let rows = Bhive.Validation.by_length (List.hd evals) in
   Alcotest.(check int) "five buckets" 5 (List.length rows);
   let total = List.fold_left (fun acc (_, _, n) -> acc + n) 0 rows in
@@ -126,7 +134,7 @@ let test_report_renders () =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
   let ds = Lazy.force hsw_dataset in
-  let evals = Bhive.Validation.evaluate_all ds in
+  let evals = Bhive.Validation.evaluate_all ~engine ds in
   Bhive.Report.overall_error fmt [ ("Haswell", evals) ];
   Bhive.Report.applications fmt (Lazy.force blocks);
   Bhive.Report.per_app_error fmt ~uarch:"hsw" evals;

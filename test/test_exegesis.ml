@@ -4,9 +4,10 @@
    the uop decomposition tables. *)
 
 let hsw = Uarch.All.haswell
+let engine = Engine.create ~jobs:1 ()
 
 let characterize form =
-  match Exegesis.Characterize.characterize hsw form with
+  match Exegesis.Characterize.characterize ~engine hsw form with
   | Some r -> r
   | None -> Alcotest.failf "characterisation failed for %s" (Exegesis.Benchgen.form_name form)
 
@@ -73,14 +74,14 @@ let test_zero_idiom_not_chained () =
 
 let test_skylake_differs () =
   let hsw_mul = characterize (form (X86.Opcode.Fmul X86.Opcode.Ps) `VV) in
-  match Exegesis.Characterize.characterize Uarch.All.skylake (form (X86.Opcode.Fmul X86.Opcode.Ps) `VV) with
+  match Exegesis.Characterize.characterize ~engine Uarch.All.skylake (form (X86.Opcode.Fmul X86.Opcode.Ps) `VV) with
   | None -> Alcotest.fail "skl characterisation failed"
   | Some skl_mul ->
     Alcotest.(check bool) "skl mulps latency 4 < hsw 5" true
       (Option.get skl_mul.latency < Option.get hsw_mul.latency)
 
 let test_table_complete () =
-  let rows = Exegesis.Characterize.table hsw in
+  let rows = Exegesis.Characterize.table ~engine hsw in
   Alcotest.(check int) "all standard forms measured"
     (List.length Exegesis.Benchgen.standard_forms)
     (List.length rows);
@@ -110,7 +111,9 @@ let test_benchmark_shapes () =
 let test_portmap_inference () =
   (* the inference must recover the table's port combination for every
      standard target (a measurement-vs-table consistency check) *)
-  let entries = Exegesis.Portmap.survey hsw Exegesis.Portmap.standard_targets in
+  let entries =
+    Exegesis.Portmap.survey ~engine hsw Exegesis.Portmap.standard_targets
+  in
   List.iter
     (fun (e : Exegesis.Portmap.entry) ->
       match (e.inferred, e.expected) with

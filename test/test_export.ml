@@ -4,7 +4,7 @@ let small_dataset =
   lazy
     (let config = { Corpus.Suite.default_config with scale = 3000 } in
      let blocks = Corpus.Suite.generate ~config () in
-     Bhive.Dataset.build Uarch.All.haswell blocks)
+     Bhive.Dataset.build ~engine:(Engine.create ()) Uarch.All.haswell blocks)
 
 let test_roundtrip () =
   let ds = Lazy.force small_dataset in

@@ -468,6 +468,32 @@ let test_full_replay () =
     (Option.get first.Runner.journal_digest)
     (Option.get again.Runner.journal_digest)
 
+(* A run owns the store it opens: two runs over a store in one process
+   (the first filling it, the second reading it back) leave the
+   process's open descriptors as they found them. *)
+let test_runner_closes_store () =
+  with_dir "bhive_runner_fds" @@ fun root ->
+  let ( / ) = Filename.concat in
+  let spec =
+    Spec.make ~name:"store-close-test" ~scale:6000 ~uarches:[ "hsw" ]
+      ~store:(root / "store")
+      ~output:
+        {
+          Spec.summary = None;
+          failures = root / "failures.jsonl";
+          journal = None;
+          export_prefix = None;
+        }
+      ~sections:
+        [ Spec.section Spec.Corpus_load; Spec.section (Spec.Dataset { uarch = "hsw" }) ]
+      ()
+  in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  ignore (run_ok spec);
+  ignore (run_ok spec);
+  Alcotest.(check int) "open descriptors after two runs" before (open_fds ())
+
 let suite =
   [
     Alcotest.test_case "golden ids pinned" `Quick test_golden_ids;
@@ -494,4 +520,5 @@ let suite =
       test_journal_digest_deterministic;
     Alcotest.test_case "kill/resume matrix" `Slow test_resume_matrix;
     Alcotest.test_case "full replay" `Slow test_full_replay;
+    Alcotest.test_case "runner closes its store" `Quick test_runner_closes_store;
   ]

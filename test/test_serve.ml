@@ -546,7 +546,9 @@ let test_serve_warm_store () =
           block = Result.get_ok (X86.Parser.block asm_a);
         }
       in
-      let warm = Engine.create ~jobs:1 ~faults:Faultsim.none ~store_path:dir () in
+      let warm =
+        Engine.create ~jobs:1 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       let local =
         Json.to_string ~compact:true
           (Wire.outcome_json (Engine.run_batch warm [ job ]).Engine.outcomes.(0))

@@ -569,7 +569,9 @@ let test_warm_run_zero_profiler_calls () =
   with_store_dir "bhive_store_warm" (fun dir ->
       let jobs = paper_jobs Uarch.All.haswell in
       let n = List.length jobs in
-      let cold = Engine.create ~jobs:2 ~faults:Faultsim.none ~store_path:dir () in
+      let cold =
+        Engine.create ~jobs:2 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       let b_cold = Engine.run_batch cold jobs in
       let s_cold = Engine.stats cold in
       Alcotest.(check int) "cold run misses the store" n s_cold.store_misses;
@@ -579,7 +581,9 @@ let test_warm_run_zero_profiler_calls () =
       Alcotest.(check bool) "cold run profiles" true (s_cold.profiler_calls > 0);
       Option.iter Store.close (Engine.store cold);
       (* a fresh engine: empty memo, warm disk tier *)
-      let warm = Engine.create ~jobs:2 ~faults:Faultsim.none ~store_path:dir () in
+      let warm =
+        Engine.create ~jobs:2 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       let b_warm = Engine.run_batch warm jobs in
       let s_warm = Engine.stats warm in
       Alcotest.(check int) "warm run: zero profiler calls" 0
@@ -649,7 +653,9 @@ let test_foreign_format_tag_is_stale () =
       Alcotest.(check int) "verify counts it stale" 1 v.Store.v_stale_segments;
       Alcotest.(check int) "and not corrupt" 0 v.Store.v_corrupt;
       Store.close st;
-      let engine = Engine.create ~jobs:1 ~faults:Faultsim.none ~store_path:dir () in
+      let engine =
+        Engine.create ~jobs:1 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       let served = (Engine.run_batch engine [ job ]).outcomes.(0) in
       let es = Engine.stats engine in
       Option.iter Store.close (Engine.store engine);
@@ -676,7 +682,9 @@ let test_invalidation_is_surgical () =
       let hsw_jobs = paper_jobs Uarch.All.haswell in
       let skl_jobs = paper_jobs Uarch.All.skylake in
       let n = List.length hsw_jobs in
-      let cold = Engine.create ~jobs:2 ~faults:Faultsim.none ~store_path:dir () in
+      let cold =
+        Engine.create ~jobs:2 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       ignore (Engine.run_batch cold (hsw_jobs @ skl_jobs));
       Option.iter Store.close (Engine.store cold);
       (* edit one latency table entry of haswell *)
@@ -695,7 +703,9 @@ let test_invalidation_is_surgical () =
       let perturbed_jobs =
         List.map (fun j -> { j with Engine.uarch = perturbed }) hsw_jobs
       in
-      let warm = Engine.create ~jobs:2 ~faults:Faultsim.none ~store_path:dir () in
+      let warm =
+        Engine.create ~jobs:2 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       let batch = Engine.run_batch warm (perturbed_jobs @ skl_jobs) in
       let s = Engine.stats warm in
       Alcotest.(check int)
@@ -709,7 +719,9 @@ let test_invalidation_is_surgical () =
         (batch.quarantined = []);
       Option.iter Store.close (Engine.store warm);
       (* third run: the perturbed generation is now persisted too *)
-      let third = Engine.create ~jobs:2 ~faults:Faultsim.none ~store_path:dir () in
+      let third =
+        Engine.create ~jobs:2 ~faults:Faultsim.none ~store:(Store.open_ dir) ()
+      in
       ignore (Engine.run_batch third (perturbed_jobs @ skl_jobs));
       let s3 = Engine.stats third in
       Alcotest.(check int) "perturbed generation now hits" (2 * n) s3.store_hits;
@@ -735,7 +747,9 @@ let test_quarantines_not_persisted () =
           block = Corpus.Paper_blocks.gzip_crc;
         }
       in
-      let e1 = Engine.create ~jobs:1 ~faults ~max_retries:1 ~store_path:dir () in
+      let e1 =
+        Engine.create ~jobs:1 ~faults ~max_retries:1 ~store:(Store.open_ dir) ()
+      in
       let b1 = Engine.run_batch e1 [ job ] in
       Alcotest.(check int) "the job quarantined" 1
         (List.length b1.quarantined);
@@ -746,7 +760,9 @@ let test_quarantines_not_persisted () =
           Alcotest.(check int) "store is empty" 0 (Store.stats st).Store.s_live;
           Store.close st)
         (Engine.store e1);
-      let e2 = Engine.create ~jobs:1 ~faults ~max_retries:1 ~store_path:dir () in
+      let e2 =
+        Engine.create ~jobs:1 ~faults ~max_retries:1 ~store:(Store.open_ dir) ()
+      in
       let b2 = Engine.run_batch e2 [ job ] in
       Alcotest.(check bool) "warm run re-derives the same quarantine" true
         (b1.outcomes = b2.outcomes);
@@ -789,7 +805,9 @@ let test_determinism_matrix () =
     (fun jobs ->
       with_store_dir "bhive_store_matrix" (fun dir ->
           let build () =
-            let engine = Engine.create ~jobs ~faults ~store_path:dir () in
+            let engine =
+              Engine.create ~jobs ~faults ~store:(Store.open_ dir) ()
+            in
             let ds = Bhive.Dataset.build ~engine u blocks in
             let stats = Engine.stats engine in
             Option.iter Store.close (Engine.store engine);

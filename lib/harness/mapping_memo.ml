@@ -70,7 +70,7 @@ let reserve t n =
         c
       | _ ->
         Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout
-          (max chunk_bytes n)
+          (Int.max chunk_bytes n)
     in
     g.chunks <- c :: g.chunks;
     g.used <- n;

@@ -181,7 +181,7 @@ let measure_point_untraced ?memo (env : Environment.t)
       |> Option.map fst
     in
     let best_cycles =
-      List.fold_left (fun acc (c, _) -> min acc c) max_int timings
+      List.fold_left (fun acc (c, _) -> Int.min acc c) max_int timings
     in
     Ok
       {

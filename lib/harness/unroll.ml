@@ -19,17 +19,17 @@ let minimum_factor = 4
 let choose (strategy : Environment.unroll_strategy) (block : Inst.t list) :
     factors =
   match strategy with
-  | Environment.Naive u -> { large = max 1 u; small = 0 }
+  | Environment.Naive u -> { large = Int.max 1 u; small = 0 }
   | Environment.Two_point { large; small } ->
     if large <= small then invalid_arg "Unroll.choose: large <= small";
-    { large; small = max 1 small }
+    { large; small = Int.max 1 small }
   | Environment.Adaptive_two_point { code_budget_bytes } ->
-    let bytes = max 1 (Encoder.block_length block) in
+    let bytes = Int.max 1 (Encoder.block_length block) in
     let fit = code_budget_bytes / bytes in
-    let large = max minimum_factor (min 100 fit) in
-    let small = max (minimum_factor / 2) (large / 2) in
+    let large = Int.max minimum_factor (Int.min 100 fit) in
+    let small = Int.max (minimum_factor / 2) (large / 2) in
     let small = if small >= large then large - 1 else small in
-    { large; small = max 1 small }
+    { large; small = Int.max 1 small }
 
 (* Derive throughput from the measured cycle counts. *)
 let throughput (f : factors) ~cycles_large ~cycles_small =

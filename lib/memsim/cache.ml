@@ -62,8 +62,10 @@ let first_line t addr = addr lsr t.line_shift
 
 let last_line t addr ~size = (addr + if size > 1 then size - 1 else 0) lsr t.line_shift
 
-(* Slot in [base, limit) of [tags] holding [line], or -1. *)
-let rec find_slot tags line i limit =
+(* Slot in [i, limit) of [tags] holding [line], or -1. The types are
+   written out: a polymorphic search would compare each way's tag
+   through the runtime's polymorphic equality. *)
+let rec find_slot (tags : int array) (line : int) i limit =
   if i >= limit then -1
   else if tags.(i) = line then i
   else find_slot tags line (i + 1) limit

@@ -39,7 +39,7 @@ let transfer t vaddr buf ~len ~store =
   while !k < len do
     let va = Int64.add vaddr (Int64.of_int !k) in
     let pfn = translate_page t va and off = Fault.offset_in_page va in
-    let n = min (len - !k) (Fault.page_size - off) in
+    let n = Int.min (len - !k) (Fault.page_size - off) in
     let frame = Phys_mem.frame_int t.phys pfn in
     if store then Bytes.blit buf !k frame off n else Bytes.blit frame off buf !k n;
     if !k = 0 then paddr := (pfn lsl Fault.page_bits) + off;

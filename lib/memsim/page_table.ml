@@ -33,10 +33,6 @@ let unmap_all t = Pages.reset t.entries
 
 let is_mapped t vpn = Pages.mem t.entries (Int64.to_int vpn)
 
-let mapped_pages t =
-  Pages.fold (fun vpn pfn acc -> (Int64.of_int vpn, Int64.of_int pfn) :: acc) t.entries []
-  |> List.sort compare
-
 let count t = Pages.length t.entries
 
 (* Number of distinct physical frames currently mapped; equals 1 when the

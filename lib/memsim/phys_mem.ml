@@ -15,7 +15,7 @@ let allocate t =
   let pfn = t.next_free in
   let k = pfn - first_pfn in
   if k = Array.length t.frames then begin
-    let frames = Array.make (max 4 (2 * k)) Bytes.empty in
+    let frames = Array.make (Int.max 4 (2 * k)) Bytes.empty in
     Array.blit t.frames 0 frames 0 k;
     t.frames <- frames
   end;

@@ -11,8 +11,8 @@
     division fast path, subnormal operands) come from the pre-recorded
     trace, so the timing pass itself is deterministic and cheap. The
     trace is statics per block position over the executor's step log,
-    and the loop reads each step's accesses and events from the log in
-    place ({!Trace}).
+    and the loop reads each step's accesses and events from the log's
+    arrays in place (the step readers below).
 
     The cycle loop is allocation-free: uops are consumed as int-packed
     codes ({!Uarch.Flat}), machine state lives in mutable scratch arrays
@@ -24,6 +24,13 @@
     nothing. A call allocates a constant (counters, result, loop
     closures), whatever the trace length; test/test_batch.ml pins
     this.
+
+    The loop and the walk run at native-int speed: every comparison is
+    at type int ([Int.max], never the polymorphic [Stdlib.max]), and a
+    step read is a load from the log's arrays, not a call into another
+    module, which the dev profile's [-opaque] would turn into a generic
+    application. bench/poly_census.sh checks the first in the built
+    objects.
 
     The caches are the only state that outlives a call, and they are
     touched in trace order whatever the timing. {!warm} makes the same
@@ -197,6 +204,48 @@ let data_access ~l1d ~l2 ~addr ~size =
   let misses = Memsim.Cache.access l1d ~addr ~size in
   if misses = 0 then 0 else misses + (Memsim.Cache.access l2 ~addr ~size lsl l2_shift)
 
+(* --- reading a step ------------------------------------------------------
+
+   What the loop and the walk read of step [i], straight from the step
+   log's arrays. Its [k]-th load uop takes the step's [k]-th load access
+   and its [k]-th store-data uop the [k]-th store access; a uop past the
+   last one reads 8 bytes at address 0 (access -1). Access indices range
+   over the whole log. *)
+
+module L = Xsem.Step_log
+
+let subnormal_bit = L.bit L.Subnormal
+let slow_path_bit = L.bit L.Div_slow_path
+
+(* Step [i]'s accesses are [first_access log i] to
+   [first_access log (i + 1) - 1]. *)
+let[@inline] first_access (log : L.t) i = log.first.(i)
+
+(* The first store (when [store]) or load among accesses [a] to
+   [limit - 1], or -1 when there is none. *)
+let rec next_access (log : L.t) ~store a limit =
+  if a >= limit then -1
+  else if Bool.equal log.store.(a) store then a
+  else next_access log ~store (a + 1) limit
+
+(* Physical address, virtual address and size of access [j]; for
+   [j = -1], the 8 bytes at address 0. *)
+let[@inline] paddr (log : L.t) j = if j < 0 then 0 else log.paddr.(j)
+let[@inline] vaddr (log : L.t) j = if j < 0 then 0 else log.vaddr.(j)
+let[@inline] size (log : L.t) j = if j < 0 then 8 else log.size.(j)
+
+(* Did step [i]'s FP operation touch a subnormal? *)
+let[@inline] subnormal (log : L.t) i = log.events.(i) land subnormal_bit <> 0
+
+(* Step [i]'s effective div/idiv latency given its execution path (the
+   slow path for a full-width dividend); 0 for every other
+   instruction. *)
+let div_latency (trace : Trace.t) i =
+  let pos = i mod Array.length trace.statics in
+  if not trace.statics.(pos).s_is_int_div then 0
+  else if trace.log.events.(i) land slow_path_bit <> 0 then trace.slow_div_lat
+  else trace.pos_div_lat.(pos)
+
 let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.t) : result =
@@ -236,7 +285,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
   (* Store-to-load forwarding over 8-byte chunks. *)
   let fwd_tbl = s.fwd in
   let forwarding_ready addr size =
-    let first = addr lsr 3 and last = (addr + max 1 size - 1) lsr 3 in
+    let first = addr lsr 3 and last = (addr + Int.max 1 size - 1) lsr 3 in
     let t = ref 0 in
     for chunk = first to last do
       let ready = Fwd.find fwd_tbl chunk in
@@ -245,7 +294,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     !t
   in
   let record_store addr size ready =
-    let first = addr lsr 3 and last = (addr + max 1 size - 1) lsr 3 in
+    let first = addr lsr 3 and last = (addr + Int.max 1 size - 1) lsr 3 in
     for chunk = first to last do
       Fwd.set fwd_tbl chunk ready
     done
@@ -253,7 +302,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
   (* Allocate [n] fused-domain rename slots; returns cycle of last slot. *)
   let rename_slots n =
     let r = ref 0 in
-    for _ = 1 to max 1 n do
+    for _ = 1 to Int.max 1 n do
       if !slots_this_cycle >= d.rename_width then begin
         incr frontend_cycle;
         slots_this_cycle := 0
@@ -273,7 +322,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
   in
   let finish_time = ref 0 in
   (* Step [idx] runs block position [pos] of the copy at [copy_addr]. *)
-  let n = Array.length trace.statics in
+  let n = Array.length trace.statics and log = trace.log in
   let pos = ref 0 and copy_addr = ref 0 in
   for idx = 0 to trace.steps - 1 do
     let st = trace.statics.(!pos) in
@@ -304,10 +353,10 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       end
     done;
     c.instructions <- c.instructions + 1;
-    c.uops <- c.uops + max 1 st.s_n_uops;
+    c.uops <- c.uops + Int.max 1 st.s_n_uops;
     let data_ready = ready_of_roots st.s_reads in
     let data_ready =
-      if st.s_reads_flags then max data_ready reg_ready.(flags_root)
+      if st.s_reads_flags then Int.max data_ready reg_ready.(flags_root)
       else data_ready
     in
     let addr_ready = ready_of_roots st.s_addr_roots in
@@ -315,7 +364,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       (* Handled at rename: result ready immediately. For zero idioms
          the result does not depend on sources at all. *)
       let ready =
-        if st.s_zero_idiom then renamed_at else max renamed_at data_ready
+        if st.s_zero_idiom then renamed_at else Int.max renamed_at data_ready
       in
       let writes = st.s_writes in
       for i = 0 to Array.length writes - 1 do
@@ -333,17 +382,17 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             complete = ready;
           }
           :: !schedule;
-      rob_push (max ready renamed_at);
-      if max ready renamed_at > !finish_time then
-        finish_time := max ready renamed_at
+      rob_push (Int.max ready renamed_at);
+      if Int.max ready renamed_at > !finish_time then
+        finish_time := Int.max ready renamed_at
     end
     else begin
       let earliest = renamed_at + 1 in
       (* The next load and store access to hand out, and the end of the
          step's accesses. *)
-      let load_at = ref (Trace.first_access trace idx) in
-      let store_at = ref !load_at and limit = Trace.first_access trace (idx + 1) in
-      let subnormal = Trace.subnormal trace idx in
+      let load_at = ref (first_access log idx) in
+      let store_at = ref !load_at and limit = first_access log (idx + 1) in
+      let subnormal = subnormal log idx in
       let last_load_complete = ref 0 in
       let last_exec_complete = ref 0 in
       let prev_exec_complete = ref 0 in
@@ -357,11 +406,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
         let ready, latency_extra, busy =
           match kind with
           | 1 (* Load *) ->
-            let j = Trace.next_access trace ~store:false !load_at limit in
+            let j = next_access log ~store:false !load_at limit in
             if j >= 0 then load_at := j + 1;
-            let paddr = Trace.paddr trace j
-            and size = Trace.size trace j
-            and vaddr = Trace.vaddr trace j in
+            let paddr = paddr log j
+            and size = size log j
+            and vaddr = vaddr log j in
             let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
             let misses = l1_misses packed and l2_m = l2_misses packed in
             c.l1d_read_misses <- c.l1d_read_misses + misses;
@@ -369,29 +418,29 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             let split = Memsim.Cache.crosses_line l1d ~addr:vaddr ~size in
             if split then c.misaligned_mem_refs <- c.misaligned_mem_refs + 1;
             let fwd = forwarding_ready paddr size in
-            ( max (max addr_ready fwd) earliest,
+            ( Int.max (Int.max addr_ready fwd) earliest,
               (misses * d.l1d_miss_penalty)
               + (l2_m * d.l2_miss_penalty)
               + (if split then d.misaligned_extra_cycles else 0),
               1 )
-          | 2 (* Store_addr *) -> (max addr_ready earliest, 0, 1)
+          | 2 (* Store_addr *) -> (Int.max addr_ready earliest, 0, 1)
           | 3 (* Store_data *) ->
             let src =
               if !last_exec_complete > 0 then !last_exec_complete
-              else max data_ready !last_load_complete
+              else Int.max data_ready !last_load_complete
             in
-            (max src earliest, 0, 1)
+            (Int.max src earliest, 0, 1)
           | _ (* Exec *) ->
             let chain =
-              max data_ready (max !last_load_complete !prev_exec_complete)
+              Int.max data_ready (Int.max !last_load_complete !prev_exec_complete)
             in
             let busy =
               if st.s_is_divider then
-                let lat = if st.s_is_int_div then Trace.div_latency trace idx else ulat in
-                max 1 (lat - 1)
+                let lat = if st.s_is_int_div then div_latency trace idx else ulat in
+                Int.max 1 (lat - 1)
               else 1
             in
-            (max chain earliest, 0, busy)
+            (Int.max chain earliest, 0, busy)
         in
         (* Dispatch on the candidate port with the earliest free issue
            slot (out-of-order backfill included); ties resolve to the
@@ -418,7 +467,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           c.port_contention_cycles <-
             c.port_contention_cycles + (dispatch - ready);
         let latency =
-          if kind = 0 && st.s_is_int_div then Trace.div_latency trace idx else ulat
+          if kind = 0 && st.s_is_int_div then div_latency trace idx else ulat
         in
         let complete = dispatch + latency + latency_extra in
         let complete =
@@ -431,16 +480,16 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
         in
         (match kind with
         | 1 (* Load *) ->
-          last_load_complete := max !last_load_complete complete
+          last_load_complete := Int.max !last_load_complete complete
         | 0 (* Exec *) ->
           prev_exec_complete := complete;
-          last_exec_complete := max !last_exec_complete complete
+          last_exec_complete := Int.max !last_exec_complete complete
         | 3 (* Store_data *) ->
-          let j = Trace.next_access trace ~store:true !store_at limit in
+          let j = next_access log ~store:true !store_at limit in
           if j >= 0 then store_at := j + 1;
-          let paddr = Trace.paddr trace j
-          and size = Trace.size trace j
-          and vaddr = Trace.vaddr trace j in
+          let paddr = paddr log j
+          and size = size log j
+          and vaddr = vaddr log j in
           let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
           c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
           c.l2_misses <- c.l2_misses + l2_misses packed;
@@ -463,7 +512,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       done;
       (* A microcode assist flushes the front end. *)
       if subnormal then begin
-        frontend_cycle := max !frontend_cycle !inst_complete;
+        frontend_cycle := Int.max !frontend_cycle !inst_complete;
         slots_this_cycle := 0
       end;
       (* Architectural results become visible at instruction completion:
@@ -480,9 +529,9 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       done;
       if st.s_writes_flags then reg_ready.(flags_root) <- result_time;
       (* In-order retirement. *)
-      let ready_to_retire = max !inst_complete !last_retire in
+      let ready_to_retire = Int.max !inst_complete !last_retire in
       let width_limited = retire_ring.(!retire_pos) + 1 in
-      let retire_at = max ready_to_retire width_limited in
+      let retire_at = Int.max ready_to_retire width_limited in
       retire_ring.(!retire_pos) <- retire_at;
       let next = !retire_pos + 1 in
       retire_pos := if next = d.retire_width then 0 else next;
@@ -508,27 +557,27 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
    constant. *)
 let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.t) =
-  let n = Array.length trace.statics in
+  let n = Array.length trace.statics and log = trace.log in
   let pos = ref 0 and copy_addr = ref 0 in
   for idx = 0 to trace.steps - 1 do
     let st = trace.statics.(!pos) in
     ignore (fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len);
     if not st.s_eliminated then begin
-      let load_at = ref (Trace.first_access trace idx) in
-      let store_at = ref !load_at and limit = Trace.first_access trace (idx + 1) in
+      let load_at = ref (first_access log idx) in
+      let store_at = ref !load_at and limit = first_access log (idx + 1) in
       let codes = st.s_codes in
       for u = 0 to Array.length codes - 1 do
         match Flat.code_kind codes.(u) with
         | 1 (* Load *) ->
-          let j = Trace.next_access trace ~store:false !load_at limit in
+          let j = next_access log ~store:false !load_at limit in
           if j >= 0 then load_at := j + 1;
           ignore
-            (data_access ~l1d ~l2 ~addr:(Trace.paddr trace j) ~size:(Trace.size trace j))
+            (data_access ~l1d ~l2 ~addr:(paddr log j) ~size:(size log j))
         | 3 (* Store_data *) ->
-          let j = Trace.next_access trace ~store:true !store_at limit in
+          let j = next_access log ~store:true !store_at limit in
           if j >= 0 then store_at := j + 1;
           ignore
-            (data_access ~l1d ~l2 ~addr:(Trace.paddr trace j) ~size:(Trace.size trace j))
+            (data_access ~l1d ~l2 ~addr:(paddr log j) ~size:(size log j))
         | _ -> ()
       done
     end;

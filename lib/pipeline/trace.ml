@@ -8,9 +8,9 @@
     once per block position and shared by every unrolled copy, plus the
     executor's {!Xsem.Step_log}, which it reads in place: step [i] runs
     the static info at block position [i mod n], and its loads, stores
-    and events are the log's. Building a trace allocates per block
-    position and nothing per step; it is valid while its log is
-    unchanged. *)
+    and events are the log's, which [Core] reads in place. Building a
+    trace allocates per block position and nothing per step; it is
+    valid while its log is unchanged. *)
 
 open X86
 module L = Xsem.Step_log
@@ -87,7 +87,7 @@ let build_static (flat : Uarch.Flat.t) (inst : Inst.t) : static_info =
     is valid while [log] is unchanged. *)
 let of_steps (d : Uarch.Descriptor.t) (log : L.t) : t =
   let flat = Uarch.Descriptor.flat d in
-  let statics = Array.map (build_static flat) (L.block log) in
+  let statics = Array.map (build_static flat) log.block in
   let offsets = Array.make (Array.length statics) 0 and block_bytes = ref 0 in
   Array.iteri
     (fun k s ->
@@ -109,7 +109,7 @@ let of_steps (d : Uarch.Descriptor.t) (log : L.t) : t =
     statics;
     offsets;
     block_bytes = !block_bytes;
-    steps = L.steps log;
+    steps = log.steps;
     log;
     pos_div_lat;
     slow_div_lat = flat.Uarch.Flat.div64_latency;
@@ -120,26 +120,3 @@ let static t i = t.statics.(i mod Array.length t.statics)
 let code_addr t i =
   let n = Array.length t.statics in
   (i / n * t.block_bytes) + t.offsets.(i mod n)
-
-(* --- reading a step ------------------------------------------------------- *)
-
-let subnormal_bit = L.bit L.Subnormal
-let slow_path_bit = L.bit L.Div_slow_path
-let subnormal t i = L.events t.log i land subnormal_bit <> 0
-
-let div_latency t i =
-  let pos = i mod Array.length t.statics in
-  if not t.statics.(pos).s_is_int_div then 0
-  else if L.events t.log i land slow_path_bit <> 0 then t.slow_div_lat
-  else t.pos_div_lat.(pos)
-
-let first_access t i = L.first_access t.log i
-
-let rec next_access t ~store a limit =
-  if a >= limit then -1
-  else if L.is_store t.log a = store then a
-  else next_access t ~store (a + 1) limit
-
-let paddr t j = if j < 0 then 0 else L.paddr t.log j
-let vaddr t j = if j < 0 then 0 else L.vaddr t.log j
-let size t j = if j < 0 then 8 else L.size t.log j

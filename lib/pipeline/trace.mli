@@ -10,9 +10,17 @@
     log's. Building a trace allocates per block position and nothing per
     step, and the core reads it without allocating.
 
+    The per-step readers (a step's accesses, the access fields with
+    their 8-bytes-at-0 default, the subnormal and slow-divide bits) are
+    in [Core], next to the cycle loop and the warm walk that call them:
+    they read the log's arrays directly, so a step read is a field load,
+    not a call across modules.
+
     {b Validity.} Nothing is copied out of the log, so a trace is valid
     only while its log is unchanged: recording another run into the log
-    (or [unpack]ing into it) silently changes what the trace reads. A
+    (or [unpack]ing into it) silently changes what the trace reads, and
+    may replace the log's arrays, which is why the readers load them
+    from the log at every read instead of keeping them. A
     log that [Harness.Mapping.run] returns is owned by its result; one
     that a [Harness.Mapping_memo] hit unpacks into the memo's per-domain
     log stays unchanged until the next [map] on that domain, so build,
@@ -51,7 +59,7 @@ type t = {
   pos_div_lat : int array;
       (** per block position, not per step: the div/idiv latency off
           the slow path; 0 for every other instruction. A step's
-          latency is {!div_latency}. *)
+          latency is [Core.div_latency]. *)
   slow_div_lat : int;  (** the div/idiv latency on the slow path *)
 }
 
@@ -68,33 +76,3 @@ val static : t -> int -> static_info
 
 (** Byte offset of step [i] in the code stream. *)
 val code_addr : t -> int -> int
-
-(** {2 Reading a step}
-
-    What the core reads of step [i]. Its [k]-th load uop takes the
-    step's [k]-th load access and its [k]-th store-data uop the [k]-th
-    store access; a uop past the last one reads 8 bytes at address 0.
-    Access indices range over the whole log. *)
-
-(** Did step [i]'s FP operation touch a subnormal? *)
-val subnormal : t -> int -> bool
-
-(** Step [i]'s effective div/idiv latency given its execution path (the
-    slow path for a full-width dividend); 0 for every other
-    instruction. *)
-val div_latency : t -> int -> int
-
-(** Step [i]'s accesses are [first_access t i] to
-    [first_access t (i + 1) - 1]. *)
-val first_access : t -> int -> int
-
-(** [next_access t ~store a limit]: the first store (when [store]) or
-    load among accesses [a] to [limit - 1], or -1 when there is none. *)
-val next_access : t -> store:bool -> int -> int -> int
-
-(** Physical address, virtual address and size of access [j]; for
-    [j = -1], the 8 bytes at address 0. *)
-val paddr : t -> int -> int
-
-val vaddr : t -> int -> int
-val size : t -> int -> int

@@ -61,17 +61,17 @@ let rec used_from words w mask limit =
   if w lsl 5 >= limit then limit
   else
     let used = words.(w) land mask in
-    if used <> 0 then min limit ((w lsl 5) + ctz used)
+    if used <> 0 then Int.min limit ((w lsl 5) + ctz used)
     else used_from words (w + 1) full limit
 
 (** First free cycle >= [ready] on [port], without claiming it. *)
-let peek t ~port ~ready = first_free t.(port) (max 0 ready)
+let peek t ~port ~ready = first_free t.(port) (Int.max 0 ready)
 
 (* Earliest free cycle >= [s], itself free, that begins [busy] free
    cycles. Cycles past the tail are all free, so only the run's part
    below the tail is checked. *)
 let rec find_run p ~busy s =
-  let limit = min (s + busy) p.tail in
+  let limit = Int.min (s + busy) p.tail in
   if s >= limit then s
   else
     let u = used_from p.words (s lsr 5) (from_bit (s land 31)) limit in
@@ -101,7 +101,7 @@ let occupy p s e =
     [ready] on [port]; returns the start cycle. *)
 let claim t ~port ~ready ~busy =
   let p = t.(port) in
-  let start = find_run p ~busy (first_free p (max 0 ready)) in
+  let start = find_run p ~busy (first_free p (Int.max 0 ready)) in
   if busy > 0 then occupy p start (start + busy);
   start
 

@@ -351,7 +351,7 @@ let vec_width (t : Inst.t) =
     List.fold_left
       (fun acc op ->
         match op with
-        | Operand.Reg r when Reg.is_vector r -> max acc (Reg.byte_size r)
+        | Operand.Reg r when Reg.is_vector r -> Int.max acc (Reg.byte_size r)
         | _ -> acc)
       0 t.operands
   in
@@ -915,7 +915,8 @@ let exec ctx (t : Inst.t) =
     in
     dst_vec ctx dst out
   | Opcode.(Rcp p | Rsqrt p), [ dst; src ] ->
-    let f x = if t.opcode = Opcode.Rcp p then 1.0 /. x else 1.0 /. sqrt x in
+    let rcp = match t.opcode with Opcode.Rcp _ -> true | _ -> false in
+    let f x = if rcp then 1.0 /. x else 1.0 /. sqrt x in
     let n = vec_width t in
     let s = src_vec ctx n src in
     let out =
@@ -1157,7 +1158,7 @@ let exec ctx (t : Inst.t) =
     dst_vec ctx dst out
   | Opcode.Cvtdq2pd, [ dst; src ] ->
     let s = src_vec ctx 16 src in
-    let n = max 16 (vec_width t) in
+    let n = Int.max 16 (vec_width t) in
     let out = Bytes.make n '\000' in
     for i = 0 to (n / 8) - 1 do
       Bytes.set_int64_le out (8 * i)
@@ -1166,7 +1167,7 @@ let exec ctx (t : Inst.t) =
     dst_vec ctx dst out
   | Opcode.Cvtps2pd, [ dst; src ] ->
     let s = src_vec ctx 16 src in
-    let n = max 16 (vec_width t) in
+    let n = Int.max 16 (vec_width t) in
     let out = Bytes.make n '\000' in
     for i = 0 to (n / 8) - 1 do
       let x = Int32.float_of_bits (daz32 ctx (Bytes.get_int32_le s (4 * i))) in
@@ -1252,7 +1253,7 @@ let exec ctx (t : Inst.t) =
     let n = vec_width t in
     let dst, a, b = vec_sources ctx n t in
     let out = Bytes.create n in
-    for i = 0 to min n 16 - 1 do
+    for i = 0 to Int.min n 16 - 1 do
       let sel = Char.code (Bytes.get b i) in
       if sel land 0x80 <> 0 then Bytes.set out i '\000'
       else Bytes.set out i (Bytes.get a (sel land 0x0F))
@@ -1452,7 +1453,7 @@ let exec ctx (t : Inst.t) =
     let n = vec_width t in
     let s = src_vec ctx n src in
     let r = ref 0L in
-    for i = 0 to min n 16 - 1 do
+    for i = 0 to Int.min n 16 - 1 do
       if Char.code (Bytes.get s i) land 0x80 <> 0 then
         r := Int64.logor !r (Int64.shift_left 1L i)
     done;
@@ -1496,12 +1497,12 @@ let exec ctx (t : Inst.t) =
       | Opcode.I32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le s (4 * idx))) 0xFFFFFFFFL
       | Opcode.I64 -> Bytes.get_int64_le s (8 * idx)
     in
-    dst_int ctx (Width.of_bytes (max 4 lb)) dst v
+    dst_int ctx (Width.of_bytes (Int.max 4 lb)) dst v
   | Opcode.Pinsr lane, [ dst; src; Operand.Imm i ] ->
     let d = src_vec ctx 16 dst in
     let lb = Opcode.int_lane_bytes lane in
     let idx = Int64.to_int i land ((16 / lb) - 1) in
-    let v = src_int ctx (Width.of_bytes (max 1 lb)) src in
+    let v = src_int ctx (Width.of_bytes (Int.max 1 lb)) src in
     let out = Bytes.copy d in
     (match lane with
     | Opcode.I8 -> Bytes.set out idx (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))

@@ -39,7 +39,7 @@ type t = {
    for one access per step; all grow by doubling when a run outgrows
    them. *)
 let create ~steps =
-  let steps = max 1 steps in
+  let steps = Int.max 1 steps in
   {
     block = [||];
     steps = 0;
@@ -95,23 +95,13 @@ let rollback t =
   t.accesses <- t.first.(t.steps);
   t.pending <- 0
 
-let block t = t.block
-let steps t = t.steps
 let inst t i = t.block.(i mod Array.length t.block)
-let events t i = t.events.(i)
 let has_event t i e = t.events.(i) land bit e <> 0
 
 let any_event t e =
   let b = bit e in
   let rec go i = i < t.steps && (t.events.(i) land b <> 0 || go (i + 1)) in
   go 0
-
-let accesses t = t.accesses
-let first_access t i = t.first.(i)
-let vaddr t a = t.vaddr.(a)
-let paddr t a = t.paddr.(a)
-let size t a = t.size.(a)
-let is_store t a = t.store.(a)
 
 (* --- packing ------------------------------------------------------------ *)
 
@@ -143,7 +133,7 @@ let same_bytes a b =
   n = Buffer.length b && go 0
 
 let pack t out =
-  let n = max 1 (Array.length t.block) in
+  let n = Int.max 1 (Array.length t.block) in
   add_varint out t.steps;
   add_varint out t.first.(t.steps);
   let iter = ref (Buffer.create 64) and last = ref (Buffer.create 64) in
@@ -151,7 +141,7 @@ let pack t out =
   let vaddr = ref 0 and offset = ref 0 in
   let i = ref 0 in
   while !i < t.steps do
-    let k = min n (t.steps - !i) in
+    let k = Int.min n (t.steps - !i) in
     let b = !iter in
     Buffer.clear b;
     for s = !i to !i + k - 1 do
@@ -209,7 +199,7 @@ let unpack (buf : buf) ~pos block ~into:t =
   let accesses = get_varint c 0 0 in
   (* The arrays' old contents are overwritten, so they are replaced, not
      grown. [first.(0)] is 0 in every log. *)
-  let n = max 1 steps and m = max 1 accesses in
+  let n = Int.max 1 steps and m = Int.max 1 accesses in
   if Array.length t.events < n then begin
     t.events <- Array.make n 0;
     t.first <- Array.make (n + 1) 0
@@ -224,10 +214,10 @@ let unpack (buf : buf) ~pos block ~into:t =
   t.steps <- steps;
   t.pending <- 0;
   t.accesses <- accesses;
-  let per_iteration = max 1 (Array.length block) in
+  let per_iteration = Int.max 1 (Array.length block) in
   let i = ref 0 in
   while !i < steps do
-    let k = min per_iteration (steps - !i) in
+    let k = Int.min per_iteration (steps - !i) in
     let start = c.pos in
     get_steps c t !i k;
     let repeats = get_varint c 0 0 in

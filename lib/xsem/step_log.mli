@@ -23,7 +23,33 @@ type event =
 (** The event's bit in a step's event mask. *)
 val bit : event -> int
 
-type t
+(** The log's fields are readable in place, so that a per-step reader
+    in another module is a field and an array load rather than a call
+    (the simulator's step readers live in [Pipeline.Core]). They are
+    written only here, through the recording protocol below and
+    [unpack]: the type is private, and no other module writes into its
+    arrays. A log that grows, or that [unpack] refills, replaces its
+    arrays, so a reader loads them from the log rather than keeping
+    them across a change to it. *)
+type t = private {
+  mutable block : X86.Inst.t array;
+  mutable steps : int;  (** committed steps *)
+  mutable events : int array;  (** per committed step, an event mask *)
+  mutable first : int array;
+      (** step [i]'s accesses are [first.(i)] to [first.(i + 1) - 1];
+          [first.(steps)] is the committed access count *)
+  mutable pending : int;  (** event mask of the open step *)
+  mutable accesses : int;
+      (** accesses recorded, the open step's included; between steps
+          (after a [commit] or a [rollback]) exactly the committed
+          steps' accesses *)
+  mutable vaddr : int array;
+      (** per access; addresses are native ints, since a completed
+          access lies in the 47-bit user range *)
+  mutable paddr : int array;
+  mutable size : int array;
+  mutable store : bool array;
+}
 
 (** An empty log, sized for [steps] steps. *)
 val create : steps:int -> t
@@ -39,43 +65,23 @@ val access : t -> vaddr:int -> paddr:int -> size:int -> store:bool -> unit
 
 val event : t -> event -> unit
 
-(** Close the open step: its accesses and events become step [steps t]. *)
+(** Close the open step: its accesses and events become step [t.steps]. *)
 val commit : t -> unit
 
 (** Drop the open step's accesses and events. *)
 val rollback : t -> unit
 
-(** {2 Reading committed steps} *)
+(** {2 Reading committed steps}
 
-val block : t -> X86.Inst.t array
-val steps : t -> int
+    Beyond the fields themselves: *)
 
 (** The instruction step [i] executed. *)
 val inst : t -> int -> X86.Inst.t
-
-(** Step [i]'s event mask. *)
-val events : t -> int -> int
 
 val has_event : t -> int -> event -> bool
 
 (** Did any step raise the event? *)
 val any_event : t -> event -> bool
-
-(** Number of accesses in the log. Between steps — after a [commit] or
-    a [rollback] — these are exactly the committed steps' accesses. *)
-val accesses : t -> int
-
-(** Step [i]'s accesses are [first_access t i] to
-    [first_access t (i + 1) - 1]. *)
-val first_access : t -> int -> int
-
-(** Fields of access [a]. Addresses are native ints: a completed access
-    lies in the 47-bit user range. *)
-val vaddr : t -> int -> int
-
-val paddr : t -> int -> int
-val size : t -> int -> int
-val is_store : t -> int -> bool
 
 (** {2 Packing} *)
 

@@ -24,21 +24,21 @@ type run_result =
 let all_events = L.[ Subnormal; Div_fast_path; Div_slow_path; Div_by_zero ]
 
 (* The committed steps of [log], one record each. *)
-let steps_of_log log =
-  List.init (L.steps log) (fun i ->
+let steps_of_log (log : L.t) =
+  List.init log.steps (fun i ->
       {
         index = i;
         inst = L.inst log i;
         accesses =
           List.init
-            (L.first_access log (i + 1) - L.first_access log i)
+            (log.first.(i + 1) - log.first.(i))
             (fun k ->
-              let a = L.first_access log i + k in
+              let a = log.first.(i) + k in
               {
-                vaddr = L.vaddr log a;
-                paddr = L.paddr log a;
-                size = L.size log a;
-                is_store = L.is_store log a;
+                vaddr = log.vaddr.(a);
+                paddr = log.paddr.(a);
+                size = log.size.(a);
+                is_store = log.store.(a);
               });
         events = List.filter (L.has_event log i) all_events;
       })

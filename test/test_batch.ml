@@ -296,16 +296,17 @@ let trace_matches_reference =
       (before @ splice @ after, unroll, mapping, disable_underflow))
   in
   (* Step [i]'s loads or stores as the core takes them, one per uop,
-     and what a uop past the last one reads. *)
-  let accesses t ~store i =
-    let open Pipeline.Trace in
-    let limit = first_access t (i + 1) in
+     and what a uop past the last one reads: through the readers that
+     [Core.simulate] and [Core.warm] call. *)
+  let accesses (t : Pipeline.Trace.t) ~store i =
+    let open Pipeline.Core in
+    let limit = first_access t.log (i + 1) in
     let rec go a acc =
-      let j = next_access t ~store a limit in
-      let read = (paddr t j, size t j, vaddr t j) in
+      let j = next_access t.log ~store a limit in
+      let read = (paddr t.log j, size t.log j, vaddr t.log j) in
       if j < 0 then (Array.of_list (List.rev acc), read) else go (j + 1) (read :: acc)
     in
-    go (first_access t i) []
+    go (first_access t.log i) []
   in
   let with_vaddrs pairs vaddrs =
     (Array.mapi (fun k (p, s) -> (p, s, vaddrs.(k))) pairs, (0, 8, 0))
@@ -339,8 +340,8 @@ let trace_matches_reference =
                          && Pipeline.Trace.code_addr t i = r.code_addr
                          && accesses t ~store:false i = with_vaddrs r.loads r.load_vaddrs
                          && accesses t ~store:true i = with_vaddrs r.stores r.store_vaddrs
-                         && Pipeline.Trace.subnormal t i = r.subnormal
-                         && Pipeline.Trace.div_latency t i = r.div_lat)
+                         && Pipeline.Core.subnormal t.log i = r.subnormal
+                         && Pipeline.Core.div_latency t i = r.div_lat)
                        reference))
              uarches))
 
@@ -458,6 +459,52 @@ let test_allocation_contract () =
         (minor_words (warm t64)))
     uarches
 
+(* Every statistic the simulator feeds into a profile, over the corpus
+   slice perfbench's measure-warm profiles (scale 1/4000) on ivb, hsw
+   and skl, as one digest: each profile's throughput, accept flag and
+   reject reason, and each measure point's unroll, accepted and best
+   cycles, clean timings, faults, distinct frames and every counter.
+   A change that only speeds up the cycle loop, the caches, the port
+   schedule or the mapping path must leave it where it is. *)
+let test_simulated_statistics_golden () =
+  let env = Manifest.Spec.environment_of_filters Manifest.Spec.default_filters in
+  let blocks =
+    Corpus.Suite.generate ~config:{ Corpus.Suite.default_config with scale = 4000 } ()
+  in
+  let b = Buffer.create 65536 in
+  let point (p : Harness.Profiler.point) =
+    let c = p.counters in
+    Printf.bprintf b " [%d %s %d %d %d %d | %d %d %d %d %d %d %d %d %d (%s) %d %d %d]" p.unroll
+      (Option.fold ~none:"-" ~some:string_of_int p.accepted_cycles)
+      p.best_cycles p.clean_timings p.faults p.distinct_frames c.core_cycles c.instructions
+      c.uops c.l1d_read_misses c.l1d_write_misses c.l1i_misses c.l2_misses
+      c.misaligned_mem_refs c.subnormal_assists
+      (String.concat "," (Array.to_list (Array.map string_of_int c.port_cycles)))
+      c.frontend_stall_cycles c.rob_stall_cycles c.port_contention_cycles
+  in
+  List.iter
+    (fun (d : Uarch.Descriptor.t) ->
+      List.iteri
+        (fun i (blk : Corpus.Block.t) ->
+          if d.supports_avx2 || not (Corpus.Block.uses_avx2 blk) then begin
+            Printf.bprintf b "%s %d:" d.short i;
+            (match Harness.Profiler.profile env d blk.insts with
+            | Error f -> Printf.bprintf b " %s" (Harness.Profiler.failure_to_string f)
+            | Ok p ->
+              Printf.bprintf b " %h %b %s" p.throughput p.accepted
+                (Option.fold ~none:"-"
+                   ~some:(fun r -> Harness.Profiler.(failure_to_string (Rejected r)))
+                   p.reject);
+              point p.large;
+              Option.iter point p.small);
+            Buffer.add_char b '\n'
+          end)
+        blocks)
+    uarches;
+  Alcotest.(check string) "digest of simulated statistics"
+    "aaedd10a6ede5d444bd9bcf365aea1f4"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     batch_matches_fresh;
@@ -470,4 +517,6 @@ let suite =
     walk_matches_warmup_simulation;
     trace_matches_reference;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
+    Alcotest.test_case "simulated statistics golden" `Quick
+      test_simulated_statistics_golden;
   ]

@@ -18,7 +18,7 @@ let test_fault_position () =
   match Xsem.Executor.run st mmu block with
   | Xsem.Executor.Faulted { at; steps; fault } ->
     Alcotest.(check int) "faults at index 2" 2 at;
-    Alcotest.(check int) "two steps completed" 2 (Xsem.Step_log.steps steps);
+    Alcotest.(check int) "two steps completed" 2 steps.Xsem.Step_log.steps;
     (match fault with
     | Memsim.Fault.Segfault a -> Alcotest.(check int64) "fault addr" 0x900000L a
     | _ -> Alcotest.fail "expected segfault")
@@ -49,7 +49,7 @@ let test_unrolled_accesses () =
   let block = Parser.block_exn "movq (%rbx), %rax\nadd $8, %rbx" in
   match Xsem.Executor.run_unrolled st mmu block ~unroll:5 with
   | Xsem.Executor.Completed log ->
-    Alcotest.(check int) "10 steps" 10 (Xsem.Step_log.steps log);
+    Alcotest.(check int) "10 steps" 10 log.Xsem.Step_log.steps;
     let accesses =
       List.concat_map (fun (s : Reference.step) -> s.accesses) (Reference.steps_of_log log)
     in
@@ -66,7 +66,7 @@ let test_step_indices () =
   let block = Parser.block_exn "add $1, %rax\nadd $1, %rbx\nadd $1, %rcx" in
   match Xsem.Executor.run st mmu block with
   | Xsem.Executor.Completed log ->
-    Alcotest.(check int) "steps" (List.length block) (Xsem.Step_log.steps log);
+    Alcotest.(check int) "steps" (List.length block) log.Xsem.Step_log.steps;
     (* step k ran block instruction k *)
     List.iteri
       (fun k inst ->
@@ -98,10 +98,10 @@ let test_fault_rollback () =
     | Xsem.Executor.Faulted { steps = log; fault; at = at' } ->
       Alcotest.(check int) "faulting index" at at';
       Alcotest.(check int64) "fault address" addr (Memsim.Fault.address fault);
-      Alcotest.(check int) "log holds the completed steps" at (L.steps log);
-      Alcotest.(check int) "completed steps' accesses" accesses (L.first_access log at);
+      Alcotest.(check int) "log holds the completed steps" at log.L.steps;
+      Alcotest.(check int) "completed steps' accesses" accesses log.L.first.(at);
       Alcotest.(check int) "no access of the faulting instruction" accesses
-        (L.accesses log)
+        log.L.accesses
     | Completed _ -> Alcotest.fail "expected fault"
   in
   (* pop loads its stack slot (recorded), then stores 8 bytes at

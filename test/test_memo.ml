@@ -16,22 +16,21 @@ let mapping_name = function
   | No_mapping -> "no mapping"
 
 (* Every field of two logs, step by step and access by access. *)
-let logs_equal a b =
-  let module L = Xsem.Step_log in
-  let steps = L.steps a and accesses = L.accesses a in
-  L.block a = L.block b
-  && steps = L.steps b
-  && accesses = L.accesses b
-  && L.first_access a steps = L.first_access b steps
+let logs_equal (a : Xsem.Step_log.t) (b : Xsem.Step_log.t) =
+  let steps = a.steps and accesses = a.accesses in
+  a.block = b.block
+  && steps = b.steps
+  && accesses = b.accesses
+  && a.first.(steps) = b.first.(steps)
   && List.for_all
-       (fun i -> L.events a i = L.events b i && L.first_access a i = L.first_access b i)
+       (fun i -> a.events.(i) = b.events.(i) && a.first.(i) = b.first.(i))
        (List.init steps Fun.id)
   && List.for_all
        (fun k ->
-         L.vaddr a k = L.vaddr b k
-         && L.paddr a k = L.paddr b k
-         && L.size a k = L.size b k
-         && L.is_store a k = L.is_store b k)
+         a.vaddr.(k) = b.vaddr.(k)
+         && a.paddr.(k) = b.paddr.(k)
+         && a.size.(k) = b.size.(k)
+         && a.store.(k) = b.store.(k))
        (List.init accesses Fun.id)
 
 (* A load and a store that cross a page boundary: the registers start
@@ -110,7 +109,7 @@ let pack_round_trip =
              (fun i -> Char.code (Buffer.nth out i))
          in
          let unpack ?(into = Xsem.Step_log.create ~steps:1) pos l =
-           Xsem.Step_log.unpack buf ~pos (Xsem.Step_log.block l) ~into;
+           Xsem.Step_log.unpack buf ~pos l.Xsem.Step_log.block ~into;
            into
          in
          logs_equal before (unpack 7 before)

@@ -151,8 +151,10 @@ let run_import dir file =
               | Some p -> p
               | None -> bad "payload is not valid hex"
             in
-            if Store.put st ~key ~gen payload then incr imported
-            else incr kept
+            match Store.put st ~key ~gen payload with
+            | true -> incr imported
+            | false -> incr kept
+            | exception Invalid_argument msg -> bad "%s" msg
           end;
           loop ()
       in

@@ -40,5 +40,3 @@ let mean_ci ?(confidence = 0.95) ?(resamples = 1000) ?(seed = 0xB007L)
       resamples;
     }
   end
-
-let pp fmt t = Format.fprintf fmt "%.4f [%.4f, %.4f]" t.mean t.lo t.hi

@@ -27,8 +27,6 @@ let float t =
   let bits = Int64.to_float (Int64.shift_right_logical (next_u64 t) 11) in
   bits /. 9007199254740992.0
 
-let bool t = Int64.equal (Int64.logand (next_u64 t) 1L) 1L
-
 (* Bernoulli trial with probability [p]. *)
 let bernoulli t p = float t < p
 
@@ -48,9 +46,6 @@ let choose_weighted t (xs : (float * 'a) list) =
     | (w, x) :: rest -> if acc +. w >= target then x else go (acc +. w) rest
   in
   go 0.0 xs
-
-(* Split off an independent generator (for nested deterministic use). *)
-let split t = create (next_u64 t)
 
 (* Derive a seed from a string (FNV-1a), for per-block determinism. *)
 let seed_of_string s =

@@ -14,8 +14,6 @@ val int : t -> int -> int
 (** Uniform float in [0, 1). *)
 val float : t -> float
 
-val bool : t -> bool
-
 (** Bernoulli trial with success probability [p]. *)
 val bernoulli : t -> float -> bool
 
@@ -24,9 +22,6 @@ val choose : t -> 'a list -> 'a
 
 (** Weighted choice; weights must sum to a positive value. *)
 val choose_weighted : t -> (float * 'a) list -> 'a
-
-(** Split off an independently seeded generator. *)
-val split : t -> t
 
 (** FNV-1a hash of a string, for deriving per-item seeds. *)
 val seed_of_string : string -> int64

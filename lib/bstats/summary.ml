@@ -27,10 +27,6 @@ let of_list xs =
     }
   end
 
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4f sd=%.4f min=%.4f med=%.4f max=%.4f" t.n
-    t.mean t.stddev t.min t.median t.max
-
 (* Plain-text horizontal bar for terminal "figures". *)
 let bar ?(width = 40) ~max_value value =
   let filled =

@@ -23,11 +23,6 @@ type shares = {
   vector : float;
 }
 
-val block_shares : Uarch.Descriptor.t -> Corpus.Block.t -> shares
-
-val shares_of_topic :
-  Uarch.Descriptor.t -> Corpus.Block.t array -> int array -> int -> shares
-
 (** A fitted classifier. *)
 type t = {
   descriptor : Uarch.Descriptor.t;

@@ -9,8 +9,6 @@ type config = {
   seed : int64;
 }
 
-val default_config : config
-
 type model = {
   config : config;
   vocab_size : int;

@@ -49,9 +49,6 @@ let evaluate_entries (uarch : Uarch.Descriptor.t) (model : Models.Model_intf.t)
     kendall_tau = Bstats.Kendall.tau pairs;
   }
 
-let evaluate (dataset : Dataset.t) (model : Models.Model_intf.t) : eval =
-  evaluate_entries dataset.uarch model dataset.entries
-
 (* Per-application breakdown (frequency-weighted, per the paper's
    per-application figures). *)
 let by_app (e : eval) : (string * float) list =

@@ -22,9 +22,6 @@ val error_of : sample -> float
 val evaluate_entries :
   Uarch.Descriptor.t -> Models.Model_intf.t -> Dataset.entry list -> eval
 
-(** Evaluate one model over a whole dataset. *)
-val evaluate : Dataset.t -> Models.Model_intf.t -> eval
-
 (** Frequency-weighted error per source application (the per-application
     figures). *)
 val by_app : eval -> (string * float) list
@@ -37,20 +34,11 @@ val by_category :
     the error-vs-length analysis the paper leaves as an open TODO. *)
 val by_length : eval -> (string * float * int) list
 
-(** Ground-truth (block, throughput) pairs for [entries] of [dataset],
-    re-profiled through [engine]'s memo cache — free when the same
-    engine built the dataset, an independent re-measurement
-    (bit-identical, since the profiler is deterministic) otherwise. *)
-val ground_truth :
-  engine:Engine.t ->
-  Dataset.t ->
-  Dataset.entry list ->
-  (X86.Inst.t list * float) list
-
 (** The paper's four models for this dataset's microarchitecture; the
     learned model is trained on the dataset's training split, whose
-    ground truth comes from {!ground_truth}, and the returned entries
-    are the held-out evaluation set. *)
+    ground truth is re-profiled through [engine] (memo-cache hits when
+    the same engine built the dataset), and the returned entries are
+    the held-out evaluation set. *)
 val standard_models :
   ?train_fraction:float ->
   engine:Engine.t ->
@@ -58,5 +46,5 @@ val standard_models :
   Models.Model_intf.t list * Dataset.entry list
 
 (** All four models evaluated on the held-out entries (Table V rows);
-    both splits go through {!ground_truth}. *)
+    both splits' ground truth is re-profiled through [engine]. *)
 val evaluate_all : ?train_fraction:float -> engine:Engine.t -> Dataset.t -> eval list

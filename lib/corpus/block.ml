@@ -15,15 +15,8 @@ let make ~id ~app ?(freq = 1) insts = { id; app; insts; freq }
 
 let length t = List.length t.insts
 
-let code_bytes t = Encoder.block_length t.insts
-
 let has_memory_access t = List.exists Inst.has_mem t.insts
 
 let uses_avx2 t = List.exists Inst.requires_avx2 t.insts
 
 let text t = String.concat "\n" (List.map Inst.to_string t.insts)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>; %s (freq=%d)@,%a@]" t.id t.freq
-    (Format.pp_print_list Inst.pp)
-    t.insts

@@ -13,10 +13,6 @@ val make : id:string -> app:string -> ?freq:int -> X86.Inst.t list -> t
 (** Number of instructions. *)
 val length : t -> int
 
-(** Code size in bytes under the x86-64 length model (drives the
-    instruction-cache footprint of unrolled copies). *)
-val code_bytes : t -> int
-
 val has_memory_access : t -> bool
 
 (** Uses AVX2-class instructions (excluded from Ivy Bridge validation). *)
@@ -24,5 +20,3 @@ val uses_avx2 : t -> bool
 
 (** The block as newline-separated AT&T assembly. *)
 val text : t -> string
-
-val pp : Format.formatter -> t -> unit

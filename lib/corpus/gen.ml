@@ -91,12 +91,6 @@ let mem_bd ctx ?misalign_p ~size () =
   let base = pointer ctx in
   mb ~base ~disp:(disp ctx ?misalign_p ~size ()) ()
 
-(* base + index*scale + disp with a masked (small) index register. *)
-let mem_indexed ctx ~size ~index () =
-  let base = pointer ctx in
-  let scale = Bstats.Rng.choose ctx.rng [ 1; 2; 4; 8 ] in
-  mb ~base ~index ~scale ~disp:(disp ctx ~size ()) ()
-
 (* Absolute lookup table, gzip-crc style: table(, idx, scale). The table
    address is aligned to the element size. *)
 let mem_table ctx ~index ~size () =

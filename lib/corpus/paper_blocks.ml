@@ -74,11 +74,4 @@ let tensorflow_ablation : Inst.t list =
   Buffer.add_string b "cmp %rcx, %rdi\n";
   Parser.block_exn (Buffer.contents b)
 
-let division_block = Block.make ~id:"paper/division" ~app:"paper" division
-let zero_idiom_block = Block.make ~id:"paper/zero-idiom" ~app:"paper" zero_idiom
 let gzip_crc_block = Block.make ~id:"paper/gzip-crc" ~app:"paper" gzip_crc
-
-let tensorflow_ablation_block =
-  Block.make ~id:"paper/tf-ablation" ~app:"tensorflow" tensorflow_ablation
-
-let case_study = [ division_block; zero_idiom_block; gzip_crc_block ]

@@ -11,8 +11,6 @@ val default_config : config
 (** Read the scale from the BHIVE_SCALE environment variable. *)
 val config_from_env : unit -> config
 
-val scaled_count : config -> Apps.t -> int
-
 (** The nine-application suite of the paper's Table "apps". *)
 val generate : ?config:config -> unit -> Block.t list
 

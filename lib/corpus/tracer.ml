@@ -47,7 +47,3 @@ let trace ?(max_steps = 10_000) (rng : Bstats.Rng.t) (program : Program.t) :
                    ~app:program.name ~freq:counts.(i) insts;
                count = counts.(i);
              })
-
-(* Trace several programs and merge the observed blocks. *)
-let trace_all ?max_steps rng programs =
-  List.concat_map (fun p -> trace ?max_steps rng p) programs

@@ -194,12 +194,6 @@ val create :
     refinement candidate evaluation incremental; normal runs keep the
     default scheme so their store keys and golden pins are unchanged. *)
 
-(** Worker-pool size resolved from [$BHIVE_JOBS] (what [create]
-    uses when [?jobs] is omitted). Raises [Failure] on a malformed
-    value — use {!validate_env} at CLI startup to turn that into a
-    clean exit. *)
-val default_jobs : unit -> int
-
 (** [$BHIVE_JOBS] parsed strictly: unset/empty is [Ok None], a
     positive integer is [Ok (Some n)], anything else is [Error msg]
     with a one-line message. *)

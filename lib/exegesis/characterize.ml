@@ -57,12 +57,6 @@ let characterize ~engine (uarch : Uarch.Descriptor.t) (form : Benchgen.form) :
 let table ~engine (uarch : Uarch.Descriptor.t) : result list =
   List.filter_map (characterize ~engine uarch) Benchgen.standard_forms
 
-let pp_row fmt (r : result) =
-  Format.fprintf fmt "%-16s lat=%-6s rtp=%-6.2f uops=%.1f"
-    (Benchgen.form_name r.form)
-    (match r.latency with Some l -> Printf.sprintf "%.1f" l | None -> "-")
-    r.rthroughput r.uops
-
 let pp_table fmt (rows : result list) =
   Format.fprintf fmt "%-16s %-9s %-9s %s@." "form" "latency" "rthroughput" "uops";
   List.iter

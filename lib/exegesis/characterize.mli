@@ -19,5 +19,4 @@ val characterize :
 (** The full standard-form table for one microarchitecture. *)
 val table : engine:Engine.t -> Uarch.Descriptor.t -> result list
 
-val pp_row : Format.formatter -> result -> unit
 val pp_table : Format.formatter -> result list -> unit

@@ -11,18 +11,6 @@ val blocker_for_port : int -> int -> X86.Inst.t
     microarchitectures. *)
 val supported_ports : int list
 
-(** Measured slowdown from adding the target to a saturated combination;
-    [None] when either measurement fails. The probe measurements run
-    through [engine] (memoised, fault-tolerant). *)
-val pressure_delta :
-  engine:Engine.t ->
-  Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set -> float option
-
-(** Infer the execution-port combination of the target's compute
-    micro-op; [None] when no supported candidate set confines it. *)
-val infer :
-  engine:Engine.t -> Uarch.Descriptor.t -> X86.Inst.t -> Uarch.Port.set option
-
 type entry = {
   name : string;
   inferred : Uarch.Port.set option;

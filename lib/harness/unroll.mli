@@ -5,9 +5,6 @@ type factors = {
   small : int;  (** 0 under the naive strategy *)
 }
 
-(** Smallest factor the adaptive strategy will pick. *)
-val minimum_factor : int
-
 (** Choose factors for a block under the given strategy; the adaptive
     strategy scales them to the instruction-cache code budget. *)
 val choose : Environment.unroll_strategy -> X86.Inst.t list -> factors

@@ -65,5 +65,3 @@ let map_fresh t vpn =
 
 (* Map virtual page [vpn] onto an existing frame (BHive aliasing). *)
 let map_aliased t ~vpn ~pfn = Page_table.map t.table ~vpn ~pfn
-
-let unmap_all t = Page_table.unmap_all t.table

@@ -29,10 +29,6 @@ let map t ~vpn ~pfn = Pages.replace t.entries (Int64.to_int vpn) (Int64.to_int p
 
 let unmap t vpn = Pages.remove t.entries (Int64.to_int vpn)
 
-let unmap_all t = Pages.reset t.entries
-
-let is_mapped t vpn = Pages.mem t.entries (Int64.to_int vpn)
-
 let count t = Pages.length t.entries
 
 (* Number of distinct physical frames currently mapped; equals 1 when the

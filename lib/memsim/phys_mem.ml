@@ -34,7 +34,6 @@ let frame_int t pfn =
     invalid_arg (Printf.sprintf "Phys_mem.frame: unallocated pfn 0x%x" pfn)
 
 let frame t pfn = frame_int t (Int64.to_int pfn)
-let mem t pfn = mem_int t (Int64.to_int pfn)
 
 (* Fill a frame with a repeating 32-bit little-endian constant; BHive
    initialises its single physical page with 0x12345600 so that loaded
@@ -47,7 +46,3 @@ let fill_const t pfn value32 =
 
 let read_byte t pfn offset = Char.code (Bytes.get (frame t pfn) offset)
 let write_byte t pfn offset v = Bytes.set (frame t pfn) offset (Char.chr (v land 0xFF))
-
-let clear t =
-  t.frames <- [||];
-  t.next_free <- first_pfn

@@ -3,7 +3,4 @@
     documented division-table bug and a modest level of per-opcode table
     error. *)
 
-(** The raw micro-op table this model uses (exposed for tests). *)
-val table : Uarch.Descriptor.t -> Static_sim.table
-
 val create : Uarch.Descriptor.t -> Model_intf.t

@@ -5,13 +5,6 @@
 
 type t
 
-(** Token for one instruction (mnemonic, width, operand kinds) —
-    exposed for feature-analysis tooling. *)
-val token : X86.Inst.t -> string
-
-(** Per-iteration and loop-carried dependence-path features. *)
-val critical_paths : X86.Inst.t list -> float * float * float
-
 val predict_block : t -> X86.Inst.t list -> float
 
 (** Train on (block, measured throughput) pairs; deterministic. *)

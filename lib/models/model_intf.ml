@@ -25,8 +25,3 @@ type t = {
   schedule : (Inst.t list -> schedule_entry list) option;
       (** None for black-box predictors (Ithemal) *)
 }
-
-let predict_opt model block =
-  match model.predict block with
-  | Throughput tp -> Some tp
-  | Unsupported _ -> None

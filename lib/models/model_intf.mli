@@ -22,6 +22,3 @@ type t = {
   schedule : (X86.Inst.t list -> schedule_entry list) option;
       (** [None] for black-box predictors (Ithemal) *)
 }
-
-(** The prediction as an option, folding tool failures to [None]. *)
-val predict_opt : t -> X86.Inst.t list -> float option

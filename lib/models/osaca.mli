@@ -3,12 +3,4 @@
     forms treated as nops; several instruction forms rejected
     entirely). *)
 
-(** Forms the parser rejects outright (exposed for tests). *)
-val unsupported_form : X86.Inst.t -> bool
-
-(** Forms the parser silently treats as nops. *)
-val parsed_as_nop : X86.Inst.t -> bool
-
-val predict : Uarch.Descriptor.t -> X86.Inst.t list -> Model_intf.prediction
-
 val create : Uarch.Descriptor.t -> Model_intf.t

@@ -24,19 +24,14 @@ val latency_named :
 val latency :
   seed:int64 -> fraction:float -> amplitude:float -> X86.Opcode.t -> int -> int
 
-val scale_named :
-  seed:int64 -> fraction:float -> amplitude:float -> string -> float
+val scale :
+  seed:int64 -> fraction:float -> amplitude:float -> X86.Opcode.t -> float
 (** Multiplicative cost scale in [1-amplitude/2, 1+amplitude] for
     fractional reciprocal-throughput tables; 1.0 for unperturbed
     entries. *)
 
-val scale :
-  seed:int64 -> fraction:float -> amplitude:float -> X86.Opcode.t -> float
-
-val extra_uop_named : seed:int64 -> fraction:float -> string -> bool
-(** Whether the table charges an extra micro-op for the entry. *)
-
 val extra_uop : seed:int64 -> fraction:float -> X86.Opcode.t -> bool
+(** Whether the table charges an extra micro-op for the entry. *)
 
 val drop_port_named :
   seed:int64 -> fraction:float -> string -> Uarch.Port.set -> Uarch.Port.set

@@ -697,5 +697,3 @@ let run ?(signals = true) t =
   (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ())
 
 let counters t = t.c
-let shard_count t = Array.length t.shards
-let engine t = t.shards.(0).s_engine

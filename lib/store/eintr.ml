@@ -18,12 +18,10 @@ let rec intr f =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> intr f
 
 let read fd buf off len = intr (fun () -> Unix.read fd buf off len)
-let write fd buf off len = intr (fun () -> Unix.write fd buf off len)
 
 let write_substring fd s off len =
   intr (fun () -> Unix.write_substring fd s off len)
 
-let accept ?cloexec fd = intr (fun () -> Unix.accept ?cloexec fd)
 let lockf fd cmd len = intr (fun () -> Unix.lockf fd cmd len)
 
 (* Loop a partial-write syscall to completion. *)

@@ -11,7 +11,7 @@
    of the file is not a torn tail — it means the file is not what we
    wrote, and opening fails rather than silently dropping records. *)
 
-type t = { fd : Unix.file_descr; path : string }
+type t = { fd : Unix.file_descr }
 
 let read_all fd len =
   let buf = Bytes.create len in
@@ -64,11 +64,10 @@ let open_ ?(fresh = false) ?(valid = fun _ -> true) path =
     | Ok (lines, truncate_at) ->
       Option.iter (fun off -> Unix.ftruncate fd off) truncate_at;
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
-      Ok ({ fd; path }, lines))
+      Ok ({ fd }, lines))
 
 (* Eintr-wrapped: a SIGTERM arriving mid-append must not tear the
    journal tail beyond what the open-time truncation already covers. *)
 let append t line = Eintr.really_write_substring t.fd (line ^ "\n")
 
-let path t = t.path
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

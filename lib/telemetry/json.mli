@@ -15,9 +15,6 @@ type t =
   | List of t list
   | Object of (string * t) list
 
-(** Escape a string for inclusion between JSON double quotes. *)
-val escape : string -> string
-
 (** Render a number the way every emitter in this repo does: integers
     without a fractional part, everything else with [%.6g]; non-finite
     values become [null]. *)

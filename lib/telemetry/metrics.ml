@@ -33,7 +33,6 @@ let counter name =
 let incr c = ignore (Atomic.fetch_and_add c.cell 1)
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let value c = Atomic.get c.cell
-let counter_name c = c.c_name
 
 let histogram name =
   with_registry (fun () ->

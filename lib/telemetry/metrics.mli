@@ -16,7 +16,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 type histogram
 

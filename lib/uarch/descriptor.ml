@@ -29,5 +29,3 @@ let flat t = Flat.of_profile t.profile ~n_ports:t.n_ports
 let decompose t inst = Flat.decompose (flat t) inst
 
 let port_combinations t inst = Profile.port_combinations t.profile inst
-
-let pp fmt t = Format.pp_print_string fmt t.name

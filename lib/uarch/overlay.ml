@@ -272,8 +272,6 @@ let to_string (o : t) =
            | _ -> Printf.sprintf "%s=%d" (name e.target) e.value)
          (canonical o))
 
-let pp fmt o = Format.pp_print_string fmt (to_string o)
-
 (* --- dependency map ---------------------------------------------------- *)
 
 (* Which targets each *variant* opcode class ([Flat.variant_opcode])

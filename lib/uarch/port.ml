@@ -10,7 +10,6 @@ type set = int  (** bit mask of candidate ports *)
 let empty : set = 0
 let singleton (p : t) : set = 1 lsl p
 let union (a : set) (b : set) : set = a lor b
-let inter (a : set) (b : set) : set = a land b
 let mem (p : t) (s : set) = s land (1 lsl p) <> 0
 let is_empty (s : set) = s = 0
 
@@ -30,10 +29,7 @@ let name (s : set) =
   if is_empty s then "none"
   else "p" ^ String.concat "" (List.map string_of_int (to_list s))
 
-let pp fmt s = Format.pp_print_string fmt (name s)
-
 let equal (a : set) b = a = b
-let compare_set (a : set) b = Stdlib.compare a b
 
 (* Common combinations (Haswell/Skylake port numbering). *)
 let p0 = singleton 0
@@ -52,4 +48,3 @@ let p015 = of_list [ 0; 1; 5 ]
 let p0156 = of_list [ 0; 1; 5; 6 ]
 let p23 = of_list [ 2; 3 ]
 let p237 = of_list [ 2; 3; 7 ]
-let p016 = of_list [ 0; 1; 6 ]

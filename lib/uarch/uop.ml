@@ -23,9 +23,6 @@ let kind_name = function
   | Store_addr -> "staddr"
   | Store_data -> "stdata"
 
-let pp fmt t =
-  Format.fprintf fmt "%s@%a(lat=%d)" (kind_name t.kind) Port.pp t.ports t.latency
-
 (** Decomposition of one instruction into micro-ops. *)
 type decomp = {
   uops : t list;  (** unfused-domain uops, program order *)
@@ -42,5 +39,3 @@ let decomp ?(eliminated = false) ?fused_slots uops =
     match fused_slots with Some n -> n | None -> max 1 (List.length uops)
   in
   { uops; fused_slots; eliminated }
-
-let total_uops d = List.length d.uops

@@ -38,66 +38,6 @@ let to_string = function
   | LE -> "le"
   | G -> "g"
 
-let of_string = function
-  | "o" -> Some O
-  | "no" -> Some NO
-  | "b" | "c" | "nae" -> Some B_
-  | "ae" | "nb" | "nc" -> Some AE
-  | "e" | "z" -> Some E
-  | "ne" | "nz" -> Some NE
-  | "be" | "na" -> Some BE
-  | "a" | "nbe" -> Some A
-  | "s" -> Some S
-  | "ns" -> Some NS
-  | "p" | "pe" -> Some P
-  | "np" | "po" -> Some NP
-  | "l" | "nge" -> Some L
-  | "ge" | "nl" -> Some GE
-  | "le" | "ng" -> Some LE
-  | "g" | "nle" -> Some G
-  | _ -> None
-
-let equal (a : t) b = a = b
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-(* Numeric encoding used by the binary encoder (matches hardware cc field). *)
-let to_int = function
-  | O -> 0
-  | NO -> 1
-  | B_ -> 2
-  | AE -> 3
-  | E -> 4
-  | NE -> 5
-  | BE -> 6
-  | A -> 7
-  | S -> 8
-  | NS -> 9
-  | P -> 10
-  | NP -> 11
-  | L -> 12
-  | GE -> 13
-  | LE -> 14
-  | G -> 15
-
-let of_int = function
-  | 0 -> O
-  | 1 -> NO
-  | 2 -> B_
-  | 3 -> AE
-  | 4 -> E
-  | 5 -> NE
-  | 6 -> BE
-  | 7 -> A
-  | 8 -> S
-  | 9 -> NS
-  | 10 -> P
-  | 11 -> NP
-  | 12 -> L
-  | 13 -> GE
-  | 14 -> LE
-  | 15 -> G
-  | n -> invalid_arg (Printf.sprintf "Cond.of_int: %d" n)
-
 (* Evaluate the condition against flag values. *)
 let eval t ~cf ~zf ~sf ~of_ ~pf =
   match t with

@@ -360,8 +360,6 @@ let reads_flags = function
   | _ -> false
 
 let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
-let pp fmt t = Format.pp_print_string fmt (mnemonic t)
 
 let all_fp_precs = [ Ss; Sd; Ps; Pd ]
 let packed_precs = [ Ps; Pd ]

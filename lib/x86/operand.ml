@@ -13,8 +13,6 @@ type t =
   | Mem of mem
 
 let imm i = Imm i
-let immi i = Imm (Int64.of_int i)
-let reg r = Reg r
 
 let mem ?base ?index ?(scale = 1) ?(disp = 0L) () =
   if scale <> 1 && scale <> 2 && scale <> 4 && scale <> 8 then
@@ -52,12 +50,6 @@ let mem_regs (m : mem) =
   let add acc = function Some r -> r :: acc | None -> acc in
   add (add [] m.index) m.base
 
-(* Registers this operand reads when used as a source. *)
-let source_regs = function
-  | Imm _ -> []
-  | Reg r -> [ r ]
-  | Mem m -> mem_regs m
-
 let pp_mem fmt (m : mem) =
   (* AT&T: disp(base, index, scale); negative displacements print signed. *)
   if not (Int64.equal m.disp 0L) || (m.base = None && m.index = None) then
@@ -77,5 +69,3 @@ let pp fmt = function
     else Format.fprintf fmt "$0x%Lx" i
   | Reg r -> Format.fprintf fmt "%%%s" (Reg.name r)
   | Mem m -> pp_mem fmt m
-
-let to_string t = Format.asprintf "%a" pp t

@@ -21,8 +21,6 @@ let suffix = function B -> "b" | W -> "w" | D -> "l" | Q -> "q"
 
 let to_string = function B -> "B" | W -> "W" | D -> "D" | Q -> "Q"
 let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* Mask keeping only the low [bits t] bits of a 64-bit value. *)
 let mask = function

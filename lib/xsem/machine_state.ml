@@ -112,7 +112,6 @@ let set_vec t (r : Reg.t) (b : bytes) =
          (Reg.name r));
   Bytes.blit b 0 t.vec (vec_offset i) n
 
-let get_vec_u64 t i ~lane = Bytes.get_int64_le t.vec (vec_offset i + (8 * lane))
 let set_vec_u64 t i ~lane v = Bytes.set_int64_le t.vec (vec_offset i + (8 * lane)) v
 
 (* --- Initialisation -------------------------------------------------- *)
@@ -134,14 +133,3 @@ let init_constant t value =
   t.flags.pf <- false;
   t.flags.af <- false;
   t.rip <- 0L
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun g ->
-      Format.fprintf fmt "%-4s = 0x%016Lx@,"
-        (Reg.name (Reg.Gpr (g, Width.Q)))
-        (get_gpr64 t g))
-    Reg.all_gprs;
-  Format.fprintf fmt "flags: cf=%b zf=%b sf=%b of=%b pf=%b@]" t.flags.cf
-    t.flags.zf t.flags.sf t.flags.of_ t.flags.pf

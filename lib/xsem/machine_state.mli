@@ -25,7 +25,6 @@ val copy : t -> t
 val copy_into : src:t -> dst:t -> unit
 
 val get_gpr64 : t -> X86.Reg.gpr -> int64
-val set_gpr64 : t -> X86.Reg.gpr -> int64 -> unit
 
 (** Read a register at its own width, zero-extended to 64 bits. Raises
     for vector registers (use [get_vec]). *)
@@ -40,11 +39,8 @@ val get_vec : t -> X86.Reg.t -> bytes
 
 val set_vec : t -> X86.Reg.t -> bytes -> unit
 
-val get_vec_u64 : t -> int -> lane:int -> int64
 val set_vec_u64 : t -> int -> lane:int -> int64 -> unit
 
 (** BHive initialisation: every GPR holds [value], vector registers hold
     the repeating 32-bit pattern, flags cleared. *)
 val init_constant : t -> int64 -> unit
-
-val pp : Format.formatter -> t -> unit

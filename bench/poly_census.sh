@@ -29,7 +29,7 @@ modules="
 pipeline/pipeline__Core pipeline/pipeline__Trace pipeline/pipeline__Machine
 uarch/uarch__Port_schedule
 memsim/memsim__Cache memsim/memsim__Mmu memsim/memsim__Page_table memsim/memsim__Phys_mem
-xsem/xsem__Step_log xsem/xsem__Semantics xsem/xsem__Executor xsem/xsem__Machine_state
+xsem/xsem__Step_log xsem/xsem__Compile xsem/xsem__Executor xsem/xsem__Machine_state
 harness/harness__Mapping harness/harness__Mapping_memo harness/harness__Profiler harness/harness__Unroll
 "
 

@@ -47,13 +47,11 @@ let choose_weighted t (xs : (float * 'a) list) =
   in
   go 0.0 xs
 
-(* Derive a seed from a string (FNV-1a), for per-block determinism. *)
+(* Derive a seed from a string (FNV-1a), for per-block determinism.
+   The accumulator is a local of the loop, so it stays unboxed. *)
 let seed_of_string s =
-  let fnv_prime = 0x100000001B3L in
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001B3L
+  done;
   !h

@@ -24,6 +24,7 @@ type entry =
 
 type generation = {
   entries : (string * int, entry) Hashtbl.t;  (** keyed by (key, unroll) *)
+  seeds : (string, int64) Hashtbl.t;  (** block noise seeds, keyed by key *)
   mutable chunks : Xsem.Step_log.buf list;
       (** in use, the one being filled first *)
   mutable used : int;  (** bytes written to the chunk being filled *)
@@ -38,7 +39,8 @@ type t = {
   misses : int Atomic.t;
 }
 
-let generation () = { entries = Hashtbl.create 64; chunks = []; used = 0 }
+let generation () =
+  { entries = Hashtbl.create 64; seeds = Hashtbl.create 64; chunks = []; used = 0 }
 
 let create () =
   {
@@ -150,6 +152,22 @@ let map t ~key env block ~unroll =
         if not (Hashtbl.mem t.current.entries k) then add_result t k b r);
     r
 
+let seed t ~key compute =
+  let find () =
+    match Hashtbl.find_opt t.current.seeds key with
+    | Some _ as s -> s
+    | None ->
+      let s = Hashtbl.find_opt t.previous.seeds key in
+      Option.iter (Hashtbl.replace t.current.seeds key) s;
+      s
+  in
+  match Mutex.protect t.lock find with
+  | Some s -> s
+  | None ->
+    let s = compute () in
+    Mutex.protect t.lock (fun () -> Hashtbl.replace t.current.seeds key s);
+    s
+
 let rotate t =
   Mutex.protect t.lock (fun () ->
       let recycled = t.previous in
@@ -158,6 +176,7 @@ let rotate t =
         List.filter (fun c -> Bigarray.Array1.dim c = chunk_bytes) recycled.chunks
         @ t.spare;
       Hashtbl.clear recycled.entries;
+      Hashtbl.clear recycled.seeds;
       recycled.chunks <- [];
       recycled.used <- 0;
       t.previous <- t.current;

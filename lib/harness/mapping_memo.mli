@@ -60,6 +60,12 @@ val map :
   unroll:int ->
   (mapped, Mapping.failure) result
 
+(** [seed t ~key compute] is [compute ()], computed once per [key] and
+    kept with the key's mappings, for as long as they are. The profiler
+    keeps a block's noise seed here, which the profiles of the block on
+    ivb, hsw and skl share. [compute] runs without the memo's lock. *)
+val seed : t -> key:string -> (unit -> int64) -> int64
+
 (** Start a new generation: the current one becomes the previous one,
     and the previous one's entries are dropped (its arena is kept for
     reuse). *)

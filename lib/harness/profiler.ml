@@ -225,13 +225,21 @@ let measure_point ?memo env descriptor rng block ~unroll =
     Option.get !result
   end
 
+(* The block's share of its noise seed: a hash of its printed text.
+   With a memo, the block's profiles on every uarch print it once: a
+   memo key identifies the block's encoding, which decodes back to the
+   block, so equal keys print equal texts. *)
+let block_seed ?memo block =
+  let compute () =
+    Bstats.Rng.seed_of_string (String.concat ";" (List.map Inst.to_string block))
+  in
+  match memo with
+  | Some (memo, key) -> Mapping_memo.seed memo ~key compute
+  | None -> compute ()
+
 let profile_untraced ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
     (block : Inst.t list) : (profile, failure) result =
-  let seed =
-    Int64.add env.noise_seed
-      (Bstats.Rng.seed_of_string
-         (String.concat ";" (List.map Inst.to_string block)))
-  in
+  let seed = Int64.add env.noise_seed (block_seed ?memo block) in
   let rng = Bstats.Rng.create seed in
   let factors = Unroll.choose env.unroll block in
   match measure_point ?memo env descriptor rng block ~unroll:factors.large with

@@ -18,13 +18,15 @@ let to_string t = Format.asprintf "%a" pp t
 
 (* User-space mappable range check, as performed by the BHive monitor
    before attempting an mmap: the zero page is never mappable and the
-   address must fit in the 47-bit positive user-space half. *)
+   address must fit in the 47-bit positive user-space half. The range
+   is [page_size, end_of_user), page-aligned at both ends. *)
 let page_size = 4096
 let page_bits = 12
+let end_of_user = 0x7FFF_FFFF_F000
 
 let is_valid_address addr =
   Int64.compare addr (Int64.of_int page_size) >= 0
-  && Int64.compare addr 0x7FFF_FFFF_F000L < 0
+  && Int64.compare addr (Int64.of_int end_of_user) < 0
 
 let page_of_address addr = Int64.shift_right_logical addr page_bits
 let address_of_page page = Int64.shift_left page page_bits

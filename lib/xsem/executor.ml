@@ -1,12 +1,10 @@
-(** Straight-line block execution over the architectural semantics.
+(** Straight-line block execution over the compiled semantics.
 
     Runs an instruction sequence once, or several copies of it back to
     back (basic blocks contain no control flow), recording every memory
     access and event into a {!Step_log}. On a memory fault the log up
     to the fault is reported together with the fault — exactly the
     observability the BHive monitor process gets from a SIGSEGV. *)
-
-open X86
 
 type run_result =
   | Completed of Step_log.t
@@ -17,33 +15,28 @@ type run_result =
     }
 
 (* Execute [unroll] copies of [insts] laid out back to back: dynamic
-   instruction [idx] is block instruction [idx mod n], and RIP advances
-   by its encoded length, computed once per block instruction. One
-   context serves the whole run, and each step is a commit to the log;
-   a faulting instruction's recorded accesses are rolled back. *)
+   instruction [idx] is block instruction [idx mod n]. The block is
+   compiled once per call; RIP advances by each instruction's encoded
+   length before it runs. One context serves the whole run, and each
+   step is a commit to the log; a faulting instruction's recorded
+   accesses are rolled back. *)
 let run_unrolled ?log (st : Machine_state.t) (mmu : Memsim.Mmu.t)
-    (insts : Inst.t list) ~unroll : run_result =
+    (insts : X86.Inst.t list) ~unroll : run_result =
   let block = Array.of_list insts in
-  let lengths = Array.map Encoder.encoded_length block in
-  let n = Array.length block in
-  let total = n * unroll in
+  let compiled = Compile.block block in
+  let total = Array.length block * unroll in
   let log = match log with Some log -> log | None -> Step_log.create ~steps:total in
   Step_log.start log block;
-  let ctx = Semantics.context st mmu log in
-  let rec go idx k =
-    if idx >= total then Completed log
-    else begin
-      st.rip <- Int64.add st.rip (Int64.of_int lengths.(k));
-      match Semantics.exec ctx block.(k) with
-      | () ->
-        Step_log.commit log;
-        go (idx + 1) (if k + 1 = n then 0 else k + 1)
-      | exception Memsim.Fault.Fault f ->
-        Step_log.rollback log;
-        Faulted { steps = log; fault = f; at = idx }
-    end
-  in
-  go 0 0
+  let c = Compile.context st mmu log in
+  let idx = ref 0 in
+  match Compile.run compiled c idx total with
+  | () ->
+    Compile.finish c st;
+    Completed log
+  | exception Memsim.Fault.Fault f ->
+    Step_log.rollback log;
+    Compile.finish c st;
+    Faulted { steps = log; fault = f; at = !idx }
 
 let run st mmu insts = run_unrolled st mmu insts ~unroll:1
 

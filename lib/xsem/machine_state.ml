@@ -13,7 +13,7 @@ type flags = {
 }
 
 type t = {
-  gpr : int64 array;  (** 16 roots, full 64-bit values *)
+  gpr : Bytes.t;  (** 16 roots x 8 bytes, little-endian *)
   vec : Bytes.t;  (** 16 vector roots x 32 bytes *)
   flags : flags;
   mutable rip : int64;
@@ -24,7 +24,7 @@ type t = {
 
 let create () =
   {
-    gpr = Array.make 16 0L;
+    gpr = Bytes.make (16 * 8) '\000';
     vec = Bytes.make (16 * 32) '\000';
     flags = { cf = false; zf = false; sf = false; of_ = false; pf = false; af = false };
     rip = 0L;
@@ -33,7 +33,7 @@ let create () =
 
 let copy t =
   {
-    gpr = Array.copy t.gpr;
+    gpr = Bytes.copy t.gpr;
     vec = Bytes.copy t.vec;
     flags = { t.flags with cf = t.flags.cf };
     rip = t.rip;
@@ -41,7 +41,7 @@ let copy t =
   }
 
 let copy_into ~src ~dst =
-  Array.blit src.gpr 0 dst.gpr 0 16;
+  Bytes.blit src.gpr 0 dst.gpr 0 (16 * 8);
   Bytes.blit src.vec 0 dst.vec 0 (16 * 32);
   dst.flags.cf <- src.flags.cf;
   dst.flags.zf <- src.flags.zf;
@@ -54,37 +54,35 @@ let copy_into ~src ~dst =
 
 (* --- GPR access ----------------------------------------------------- *)
 
-let get_gpr64 t g = t.gpr.(Reg.gpr_index g)
-let set_gpr64 t g v = t.gpr.(Reg.gpr_index g) <- v
+(* Root [g]'s bytes are [gpr_offset g] to [gpr_offset g + 7]. *)
+let gpr_offset g = 8 * Reg.gpr_index g
+
+let get_gpr64 t g = Bytes.get_int64_le t.gpr (gpr_offset g)
 
 let get_reg t (r : Reg.t) : int64 =
   match r with
-  | Reg.Gpr (g, w) -> Width.truncate w (get_gpr64 t g)
-  | Reg.Gpr8h g -> Int64.logand (Int64.shift_right_logical (get_gpr64 t g) 8) 0xFFL
+  | Reg.Gpr (g, Width.Q) -> Bytes.get_int64_le t.gpr (gpr_offset g)
+  | Reg.Gpr (g, Width.D) ->
+    Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.gpr (gpr_offset g))) 0xFFFFFFFFL
+  | Reg.Gpr (g, Width.W) -> Int64.of_int (Bytes.get_uint16_le t.gpr (gpr_offset g))
+  | Reg.Gpr (g, Width.B) -> Int64.of_int (Bytes.get_uint8 t.gpr (gpr_offset g))
+  | Reg.Gpr8h g -> Int64.of_int (Bytes.get_uint8 t.gpr (gpr_offset g + 1))
   | Reg.Rip -> t.rip
   | Reg.Xmm _ | Reg.Ymm _ ->
     invalid_arg "Machine_state.get_reg: vector register (use get_vec)"
 
 (* x86-64 merge rules: 8/16-bit writes merge into the old value, 32-bit
-   writes zero the upper half, 64-bit writes replace. *)
+   writes zero the upper half, 64-bit writes replace. In the byte file
+   these are a byte, word or quad store. *)
 let set_reg t (r : Reg.t) v =
   match r with
-  | Reg.Gpr (g, Width.Q) -> set_gpr64 t g v
-  | Reg.Gpr (g, Width.D) -> set_gpr64 t g (Int64.logand v 0xFFFFFFFFL)
+  | Reg.Gpr (g, Width.Q) -> Bytes.set_int64_le t.gpr (gpr_offset g) v
+  | Reg.Gpr (g, Width.D) ->
+    Bytes.set_int64_le t.gpr (gpr_offset g) (Int64.logand v 0xFFFFFFFFL)
   | Reg.Gpr (g, Width.W) ->
-    let old = get_gpr64 t g in
-    set_gpr64 t g
-      (Int64.logor (Int64.logand old 0xFFFFFFFFFFFF0000L) (Int64.logand v 0xFFFFL))
-  | Reg.Gpr (g, Width.B) ->
-    let old = get_gpr64 t g in
-    set_gpr64 t g
-      (Int64.logor (Int64.logand old 0xFFFFFFFFFFFFFF00L) (Int64.logand v 0xFFL))
-  | Reg.Gpr8h g ->
-    let old = get_gpr64 t g in
-    set_gpr64 t g
-      (Int64.logor
-         (Int64.logand old 0xFFFFFFFFFFFF00FFL)
-         (Int64.shift_left (Int64.logand v 0xFFL) 8))
+    Bytes.set_uint16_le t.gpr (gpr_offset g) (Int64.to_int v land 0xFFFF)
+  | Reg.Gpr (g, Width.B) -> Bytes.set_uint8 t.gpr (gpr_offset g) (Int64.to_int v land 0xFF)
+  | Reg.Gpr8h g -> Bytes.set_uint8 t.gpr (gpr_offset g + 1) (Int64.to_int v land 0xFF)
   | Reg.Rip -> t.rip <- v
   | Reg.Xmm _ | Reg.Ymm _ ->
     invalid_arg "Machine_state.set_reg: vector register (use set_vec)"
@@ -121,7 +119,9 @@ let set_vec_u64 t i ~lane v = Bytes.set_int64_le t.vec (vec_offset i + (8 * lane
    any register used as a pointer lands on a mappable address; vector
    registers get the same repeating pattern. *)
 let init_constant t value =
-  Array.fill t.gpr 0 16 value;
+  for i = 0 to 15 do
+    Bytes.set_int64_le t.gpr (8 * i) value
+  done;
   let v32 = Int64.to_int32 value in
   for i = 0 to (16 * 32 / 4) - 1 do
     Bytes.set_int32_le t.vec (i * 4) v32

@@ -11,7 +11,9 @@ type flags = {
 }
 
 type t = {
-  gpr : int64 array;  (** 16 roots, full 64-bit values *)
+  gpr : Bytes.t;
+      (** 16 roots x 8 bytes, little-endian: root [g] is at byte
+          [8 * Reg.gpr_index g] *)
   vec : Bytes.t;  (** 16 vector roots x 32 bytes *)
   flags : flags;
   mutable rip : int64;

@@ -127,40 +127,61 @@ let rec add_varint b v =
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor -(z land 1)
 
-let same_bytes a b =
-  let n = Buffer.length a in
-  let rec go i = i >= n || (Buffer.nth a i = Buffer.nth b i && go (i + 1)) in
-  n = Buffer.length b && go 0
+(* The changes of access [a]'s vaddr, and of its paddr's offset from
+   its vaddr, from the access before it (from 0 for the first). *)
+let vaddr_step t a = t.vaddr.(a) - if a = 0 then 0 else t.vaddr.(a - 1)
 
+let offset_step t a =
+  (t.paddr.(a) - t.vaddr.(a)) - if a = 0 then 0 else t.paddr.(a - 1) - t.vaddr.(a - 1)
+
+(* Do the [k] steps from [p] and the [k] steps from [i] pack to the same
+   bytes? They do when their event masks, access counts, sizes,
+   directions and vaddr and offset steps agree. *)
+let same_iteration t p i k =
+  let same = ref true and s = ref 0 in
+  while !same && !s < k do
+    same :=
+      t.events.(p + !s) = t.events.(i + !s)
+      && t.first.(p + !s + 1) - t.first.(p + !s) = t.first.(i + !s + 1) - t.first.(i + !s);
+    incr s
+  done;
+  let pa = t.first.(p) and ia = t.first.(i) in
+  let j = ref 0 and m = t.first.(i + k) - ia in
+  while !same && !j < m do
+    let a = pa + !j and b = ia + !j in
+    same :=
+      t.size.(a) = t.size.(b)
+      && Bool.equal t.store.(a) t.store.(b)
+      && vaddr_step t a = vaddr_step t b
+      && offset_step t a = offset_step t b;
+    incr j
+  done;
+  !same
+
+let add_iteration t out i k =
+  for s = i to i + k - 1 do
+    add_varint out (((t.first.(s + 1) - t.first.(s)) lsl 4) lor t.events.(s));
+    for a = t.first.(s) to t.first.(s + 1) - 1 do
+      add_varint out ((t.size.(a) lsl 1) lor if t.store.(a) then 1 else 0);
+      add_varint out (zigzag (vaddr_step t a));
+      add_varint out (zigzag (offset_step t a))
+    done
+  done
+
+(* An iteration is compared with the one before it on the log's own
+   arrays, and only one that differs is encoded. *)
 let pack t out =
   let n = Int.max 1 (Array.length t.block) in
   add_varint out t.steps;
   add_varint out t.first.(t.steps);
-  let iter = ref (Buffer.create 64) and last = ref (Buffer.create 64) in
   let repeats = ref 0 and last_steps = ref 0 in
-  let vaddr = ref 0 and offset = ref 0 in
   let i = ref 0 in
   while !i < t.steps do
     let k = Int.min n (t.steps - !i) in
-    let b = !iter in
-    Buffer.clear b;
-    for s = !i to !i + k - 1 do
-      add_varint b (((t.first.(s + 1) - t.first.(s)) lsl 4) lor t.events.(s));
-      for a = t.first.(s) to t.first.(s + 1) - 1 do
-        add_varint b ((t.size.(a) lsl 1) lor if t.store.(a) then 1 else 0);
-        add_varint b (zigzag (t.vaddr.(a) - !vaddr));
-        let o = t.paddr.(a) - t.vaddr.(a) in
-        add_varint b (zigzag (o - !offset));
-        vaddr := t.vaddr.(a);
-        offset := o
-      done
-    done;
-    if !repeats > 0 && k = !last_steps && same_bytes b !last then incr repeats
+    if !repeats > 0 && k = !last_steps && same_iteration t (!i - k) !i k then incr repeats
     else begin
       if !repeats > 0 then add_varint out !repeats;
-      Buffer.add_buffer out b;
-      iter := !last;
-      last := b;
+      add_iteration t out !i k;
       repeats := 1;
       last_steps := k
     end;

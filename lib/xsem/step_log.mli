@@ -3,10 +3,10 @@
     and the events it raised, as a bitmask. Step [i] executes block
     instruction [i mod n], so the log stores no per-step instruction.
 
-    Recording follows a step protocol. {!Semantics} appends the open
-    step's accesses and events while the instruction runs; the executor
-    then [commit]s them as the next step, or, on a fault, [rollback]s
-    them, so the log holds exactly the steps that completed. Recording
+    Recording follows a step protocol. While an instruction runs, the
+    executor appends the open step's accesses and events; it then
+    [commit]s them as the next step, or, on a fault, [rollback]s them,
+    so the log holds exactly the steps that completed. Recording
     allocates nothing beyond the amortised growth of the arrays.
 
     A log can be kept outside the OCaml heap: [pack] writes its

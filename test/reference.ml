@@ -58,7 +58,7 @@ let run (st : Xsem.Machine_state.t) mmu block ~unroll =
       st.rip <- Int64.add st.rip (Int64.of_int (Encoder.encoded_length inst));
       let log = L.create ~steps:1 in
       L.start log [| inst |];
-      match Xsem.Semantics.exec (Xsem.Semantics.context st mmu log) inst with
+      match Semantics.exec (Semantics.context st mmu log) inst with
       | () ->
         L.commit log;
         let step = { (List.hd (steps_of_log log)) with index = idx } in

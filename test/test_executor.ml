@@ -173,65 +173,174 @@ let rip_relative =
      movq 0x12345f00(%rip), %r11\n\
      addq %r11, 0x12345f80(%rip)"
 
-(* A random block with one RIP-relative instruction spliced in, an
-   unroll, and whether the monitor maps every page the block touches
-   (else only the register-fill page is mapped, so many runs fault,
-   some in a later copy). *)
+(* Stores from the register-fill value across the end of its page:
+   the first page's bytes land before the second page's fault. *)
+let page_crossing = Parser.block_exn "movq %rax, 0x9fd(%r15)\nmovups %xmm0, 0x9f8(%r14)"
+
+(* Divides on every path: the fast path, the slow path at 64 bits (the
+   bitwise 128/64 division) and at 32, a #DE (EDX holds the fill value,
+   as large as ECX), the byte form's AX dividend and 16-bit idiv's
+   AX-only dividend. *)
+let divides =
+  List.map Parser.block_exn
+    [
+      "xorl %edx, %edx\ndivq %rcx";
+      "movl $1, %edx\ndivq %rcx";
+      "movl $1, %edx\ndivl %ecx";
+      "divl %ecx";
+      "cqo\nidivq %rcx";
+      "idivw %cx";
+      "divb %cl";
+    ]
+
+(* A subnormal float in a vector register, consumed by a packed and a
+   scalar operation: a Subnormal event, or a flush under FTZ. *)
+let subnormals =
+  List.map Parser.block_exn
+    [
+      "movl $1, %r9d\nmovd %r9d, %xmm15\naddps %xmm15, %xmm14";
+      "movq $1, %r9\nmovq %r9, %xmm15\nmulsd %xmm15, %xmm13\nsqrtpd %xmm15, %xmm12";
+    ]
+
+let splice block piece at =
+  List.filteri (fun i _ -> i < at) block @ piece @ List.filteri (fun i _ -> i >= at) block
+
+(* Where a case's memory comes from: only the register-fill page, or
+   the monitor's mapping under one of its two modes. *)
+type memory = Fill_page | Mapped of Harness.Environment.mapping_mode
+
+let memory_name = function
+  | Fill_page -> "fill page"
+  | Mapped Harness.Environment.Single_physical_page -> "single physical page"
+  | Mapped Harness.Environment.Fresh_pages -> "fresh pages"
+  | Mapped Harness.Environment.No_mapping -> "no mapping"
+
+(* A random block from any application's instruction mix, with a
+   RIP-relative instruction or a page-crossing store, a divide and a
+   subnormal source spliced in; an unroll; the memory; and FTZ on or
+   off. Runs on the fill page alone fault early, some in a later copy. *)
 let unrolled_gen =
   QCheck.Gen.(
     let* seed = int_range 0 100000 in
-    let* app = oneofl [ Corpus.Apps.llvm; Corpus.Apps.gzip; Corpus.Apps.openblas ] in
-    let* rip = oneofl rip_relative in
+    let* app = oneofl (Corpus.Apps.all_apps @ [ Corpus.Apps.spanner; Corpus.Apps.dremel ]) in
+    let* rip = oneofl (rip_relative @ page_crossing) in
+    let* div = oneofl divides in
+    let* sub = oneofl subnormals in
     let* unroll = int_range 1 8 in
-    let* mapped = bool in
+    let* memory =
+      oneofl
+        [
+          Fill_page;
+          Mapped Harness.Environment.Single_physical_page;
+          Mapped Harness.Environment.Fresh_pages;
+        ]
+    in
+    let* ftz = bool in
     let rng = Bstats.Rng.create (Int64.of_int seed) in
     let block = Corpus.Gen.block ~rng ~mix:app.mix ~min_len:1 ~max_len:6 in
-    let* at = int_range 0 (List.length block) in
-    let before = List.filteri (fun i _ -> i < at) block
-    and after = List.filteri (fun i _ -> i >= at) block in
-    return (before @ (rip :: after), unroll, mapped))
+    let* a = int_range 0 (List.length block) in
+    let block = splice block [ rip ] a in
+    let* b = int_range 0 (List.length block) in
+    let block = splice block div b in
+    let* c = int_range 0 (List.length block) in
+    let block = splice block sub c in
+    return (block, unroll, memory, ftz))
 
-(* [run_unrolled] == the concatenating reference ({!Reference.run}):
-   the same steps in the log (index, inst, accesses, events), the same
-   fault and position for a block that faults, and the same final
-   registers, flags and RIP. Both sides start from equal states over
-   equal memories: the monitor's mapping is deterministic, so running
-   it twice builds two equal MMUs. *)
-let run_unrolled_matches_reference =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"run_unrolled == concatenated reference" ~count:200
-       (QCheck.make
-          ~print:(fun (b, unroll, mapped) ->
-            Printf.sprintf "unroll %d, mapped %b: %s" unroll mapped
-              (String.concat "; " (List.map Inst.to_string b)))
-          unrolled_gen)
-       (fun (block, unroll, mapped) ->
-         let env = Harness.Environment.default in
-         let fill = Harness.Environment.fill_value_u64 env in
-         let fill_page_only () =
-           let mmu = Memsim.Mmu.create () in
-           ignore (Memsim.Mmu.map_fresh mmu (Memsim.Fault.page_of_address fill));
-           mmu
-         in
-         let setup () =
-           let mmu =
-             if not mapped then fill_page_only ()
-             else
-               match Harness.Mapping.run env block ~unroll with
-               | Ok m -> m.mmu
-               | Error _ -> fill_page_only ()
-           in
-           let st = Xsem.Machine_state.create () in
-           Xsem.Machine_state.init_constant st fill;
-           st.ftz <- env.disable_underflow;
-           (st, mmu)
-         in
-         let st, mmu = setup () and ref_st, ref_mmu = setup () in
-         (* a one-step log, so that every run grows its arrays *)
-         let log = Xsem.Step_log.create ~steps:1 in
-         Reference.of_run (Xsem.Executor.run_unrolled ~log st mmu block ~unroll)
-         = Reference.run ref_st ref_mmu block ~unroll
-         && st = ref_st))
+(* A constructor of [Opcode.t], apart from its arguments. *)
+let constructor (op : Opcode.t) =
+  let r = Obj.repr op in
+  if Obj.is_int r then (0, (Obj.obj r : int)) else (1, Obj.tag r)
+
+(* Every allocated frame's bytes. *)
+let frames mmu =
+  let phys = Memsim.Mmu.phys mmu in
+  List.init
+    (phys.Memsim.Phys_mem.next_free - Memsim.Phys_mem.first_pfn)
+    (fun k -> Bytes.to_string (Memsim.Phys_mem.frame_int phys (Memsim.Phys_mem.first_pfn + k)))
+
+(* [run_unrolled] == the concatenating reference ({!Reference.run}),
+   which runs the reference interpreter (semantics.ml) one instruction
+   at a time: the same steps in the log (index, inst, accesses, events),
+   the same fault and position for a block that faults, the same final
+   registers, flags, RIP and vector file, and the same bytes in every
+   frame. Both sides start from equal states over equal memories: the
+   monitor's mapping is deterministic, so running it twice builds two
+   equal MMUs.
+
+   The cases are the random ones above and, so that every run covers
+   the corpus, the first corpus block (scale 2000) using each opcode
+   constructor, mapped under both modes with FTZ off and on. Together
+   they must execute every opcode constructor that corpus uses. *)
+let test_run_unrolled_matches_reference () =
+  let corpus = Corpus.Suite.generate ~config:{ Corpus.Suite.scale = 2000; seed = 7L } () in
+  let firsts = Hashtbl.create 128 in
+  List.iter
+    (fun (b : Corpus.Block.t) ->
+      List.iter
+        (fun (i : Inst.t) ->
+          if not (Hashtbl.mem firsts (constructor i.opcode)) then
+            Hashtbl.replace firsts (constructor i.opcode) (i, b.insts))
+        b.insts)
+    corpus;
+  let executed = Hashtbl.create 128 in
+  let prop (block, unroll, memory, ftz) =
+    let env = { Harness.Environment.default with disable_underflow = ftz } in
+    let fill = Harness.Environment.fill_value_u64 env in
+    let fill_page_only () =
+      let mmu = Memsim.Mmu.create () in
+      ignore (Memsim.Mmu.map_fresh mmu (Memsim.Fault.page_of_address fill));
+      mmu
+    in
+    let setup () =
+      let mmu =
+        match memory with
+        | Fill_page -> fill_page_only ()
+        | Mapped mapping -> (
+          match Harness.Mapping.run { env with mapping } block ~unroll with
+          | Ok m -> m.mmu
+          | Error _ -> fill_page_only ())
+      in
+      let st = Xsem.Machine_state.create () in
+      Xsem.Machine_state.init_constant st fill;
+      st.ftz <- ftz;
+      (st, mmu)
+    in
+    let st, mmu = setup () and ref_st, ref_mmu = setup () in
+    (* a one-step log, so that every run grows its arrays *)
+    let log = Xsem.Step_log.create ~steps:1 in
+    let result = Xsem.Executor.run_unrolled ~log st mmu block ~unroll in
+    for i = 0 to log.steps - 1 do
+      Hashtbl.replace executed (constructor (Xsem.Step_log.inst log i).opcode) ()
+    done;
+    Reference.of_run result = Reference.run ref_st ref_mmu block ~unroll
+    && st = ref_st
+    && frames mmu = frames ref_mmu
+  in
+  let print (b, unroll, memory, ftz) =
+    Printf.sprintf "unroll %d, %s, ftz %b: %s" unroll (memory_name memory) ftz
+      (String.concat "; " (List.map Inst.to_string b))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"run_unrolled == concatenated reference" ~count:500
+       (QCheck.make ~print unrolled_gen) prop);
+  Hashtbl.iter
+    (fun _ (_, block) ->
+      List.iter
+        (fun case -> if not (prop case) then Alcotest.failf "differs on %s" (print case))
+        [
+          (block, 2, Mapped Harness.Environment.Single_physical_page, false);
+          (block, 2, Mapped Harness.Environment.Fresh_pages, true);
+        ])
+    firsts;
+  let missing =
+    Hashtbl.fold
+      (fun k ((i : Inst.t), _) acc ->
+        if Hashtbl.mem executed k then acc else Opcode.mnemonic i.opcode :: acc)
+      firsts []
+  in
+  if missing <> [] then
+    Alcotest.failf "corpus opcodes no case executed: %s"
+      (String.concat ", " (List.sort String.compare missing))
 
 let suite =
   [
@@ -245,5 +354,6 @@ let suite =
     Alcotest.test_case "memory accumulate" `Quick test_store_then_load_roundtrip_across_iterations;
     Alcotest.test_case "state copy" `Quick test_state_copy_independent;
     Alcotest.test_case "init constant" `Quick test_init_constant;
-    run_unrolled_matches_reference;
+    Alcotest.test_case "run_unrolled == concatenated reference" `Quick
+      test_run_unrolled_matches_reference;
   ]

@@ -44,7 +44,7 @@ let fresh_state (env : Environment.t) =
 
 let div_by_zero steps = Xsem.Step_log.any_event steps Xsem.Step_log.Div_by_zero
 
-let run (env : Environment.t) (block : Inst.t list) ~unroll :
+let run ?log (env : Environment.t) (block : Inst.t list) ~unroll :
     (success, failure) result =
   let mmu = Memsim.Mmu.create () in
   let phys = Memsim.Mmu.phys mmu in
@@ -63,7 +63,11 @@ let run (env : Environment.t) (block : Inst.t list) ~unroll :
   in
   (* Every attempt records into one log, which the final run leaves to
      the result. *)
-  let log = Xsem.Step_log.create ~steps:(List.length block * unroll) in
+  let log =
+    match log with
+    | Some log -> log
+    | None -> Xsem.Step_log.create ~steps:(List.length block * unroll)
+  in
   let rec monitor num_faults =
     let st = fresh_state env in
     match Xsem.Executor.run_unrolled ~log st mmu block ~unroll with

@@ -17,12 +17,21 @@ val failure_to_string : failure -> string
 type success = {
   mmu : Memsim.Mmu.t;  (** with all touched pages mapped *)
   steps : Xsem.Step_log.t;
-      (** the final, complete execution; each success owns its log *)
+      (** the final, complete execution, recorded into [run]'s [?log]
+          when one is given, else into a log this success owns *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;  (** 1 under single-physical-page aliasing *)
 }
 
 (** [run env block ~unroll] maps and executes [unroll] copies of
-    [block] under [env]'s mapping mode. *)
+    [block] under [env]'s mapping mode. Every attempt records into
+    [log] when it is given, which is emptied first and holds the final
+    run afterwards; a caller that reuses one log across calls allocates
+    no step log per call. Without [log], each call records into a fresh
+    one. *)
 val run :
-  Environment.t -> X86.Inst.t list -> unroll:int -> (success, failure) result
+  ?log:Xsem.Step_log.t ->
+  Environment.t ->
+  X86.Inst.t list ->
+  unroll:int ->
+  (success, failure) result

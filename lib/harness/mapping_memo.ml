@@ -10,6 +10,7 @@ type mapped = {
   steps : Xsem.Step_log.t;
   faults : int;
   distinct_frames : int;
+  fits_l1 : bool;
 }
 
 type entry =
@@ -19,6 +20,7 @@ type entry =
       len : int;
       faults : int;
       distinct_frames : int;
+      fits_l1 : bool;
     }  (** the final-run log is [len] packed bytes at [pos] in [chunk] *)
   | Failed of Mapping.failure
 
@@ -79,13 +81,15 @@ let reserve t n =
     (c, 0)
 
 (* Per domain, the buffer a log is packed into before the lock is
-   taken to copy it into the arena, and the log a hit is unpacked into.
-   A fresh log per hit would allocate its arrays, each too large for
-   the minor heap, straight into the major heap: measured over
-   measure-cold, that raised peak RSS by about as much as the memo
-   saved elsewhere and cost a tenth of the throughput gain. *)
+   taken to copy it into the arena, and the log that a miss records
+   into and a hit unpacks into. A fresh log per map would allocate its
+   arrays, each too large for the minor heap, straight into the major
+   heap: measured over measure-cold, fresh logs for hits raised peak
+   RSS by about as much as the memo saved elsewhere and cost a tenth of
+   the throughput gain, and fresh logs for misses were 4.75M words a
+   pass, nine tenths of what it allocated on the major heap. *)
 let packed = Domain.DLS.new_key (fun () -> Buffer.create 4096)
-let unpacked = Domain.DLS.new_key (fun () -> Xsem.Step_log.create ~steps:1024)
+let domain_log = Domain.DLS.new_key (fun () -> Xsem.Step_log.create ~steps:1024)
 
 (* Record a mapping result, its log packed into [b], in the current
    generation; the caller holds the lock. *)
@@ -98,7 +102,15 @@ let add_result t k b = function
       Bigarray.Array1.unsafe_set chunk (pos + i) (Char.code (Buffer.nth b i))
     done;
     Hashtbl.replace t.current.entries k
-      (Mapped { chunk; pos; len; faults = m.faults; distinct_frames = m.distinct_frames })
+      (Mapped
+         {
+           chunk;
+           pos;
+           len;
+           faults = m.faults;
+           distinct_frames = m.distinct_frames;
+           fits_l1 = m.fits_l1;
+         })
 
 (* Copy a previous-generation entry into the current generation; the
    caller holds the lock. *)
@@ -126,8 +138,13 @@ let find t k =
 let run env block ~unroll =
   Result.map
     (fun (s : Mapping.success) ->
-      { steps = s.steps; faults = s.faults; distinct_frames = s.distinct_frames })
-    (Mapping.run env block ~unroll)
+      {
+        steps = s.steps;
+        faults = s.faults;
+        distinct_frames = s.distinct_frames;
+        fits_l1 = Pipeline.Machine.fits_l1 s.steps;
+      })
+    (Mapping.run ~log:(Domain.DLS.get domain_log) env block ~unroll)
 
 let map t ~key env block ~unroll =
   let k = (key, unroll) in
@@ -139,9 +156,15 @@ let map t ~key env block ~unroll =
     Error f
   | Some (Mapped m) ->
     Atomic.incr t.hits;
-    let steps = Domain.DLS.get unpacked in
+    let steps = Domain.DLS.get domain_log in
     Xsem.Step_log.unpack m.chunk ~pos:m.pos (Array.of_list block) ~into:steps;
-    Ok { steps; faults = m.faults; distinct_frames = m.distinct_frames }
+    Ok
+      {
+        steps;
+        faults = m.faults;
+        distinct_frames = m.distinct_frames;
+        fits_l1 = m.fits_l1;
+      }
   | None ->
     Atomic.incr t.misses;
     let r = run env block ~unroll in

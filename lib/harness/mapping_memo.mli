@@ -5,24 +5,28 @@
     runs the same architectural code on every machine. So the profiles
     of one block on ivb, hsw and skl can share one mapping per unroll
     factor. A hit yields the final run's step log, the faults and the
-    distinct frames that {!Mapping.run} would have given, and the
-    profiler then builds the trace, warms the caches, simulates and
-    draws noise exactly as without the memo.
+    distinct frames that {!Mapping.run} would have given, and the L1
+    residency verdict on that log ({!Pipeline.Machine.fits_l1}), which
+    is the same on every uarch; the profiler then builds the trace,
+    warms the caches or not as the verdict says, simulates and draws
+    noise exactly as without the memo.
 
-    An entry holds the mapping's fault count, its distinct frames and
-    its final-run log, packed by {!Xsem.Step_log.pack} into an arena
-    outside the OCaml heap, or else the mapping failure. Entries live
+    An entry holds the mapping's fault count, its distinct frames, the
+    verdict and its final-run log, packed by {!Xsem.Step_log.pack} into
+    an arena outside the OCaml heap, or else the mapping failure. A
+    miss computes the verdict once, outside the memo's lock. Entries live
     for two generations: {!rotate} makes the current generation the
     previous one and drops the one before, and a hit in the previous
     generation is copied into the current one. An owner that rotates
     once per batch of profiles therefore keeps every mapping a batch
     used for the following batch, and holds at most two batches.
 
-    A hit's log is the memo's per-domain log, which the next [map] on
-    that domain overwrites. A {!Pipeline.Trace} reads its log in place,
-    so a trace built on a hit is valid only until that next [map]; the
-    profiler builds, walks and simulates each point's trace before it
-    maps the next point.
+    The log that [map] and [run] return is the memo's per-domain log,
+    hit or miss: a miss records into it and a hit unpacks into it. The
+    next [map] or [run] on that domain overwrites it. A
+    {!Pipeline.Trace} reads its log in place, so a trace built on it is
+    valid only until then; the profiler builds, walks and simulates each
+    point's trace before it maps the next point.
 
     [map] may run on several domains at once; [rotate] must not run
     while any [map] does. *)
@@ -33,12 +37,15 @@ val create : unit -> t
 
 (** What the profiler reads of a mapping. *)
 type mapped = {
-  steps : Xsem.Step_log.t;  (** the final, complete execution *)
+  steps : Xsem.Step_log.t;
+      (** the final, complete execution, in the per-domain log *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;
+  fits_l1 : bool;  (** {!Pipeline.Machine.fits_l1}[ steps] *)
 }
 
-(** {!Mapping.run} without its MMU and without a memo. *)
+(** {!Mapping.run} without its MMU and without a memo, recorded into
+    the per-domain log, with the verdict on it. *)
 val run :
   Environment.t -> X86.Inst.t list -> unroll:int -> (mapped, Mapping.failure) result
 
@@ -48,10 +55,10 @@ val run :
     [env] and [block] exactly: two calls whose keys are equal must have
     equal environments and blocks that encode to the same bytes.
 
-    A miss returns {!Mapping.run}'s own log. A hit unpacks the stored
-    log into a log the memo keeps per domain, which stays valid until
-    the next [map] on the same domain: a caller that keeps a log longer
-    must copy it. *)
+    A miss records into the log the memo keeps per domain, and a hit
+    unpacks the stored log into it; either way it stays valid until the
+    next [map] or [run] on the same domain: a caller that keeps a log
+    longer must copy it. A hit carries the verdict its miss computed. *)
 val map :
   t ->
   key:string ->

@@ -10,8 +10,11 @@
     context switches) and identical, and — when the filter is enabled —
     no load or store crossed a cache line. Given a {!Mapping_memo}, step
     (1) looks the mapping up there first; steps (2) and (3) read only
-    the mapping's log, faults and frames, so a hit changes nothing
-    downstream. *)
+    the mapping's log, faults, frames and L1 residency verdict, so a
+    hit changes nothing downstream. When the verdict holds, the warm-up
+    would leave every line the timed run touches in L1, so step (2) is
+    counted but not walked and the timed run skips the caches
+    ({!Pipeline.Machine.measure}); the result is the same. *)
 
 open X86
 
@@ -138,23 +141,18 @@ let measure_point_untraced ?memo (env : Environment.t)
   match run_mapping ?memo env block ~unroll with
   | Error f -> Error f
   | Ok mapped ->
-    (* One machine per (domain, uarch), reused across measure points:
-       [reset] flushes the caches, which restores exactly the state a
-       newly created machine would have. The warm-up and the timed run
-       execute the same steps, so they share one trace. *)
-    let machine = Pipeline.Machine.for_descriptor descriptor in
-    let trace = Pipeline.Machine.trace machine mapped.steps in
-    Pipeline.Machine.reset machine;
-    (* Discarded warm-up execution. Only the caches carry over to the
-       timed run, so walking its cache accesses leaves L1D, L1I and L2
-       exactly as simulating it would. *)
-    Pipeline.Machine.warm machine trace;
-    (* Steady-state timed executions. The simulated machine is
+    (* One machine per (domain, uarch), reused across measure points.
+       The warm-up and the timed run execute the same steps, so they
+       share one trace. [measure] runs the discarded warm-up from
+       flushed caches (a cache walk, or nothing when the log fits L1),
+       then one steady-state timed run: the simulated machine is
        deterministic once warm, so one simulation gives the noise-free
        cycle count; each of the [env.timings] measurements then sees its
        own independently sampled OS noise, exactly what the repeat-and-
        filter protocol exists to reject. *)
-    let base = Pipeline.Machine.simulate machine trace in
+    let machine = Pipeline.Machine.for_descriptor descriptor in
+    let trace = Pipeline.Machine.trace machine mapped.steps in
+    let base = Pipeline.Machine.measure machine ~fits_l1:mapped.fits_l1 trace in
     let base_clean = Pipeline.Counters.is_clean base.counters in
     let timings =
       List.init env.timings (fun _ ->

@@ -415,15 +415,16 @@ let sec_speed ctx fmt =
 
 let print_ground_truth_schedule fmt uarch block =
   (* map, execute a few copies, and dump the simulated core's schedule *)
-  match Harness.Mapping.run Harness.Environment.default block ~unroll:4 with
+  match Harness.Mapping_memo.run Harness.Environment.default block ~unroll:4 with
   | Error f ->
     Format.fprintf fmt "cannot map block: %s@."
       (Harness.Mapping.failure_to_string f)
   | Ok mapped ->
     let machine = Pipeline.Machine.create uarch in
     let trace = Pipeline.Machine.trace machine mapped.steps in
-    Pipeline.Machine.warm machine trace;
-    let r = Pipeline.Machine.simulate ~record_schedule:true machine trace in
+    let r =
+      Pipeline.Machine.measure ~record_schedule:true machine ~fits_l1:mapped.fits_l1 trace
+    in
     let insts = Array.of_list block in
     Format.fprintf fmt "@.ground-truth schedule (4 unrolled iterations, warm):@.";
     List.iter

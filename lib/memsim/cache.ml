@@ -26,6 +26,7 @@ type t = {
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
+  mutable evictions : int;  (** misses that replaced a valid line *)
   (* The slot the last access touched, probed before the set search. *)
   mutable recent : int;
 }
@@ -51,6 +52,7 @@ let create ~size_bytes ~ways ~line_bytes =
     clock = 0;
     hits = 0;
     misses = 0;
+    evictions = 0;
     recent = 0;
   }
 
@@ -94,12 +96,15 @@ let access_line t line =
       true
     end
     else begin
-      (* Evict the least recently used way. *)
+      (* Evict the least recently used way. An invalid slot's stamp is
+         0 and a valid one's at least 1, so a set fills its invalid
+         slots before it evicts anything. *)
       let lru = t.lru in
       let victim = ref base in
       for i = base + 1 to limit - 1 do
         if lru.(i) < lru.(!victim) then victim := i
       done;
+      if t.tags.(!victim) >= 0 then t.evictions <- t.evictions + 1;
       t.tags.(!victim) <- line;
       lru.(!victim) <- t.clock;
       t.misses <- t.misses + 1;
@@ -123,10 +128,12 @@ let crosses_line t ~addr ~size = first_line t addr < last_line t addr ~size
 
 let hits t = t.hits
 let misses t = t.misses
+let evictions t = t.evictions
 
 let reset_stats t =
   t.hits <- 0;
-  t.misses <- 0
+  t.misses <- 0;
+  t.evictions <- 0
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

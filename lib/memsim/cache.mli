@@ -37,7 +37,15 @@ val crosses_line : t -> addr:int -> size:int -> bool
 
 val hits : t -> int
 val misses : t -> int
+
+(** Misses that replaced a valid line. A miss fills an invalid way of
+    its set before it evicts a valid one, so from a flush this stays 0
+    for as long as no set has received more distinct lines than it has
+    ways. *)
+val evictions : t -> int
+
+(** Zero the hit, miss and eviction counts. *)
 val reset_stats : t -> unit
 
-(** Invalidate all lines and reset statistics. *)
+(** Invalidate all lines and zero the hit, miss and eviction counts. *)
 val flush : t -> unit

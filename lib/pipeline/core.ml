@@ -35,7 +35,10 @@
     The caches are the only state that outlives a call, and they are
     touched in trace order whatever the timing. {!warm} makes the same
     accesses through the same helpers without the timing, which is all
-    a discarded warm-up execution needs. *)
+    a discarded warm-up execution needs. {!fits_l1} decides, once per
+    step log, whether that warm-up would leave every line the timed run
+    touches in L1; when it would, [simulate ~resident:true] skips the
+    caches, since every lookup would hit. *)
 
 open Uarch
 
@@ -185,12 +188,15 @@ let l2_shift = 16
 let l1_misses packed = packed land ((1 lsl l2_shift) - 1)
 let l2_misses packed = packed lsr l2_shift
 
+(* The 64-byte L1I line that holds code byte [addr]. *)
+let[@inline] code_line addr = addr lsr 6
+
 (* Fetch the code lines of [len] instruction bytes at [code_addr]
    through L1I. A line that misses refills from the unified L2, tagged
    into a distinct address range so that it does not alias data lines. *)
 let fetch ~l1i ~l2 ~code_addr ~len =
   let packed = ref 0 in
-  for line = code_addr lsr 6 to (code_addr + len - 1) lsr 6 do
+  for line = code_line code_addr to code_line (code_addr + len - 1) do
     if not (Memsim.Cache.access_line l1i line) then
       packed :=
         !packed + 1
@@ -246,7 +252,11 @@ let div_latency (trace : Trace.t) i =
   else if trace.log.events.(i) land slow_path_bit <> 0 then trace.slow_div_lat
   else trace.pos_div_lat.(pos)
 
-let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
+(* With [resident], every fetch and data access is taken to hit L1, as
+   it does after a warm-up walk of a log for which {!fits_l1} holds: the
+   caches are not consulted, and [l1d] gives only the line size that
+   [crosses_line] reads. *)
+let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.t) : result =
   let s =
@@ -328,7 +338,8 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     let st = trace.statics.(!pos) in
     (* --- front end: instruction fetch through the L1I cache --- *)
     let fetched =
-      fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len
+      if resident then 0
+      else fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len
     in
     if fetched <> 0 then begin
       let l1i_m = l1_misses fetched and l2_m = l2_misses fetched in
@@ -411,7 +422,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             let paddr = paddr log j
             and size = size log j
             and vaddr = vaddr log j in
-            let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+            let packed = if resident then 0 else data_access ~l1d ~l2 ~addr:paddr ~size in
             let misses = l1_misses packed and l2_m = l2_misses packed in
             c.l1d_read_misses <- c.l1d_read_misses + misses;
             c.l2_misses <- c.l2_misses + l2_m;
@@ -490,7 +501,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           let paddr = paddr log j
           and size = size log j
           and vaddr = vaddr log j in
-          let packed = data_access ~l1d ~l2 ~addr:paddr ~size in
+          let packed = if resident then 0 else data_access ~l1d ~l2 ~addr:paddr ~size in
           c.l1d_write_misses <- c.l1d_write_misses + l1_misses packed;
           c.l2_misses <- c.l2_misses + l2_misses packed;
           if Memsim.Cache.crosses_line l1d ~addr:vaddr ~size then
@@ -587,3 +598,43 @@ let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     end
     else incr pos
   done
+
+(* The L1 residency verdict on [log]: do the lines that [warm] could
+   touch on [log]'s trace under any descriptor fit [l1i] and [l1d] with
+   no eviction? Walks a superset of those lines, from flushed caches:
+   - every code line of the steps' copies, laid out as [Trace.of_steps]
+     lays them out, by encoded length, which no descriptor changes;
+   - every recorded access, whichever uop takes it;
+   - the 8 bytes at address 0 that a uop past its step's last access
+     reads.
+   True LRU from a flush evicts only once one set has received more
+   distinct lines than it has ways, whatever the order. So if this walk
+   evicts nothing, neither does a warm-up walk of a subset of its lines
+   from flushed caches, every line that walk touches stays in L1, and
+   the timed run that follows hits L1 on every fetch and access and
+   never reaches L2. L2 is not walked: its evictions cannot reach the
+   timed run. *)
+let fits_l1 ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) (log : L.t) =
+  Memsim.Cache.flush l1d;
+  Memsim.Cache.flush l1i;
+  let n = Array.length log.block in
+  if n > 0 then begin
+    (* The steps' code: [steps / n] whole copies, then the first
+       [steps mod n] instructions of the next. *)
+    let block_bytes = ref 0 and partial = ref 0 in
+    for k = 0 to n - 1 do
+      let len = X86.Encoder.encoded_length log.block.(k) in
+      if k < log.steps mod n then partial := !partial + len;
+      block_bytes := !block_bytes + len
+    done;
+    let code_end = (log.steps / n * !block_bytes) + !partial in
+    if code_end > 0 then
+      for line = 0 to code_line (code_end - 1) do
+        ignore (Memsim.Cache.access_line l1i line)
+      done
+  end;
+  for j = 0 to first_access log log.steps - 1 do
+    ignore (Memsim.Cache.access l1d ~addr:(paddr log j) ~size:(size log j))
+  done;
+  ignore (Memsim.Cache.access l1d ~addr:(paddr log (-1)) ~size:(size log (-1)));
+  Memsim.Cache.evictions l1i = 0 && Memsim.Cache.evictions l1d = 0

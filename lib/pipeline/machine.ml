@@ -20,11 +20,16 @@ type t = {
 let m_blocks = Telemetry.Metrics.counter "pipeline.blocks"
 let m_sim_ns = Telemetry.Metrics.counter "pipeline.sim_ns"
 
+(* Every descriptor's machine gets the same caches, so the L1
+   residency verdict ([fits_l1]) depends on the step log alone; its
+   scratch L1s are made here too. *)
+let l1 () = Memsim.Cache.l1_default ()
+
 let create (descriptor : Uarch.Descriptor.t) =
   {
     descriptor;
-    l1d = Memsim.Cache.l1_default ();
-    l1i = Memsim.Cache.l1_default ();
+    l1d = l1 ();
+    l1i = l1 ();
     l2 = Memsim.Cache.create ~size_bytes:(256 * 1024) ~ways:8 ~line_bytes:64;
     scratch = Core.Scratch.create descriptor;
   }
@@ -52,11 +57,11 @@ let trace t (steps : Xsem.Step_log.t) : Trace.t =
    as its trace. The telemetry span wraps the core cycle loop; the
    branch on [Telemetry.Trace.enabled] keeps the traced path (closure,
    attribute thunk) off the hot path when no sink is installed. *)
-let simulate ?record_schedule t (trace : Trace.t) : Core.result =
+let simulate_on ?record_schedule ~resident t (trace : Trace.t) : Core.result =
   let simulate () =
     let r =
       timed (fun () ->
-          Core.simulate ?record_schedule ~scratch:t.scratch t.descriptor
+          Core.simulate ?record_schedule ~resident ~scratch:t.scratch t.descriptor
             ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace)
     in
     Telemetry.Metrics.incr m_blocks;
@@ -90,6 +95,8 @@ let simulate ?record_schedule t (trace : Trace.t) : Core.result =
     match !result with Some r -> r | None -> assert false
   end
 
+let simulate ?record_schedule t trace = simulate_on ?record_schedule ~resident:false t trace
+
 (* The discarded warm-up execution: [trace]'s cache accesses without
    the timing (Core.warm), which leaves the caches as a simulation
    would. It counts as one simulated block, so a measure point counts
@@ -97,6 +104,29 @@ let simulate ?record_schedule t (trace : Trace.t) : Core.result =
 let warm t (trace : Trace.t) =
   timed (fun () -> Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace);
   Telemetry.Metrics.incr m_blocks
+
+(* Per domain, the L1D and L1I the verdict walks, made on first use. *)
+let verdict_l1s = Domain.DLS.new_key (fun () -> (l1 (), l1 ()))
+
+let fits_l1 (steps : Xsem.Step_log.t) =
+  timed (fun () ->
+      let l1d, l1i = Domain.DLS.get verdict_l1s in
+      Core.fits_l1 ~l1d ~l1i steps)
+
+(* A measure point: the warm-up from flushed caches, then the timed run.
+   When the point's log fits L1, the warm-up would leave every line the
+   timed run touches resident, so it is counted but not walked, and the
+   timed run skips the caches. *)
+let measure ?record_schedule t ~fits_l1 (trace : Trace.t) =
+  if fits_l1 then begin
+    Telemetry.Metrics.incr m_blocks;
+    simulate_on ?record_schedule ~resident:true t trace
+  end
+  else begin
+    reset t;
+    warm t trace;
+    simulate ?record_schedule t trace
+  end
 
 (* Per-domain machine cache, keyed by descriptor physical identity. The
    shipped descriptors are module-level constants, so this holds at most

@@ -21,10 +21,11 @@
     (or [unpack]ing into it) silently changes what the trace reads, and
     may replace the log's arrays, which is why the readers load them
     from the log at every read instead of keeping them. A
-    log that [Harness.Mapping.run] returns is owned by its result; one
-    that a [Harness.Mapping_memo] hit unpacks into the memo's per-domain
-    log stays unchanged until the next [map] on that domain, so build,
-    warm and simulate the trace before mapping again. *)
+    log that [Harness.Mapping.run] returns without [?log] is owned by
+    its result; the log that [Harness.Mapping_memo.map] or [run] returns,
+    hit or miss, is the memo's per-domain log, which stays unchanged
+    until the next [map] or [run] on that domain, so build, warm and
+    simulate the trace before mapping again. *)
 
 (** Preprocessed static instruction: everything derivable from the
     instruction and the microarchitecture alone. *)

@@ -81,10 +81,17 @@ let fnv1a64_bytes ?(h0 = fnv_offset) ~off ~len b =
 
 (* --- hex, for export/import payloads --- *)
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i ->
-         Printf.sprintf "%02x" (Char.code s.[i])))
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out
 
 let of_hex s =
   let n = String.length s in

@@ -103,9 +103,8 @@ let digest (s : string) : string =
   Array.iteri (fun i v -> Bytes.set_int32_be out (i * 4) v) h;
   Bytes.unsafe_to_string out
 
-let to_hex raw =
-  String.concat "" (List.init (String.length raw) (fun i ->
-      Printf.sprintf "%02x" (Char.code raw.[i])))
+(* Lowercase hex, two digits per byte. *)
+let to_hex = Codec.to_hex
 
 (* 64-character lowercase hex digest of [s]. *)
 let hex s = to_hex (digest s)

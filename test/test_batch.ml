@@ -253,6 +253,137 @@ let walk_matches_warmup_simulation =
                && caches_equal ())
              uarches))
 
+(* The L1 residency verdict ([Machine.fits_l1]) is exact. When it
+   holds, the full path (reset, cache walk, cached simulation) misses
+   nothing in L1I, L1D or L2, and the resident path
+   ([Machine.measure ~fits_l1:true], which neither walks nor looks up)
+   equals it in cycles and every counter. On either verdict,
+   [Profiler.profile] equals the full path in every counter, cycles
+   included. Generated blocks run on ivb, hsw and skl, under both
+   mapping modes, at unroll 1-16; some have a page-strided access
+   spliced in, which under Fresh_pages puts each iteration's access in
+   a new frame but in the same L1 set, so that both verdicts occur. The
+   test fails unless its generated cases saw both.
+
+   Three fixed cases have a false verdict, each for a different part of
+   the superset the verdict walks, and are checked on all three uarches:
+   - nine strided loads under Fresh_pages: nine lines in one L1D set,
+     so the timed run misses L1D on every load;
+   - 6,000 copies of a 7-byte instruction: 657 code lines where L1I
+     holds 512, so the timed run misses L1I on every line;
+   - eight strided 256-bit loads in L1D set 0 under Fresh_pages: Ivy
+     Bridge splits each into two load uops with one recorded access, so
+     its second uop reads the line at address 0, a ninth line in set 0,
+     and the timed run misses on every load there; Haswell and Skylake
+     touch eight lines and miss nothing. *)
+let test_verdict_exact () =
+  let fill_offset =
+    Int64.to_int (Harness.Environment.fill_value_u64 Harness.Environment.default) land 0xfff
+  in
+  (* the displacement that puts a fill-valued base at page offset 0 *)
+  let set0 = -fill_offset land 0xfff in
+  let stride = Parser.block_exn "movq (%rbx), %rax\naddq $4096, %rbx" in
+  let ymm_stride =
+    Parser.block_exn (Printf.sprintf "vmovups %d(%%rbx), %%ymm0\naddq $4096, %%rbx" set0)
+  in
+  (* On [d]: the verdict, the full path's L1I, L1D and L2 misses, and
+     whether the resident path and the profile agree with it. *)
+  let run env block ~unroll (d : Uarch.Descriptor.t) =
+    match Harness.Mapping.run env block ~unroll with
+    | Error _ -> None
+    | Ok mapped ->
+      let fits = Pipeline.Machine.fits_l1 mapped.steps in
+      let m = Pipeline.Machine.create d in
+      let trace = Pipeline.Machine.trace m mapped.steps in
+      Pipeline.Machine.reset m;
+      Pipeline.Machine.warm m trace;
+      let full = Pipeline.Machine.simulate m trace in
+      let resident = Pipeline.Machine.measure m ~fits_l1:true trace in
+      let c = full.counters in
+      let misses = (c.l1i_misses, c.l1d_read_misses + c.l1d_write_misses, c.l2_misses) in
+      let profiled =
+        match
+          Harness.Profiler.profile
+            { env with unroll = Harness.Environment.Naive unroll }
+            d block
+        with
+        | Ok p -> counters_equal p.large.counters c
+        | Error _ -> false
+      in
+      let exact =
+        (not fits)
+        || (misses = (0, 0, 0) && resident.cycles = full.cycles
+           && counters_equal resident.counters c)
+      in
+      Some (fits, misses, profiled && exact)
+  in
+  let seen = Array.make 2 0 in
+  let gen =
+    QCheck.Gen.(
+      let* block = block_gen in
+      let* splice = oneofl [ []; stride; ymm_stride ] in
+      let* at = int_range 0 (List.length block) in
+      let* unroll = int_range 1 16 in
+      let+ mapping = oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ] in
+      ( List.filteri (fun i _ -> i < at) block @ splice @ List.filteri (fun i _ -> i >= at) block,
+        unroll,
+        mapping ))
+  in
+  let prop (block, unroll, mapping) =
+    let env = { Harness.Environment.default with mapping } in
+    List.for_all
+      (fun d ->
+        match run env block ~unroll d with
+        | None -> true
+        | Some (fits, _, ok) ->
+          if d == Uarch.All.haswell then
+            seen.(Bool.to_int fits) <- seen.(Bool.to_int fits) + 1;
+          ok)
+      uarches
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"L1 residency verdict is exact" ~count:100
+       (QCheck.make
+          ~print:(fun (b, unroll, mapping) ->
+            Printf.sprintf "unroll %d, %s: %s" unroll
+              (match mapping with
+              | Harness.Environment.Fresh_pages -> "fresh pages"
+              | _ -> "single physical page")
+              (print_block b))
+          gen)
+       prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "generated cases saw both verdicts (%d fit, %d do not)" seen.(1) seen.(0))
+    true
+    (seen.(0) > 0 && seen.(1) > 0);
+  let fresh = { Harness.Environment.default with mapping = Fresh_pages } in
+  List.iter
+    (fun (name, env, block, unroll, expected) ->
+      List.iter
+        (fun (d : Uarch.Descriptor.t) ->
+          match run env block ~unroll d with
+          | None -> Alcotest.failf "%s: does not map" name
+          | Some (fits, misses, ok) ->
+            let label what = Printf.sprintf "%s on %s: %s" name d.short what in
+            Alcotest.(check bool) (label "verdict") false fits;
+            Alcotest.(check (triple int int int))
+              (label "L1I, L1D and L2 misses") (expected d) misses;
+            Alcotest.(check bool) (label "profile == full path") true ok)
+        uarches)
+    [
+      ("strided loads", fresh, stride, 9, fun _ -> (0, 9, 0));
+      ( "42 KiB of code",
+        Harness.Environment.default,
+        Parser.block_exn "addq $0x11223344, %rax",
+        6000,
+        fun _ -> (657, 0, 0) );
+      ( "strided 256-bit loads in set 0",
+        fresh,
+        ymm_stride,
+        8,
+        fun d -> if d == Uarch.All.ivy_bridge then (0, 8, 0) else (0, 0, 0) );
+    ]
+
 (* The trace == the list-based trace builder kept as a reference
    ({!Reference.of_steps}, fed the log's steps as records): the same
    number of steps and, for every step, the same static info and code
@@ -373,7 +504,10 @@ let allocated_words f =
    in place. A compiled run computes on unboxed state, so per dynamic
    step it allocates only the fresh step log's six flat arrays: 6.0
    words per step on the scalar blocks and on the vector block (loads,
-   FMA, subnormal traffic), bounded at 8 (the interpreter took 26). *)
+   FMA, subnormal traffic), bounded at 8 (the interpreter took 26). A
+   mapping memo miss records into the domain's log instead, so once
+   that log has grown to a mapping's size a miss allocates no step log:
+   0.0 words per step, bounded at 1 (a fresh log per miss took 6.0). *)
 let test_allocation_contract () =
   let c = Memsim.Cache.l1_default () in
   let addrs = Array.init 1000 (fun k -> k * 60) in
@@ -441,6 +575,26 @@ let test_allocation_contract () =
       ("gzip crc", Corpus.Paper_blocks.gzip_crc, 8.);
       ("tensorflow ablation", Corpus.Paper_blocks.tensorflow_ablation, 8.);
     ];
+  (* Not the tensorflow block: it maps 9 pages at unroll 64 and 2 at
+     unroll 8, and each restart builds a machine state and compiles the
+     block again. *)
+  List.iter
+    (fun (name, block) ->
+      let memo = Harness.Mapping_memo.create () and keys = ref 0 in
+      let miss unroll () =
+        incr keys;
+        ignore (Harness.Mapping_memo.map memo ~key:(string_of_int !keys) env block ~unroll)
+      in
+      (* grow the domain's log, the pack buffer and the arena first *)
+      miss 64 ();
+      let words =
+        (allocated_words (miss 64) -. allocated_words (miss 8))
+        /. float_of_int ((64 - 8) * List.length block)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: Mapping_memo.map miss %.1f words/step <= 1" name words)
+        true (words <= 1.))
+    [ ("contract block", block); ("gzip crc", Corpus.Paper_blocks.gzip_crc) ];
   List.iter
     (fun (d : Uarch.Descriptor.t) ->
       let m = Pipeline.Machine.create d in
@@ -519,6 +673,7 @@ let suite =
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
     trace_reuse_matches_run;
     walk_matches_warmup_simulation;
+    Alcotest.test_case "L1 residency verdict is exact" `Quick test_verdict_exact;
     trace_matches_reference;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
     Alcotest.test_case "simulated statistics golden" `Quick

@@ -166,6 +166,55 @@ let profile_through_memo =
          && through = Harness.Profiler.profile env target block
          && s.misses = misses && s.hits = misses))
 
+(* A hit carries the L1 residency verdict of the miss that filled it,
+   and that verdict is the verdict on the hit's own log. Over corpus
+   blocks with a page-strided load spliced in, at unroll 1-16 under
+   both mapping modes (under Fresh_pages, nine strided loads or more
+   overfill one L1D set), and for nine strided loads, whose verdict is
+   false. *)
+let test_hit_carries_verdict () =
+  let stride = Parser.block_exn "movq (%rbx), %rax\naddq $4096, %rbx" in
+  (* the miss's verdict, and the hit's verdict and log's verdict *)
+  let through_memo env block ~unroll =
+    let memo = Harness.Mapping_memo.create () in
+    let key = Engine.mapping_key env block in
+    match Harness.Mapping_memo.map memo ~key env block ~unroll with
+    | Error _ -> None
+    | Ok miss -> (
+      let filled = miss.fits_l1 in
+      match Harness.Mapping_memo.map memo ~key env block ~unroll with
+      | Error _ -> Alcotest.fail "a hit failed where its miss mapped"
+      | Ok hit ->
+        Alcotest.(check int) "the second map hits" 1 (Harness.Mapping_memo.stats memo).hits;
+        Some (filled, hit.fits_l1, Pipeline.Machine.fits_l1 hit.steps))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* block = spliced_block_gen ~splices:[ []; stride ] in
+      let* unroll = int_range 1 16 in
+      let+ mapping = oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ] in
+      (block, unroll, mapping))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"a hit carries its miss's verdict" ~count:60
+       (QCheck.make
+          ~print:(fun (b, unroll, mapping) ->
+            Printf.sprintf "unroll %d, %s: %s" unroll (mapping_name mapping) (print_block b))
+          gen)
+       (fun (block, unroll, mapping) ->
+         match through_memo { Harness.Environment.default with mapping } block ~unroll with
+         | None -> true
+         | Some (filled, hit, log) -> hit = filled && log = filled));
+  match
+    through_memo
+      { Harness.Environment.default with mapping = Fresh_pages }
+      stride ~unroll:9
+  with
+  | None -> Alcotest.fail "nine strided loads do not map"
+  | Some verdicts ->
+    Alcotest.(check (triple bool bool bool))
+      "nine strided loads: miss, hit and log verdicts" (false, false, false) verdicts
+
 (* --- the engine's memo -------------------------------------------------- *)
 
 let job env uarch block = { Engine.env; uarch; block }
@@ -287,6 +336,7 @@ let suite =
   [
     pack_round_trip;
     profile_through_memo;
+    Alcotest.test_case "a hit carries its miss's verdict" `Quick test_hit_carries_verdict;
     Alcotest.test_case "shared engine == engine per uarch" `Quick
       test_shared_engine_matches_fresh;
     Alcotest.test_case "entry survives one batch" `Quick test_entry_survives_one_batch;

@@ -69,6 +69,9 @@ let test_codec_roundtrip () =
   Alcotest.(check int64) "i64" (-1L) (Store.Codec.get_i64 s 7);
   let payload = String.init 256 Char.chr in
   let hex = Store.Codec.to_hex payload in
+  Alcotest.(check string) "hex is two lowercase digits per byte"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    hex;
   Alcotest.(check (option string))
     "hex round-trips arbitrary bytes" (Some payload)
     (Store.Codec.of_hex hex);

@@ -24,13 +24,11 @@
     loop on this manifest (211.7 -> 1090.2 blocks/sec, matched
     back-to-back runs at BHIVE_JOBS=2), against a 3x target. *)
 
-let () = Telemetry.Trace.init_from_env ()
-
 (* Fail fast on malformed engine environment (BHIVE_JOBS, BHIVE_FAULTS,
-   BHIVE_STORE) — a bench run that silently ignored its configuration
-   would gate CI on the wrong numbers. *)
+   BHIVE_STORE) or an unopenable BHIVE_TRACE — a bench run that silently
+   ignored its configuration would gate CI on the wrong numbers. *)
 let () =
-  match Engine.validate_env () with
+  match Result.bind (Engine.validate_env ()) Telemetry.Trace.init with
   | Ok () -> ()
   | Error msg ->
     prerr_endline ("bench: " ^ msg);

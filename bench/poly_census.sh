@@ -5,9 +5,9 @@
 #
 #     sh bench/poly_census.sh [BUILD_DIR]        (BUILD_DIR defaults to _build)
 #
-# For each module on the cycle loop, the warm walk, the caches, the port
-# schedule and the mapping path, `objdump -dr` lists the object's
-# relocations. Per object the script prints three counts:
+# For each module on the cycle loop, the L1 residency verdict, the
+# caches, the port schedule and the mapping path, `objdump -dr` lists
+# the object's relocations. Per object the script prints three counts:
 #
 #   minmax   calls of the polymorphic Stdlib.max / Stdlib.min;
 #   compare  calls of the runtime's polymorphic comparisons (caml_compare,

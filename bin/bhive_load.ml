@@ -241,12 +241,11 @@ let verify_blocks ~socket ~uarch blocks =
 
 let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     summary_path =
-  (match Engine.validate_env () with
+  (match Result.bind (Engine.validate_env ()) Telemetry.Trace.init with
   | Ok () -> ()
   | Error msg ->
     prerr_endline ("bhive_load: " ^ msg);
     exit 2);
-  Telemetry.Trace.init_from_env ();
   if concurrency < 1 || repeat < 1 then begin
     prerr_endline "bhive_load: --concurrency and --repeat must be >= 1";
     exit 2

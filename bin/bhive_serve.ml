@@ -27,14 +27,11 @@ open Cmdliner
 
 let run socket store shards trace queue_capacity batch_max idle_timeout
     write_timeout drain_grace =
-  (match Engine.validate_env () with
+  (match Result.bind (Engine.validate_env ()) (Telemetry.Trace.init ?path:trace) with
   | Ok () -> ()
   | Error msg ->
     prerr_endline ("bhive_serve: " ^ msg);
     exit 2);
-  (match trace with
-  | Some path -> Telemetry.Trace.install_file path
-  | None -> Telemetry.Trace.init_from_env ());
   if queue_capacity < 1 || batch_max < 1 then begin
     prerr_endline "bhive_serve: --queue-capacity and --batch-max must be >= 1";
     exit 2

@@ -6,8 +6,9 @@
    only their experiment-specific flags.
 
    [setup] also validates every engine-relevant environment variable
-   up front: a malformed BHIVE_JOBS / BHIVE_FAULTS / BHIVE_STORE is a
-   one-line error and exit 2, never a silent fallback. *)
+   up front: a malformed BHIVE_JOBS / BHIVE_FAULTS / BHIVE_STORE, or a
+   trace path (--trace, BHIVE_TRACE) that cannot be opened, is a
+   one-line error and exit 2, never a silent fallback or a crash. *)
 
 open Cmdliner
 
@@ -79,14 +80,13 @@ type setup = { overrides : Manifest.Runner.overrides; emit : bool }
    trace installation happen exactly once per process. *)
 let setup : setup Term.t =
   let apply faults max_retries store jobs trace emit =
-    (match Engine.validate_env () with
+    (match
+       Result.bind (Engine.validate_env ()) (Telemetry.Trace.init ?path:trace)
+     with
     | Ok () -> ()
     | Error msg ->
       prerr_endline ("bhive: " ^ msg);
       exit 2);
-    (match trace with
-    | Some path -> Telemetry.Trace.install_file path
-    | None -> Telemetry.Trace.init_from_env ());
     {
       overrides =
         {

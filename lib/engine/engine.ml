@@ -382,7 +382,7 @@ let run_batch t (submission : job list) : batch =
   ignore (Atomic.fetch_and_add t.submitted n);
   let results : outcome option array = Array.make n None in
   let fresh_quarantines = ref [] in
-  let memo_before = Harness.Mapping_memo.stats t.memo in
+  let before = stats t in
   let body () =
     let batch_span = Telemetry.Trace.current_span () in
     (* Resolve against the cache and deduplicate within the batch. The
@@ -393,7 +393,6 @@ let run_batch t (submission : job list) : batch =
       Hashtbl.create (max 16 n)
     in
     let worklist = ref [] in
-    let traced = Telemetry.Trace.enabled () in
     (* Disk-tier lookup for the first occurrence of a fingerprint. A
        hit fills the memo immediately (later duplicates in this batch
        resolve exactly like cold-run duplicates: through the memo), so
@@ -405,21 +404,19 @@ let run_batch t (submission : job list) : batch =
       | None -> None
       | Some (`Hit r) ->
         Atomic.incr t.store_hits;
-        if traced then
-          Telemetry.Trace.instant "engine.store_hit" ~attrs:(fun () ->
-              [
-                ("slot", Telemetry.Trace.Int i);
-                ("fingerprint", Telemetry.Trace.Str fp);
-              ]);
+        Telemetry.Trace.instant "engine.store_hit" ~attrs:(fun () ->
+            [
+              ("slot", Telemetry.Trace.Int i);
+              ("fingerprint", Telemetry.Trace.Str fp);
+            ]);
         Some r
       | Some `Stale ->
         Atomic.incr t.store_invalidated;
-        if traced then
-          Telemetry.Trace.instant "engine.store_invalidated" ~attrs:(fun () ->
-              [
-                ("slot", Telemetry.Trace.Int i);
-                ("fingerprint", Telemetry.Trace.Str fp);
-              ]);
+        Telemetry.Trace.instant "engine.store_invalidated" ~attrs:(fun () ->
+            [
+              ("slot", Telemetry.Trace.Int i);
+              ("fingerprint", Telemetry.Trace.Str fp);
+            ]);
         None
       | Some `Miss ->
         Atomic.incr t.store_misses;
@@ -431,20 +428,18 @@ let run_batch t (submission : job list) : batch =
         match Hashtbl.find_opt t.cache fp with
         | Some r ->
           Atomic.incr t.cache_hits;
-          if traced then
-            Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
-                [ ("slot", Telemetry.Trace.Int i) ]);
+          Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
+              [ ("slot", Telemetry.Trace.Int i) ]);
           results.(i) <- Some r
         | None -> (
           match Hashtbl.find_opt claims fp with
           | Some slots ->
             Atomic.incr t.cache_hits;
-            if traced then
-              Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
-                  [
-                    ("slot", Telemetry.Trace.Int i);
-                    ("dedup", Telemetry.Trace.Bool true);
-                  ]);
+            Telemetry.Trace.instant "engine.cache_hit" ~attrs:(fun () ->
+                [
+                  ("slot", Telemetry.Trace.Int i);
+                  ("dedup", Telemetry.Trace.Bool true);
+                ]);
             slots := i :: !slots
           | None -> (
             match store_lookup i fp j with
@@ -489,9 +484,8 @@ let run_batch t (submission : job list) : batch =
               (Marshal.to_string r [])
           then begin
             Atomic.incr t.store_writes;
-            if traced then
-              Telemetry.Trace.instant "engine.store_write" ~attrs:(fun () ->
-                  [ ("fingerprint", Telemetry.Trace.Str fp) ])
+            Telemetry.Trace.instant "engine.store_write" ~attrs:(fun () ->
+                [ ("fingerprint", Telemetry.Trace.Str fp) ])
           end)
     in
     let out : outcome option array = Array.make m None in
@@ -535,43 +529,38 @@ let run_batch t (submission : job list) : batch =
         }
       in
       out.(u) <- Some (Error (Quarantined q));
-      if traced then
-        Telemetry.Trace.instant "engine.quarantine" ~attrs:(fun () ->
-            [
-              ("fingerprint", Telemetry.Trace.Str fp);
-              ("attempts", Telemetry.Trace.Int attempts);
-            ]);
+      Telemetry.Trace.instant "engine.quarantine" ~attrs:(fun () ->
+          [
+            ("fingerprint", Telemetry.Trace.Str fp);
+            ("attempts", Telemetry.Trace.Int attempts);
+          ]);
       mark_resolved ()
     in
     (* One real profiler invocation, with span + utilization accounting. *)
     let execute_profiler ~worker ~attempt fp (j : job) :
         (Harness.Profiler.profile, Harness.Profiler.failure) result =
       let start_ns = Telemetry.Trace.now_ns () in
-      let result = ref None in
-      let run () =
-        let key = mapping_key j.env j.block in
-        result := Some (Harness.Profiler.profile ~memo:(t.memo, key) j.env j.uarch j.block)
+      let result =
+        Telemetry.Trace.span "engine.execute" ~parent:batch_span
+          ~attrs:(fun _ ->
+            [
+              ("worker", Telemetry.Trace.Int worker);
+              ("attempt", Telemetry.Trace.Int attempt);
+              ( "queue_wait_us",
+                Telemetry.Trace.Float
+                  (Int64.to_float (Int64.sub start_ns batch_start_ns) /. 1e3) );
+              ("fingerprint", Telemetry.Trace.Str fp);
+            ])
+          (fun () ->
+            let key = mapping_key j.env j.block in
+            Harness.Profiler.profile ~memo:(t.memo, key) j.env j.uarch j.block)
       in
-      (if Telemetry.Trace.enabled () then
-         Telemetry.Trace.span "engine.execute" ~parent:batch_span
-           ~attrs:(fun () ->
-             [
-               ("worker", Telemetry.Trace.Int worker);
-               ("attempt", Telemetry.Trace.Int attempt);
-               ( "queue_wait_us",
-                 Telemetry.Trace.Float
-                   (Int64.to_float (Int64.sub start_ns batch_start_ns)
-                   /. 1e3) );
-               ("fingerprint", Telemetry.Trace.Str fp);
-             ])
-           run
-       else run ());
       let busy = Int64.sub (Telemetry.Trace.now_ns ()) start_ns in
       t.worker_busy_ns.(worker) <- Int64.add t.worker_busy_ns.(worker) busy;
       t.worker_jobs.(worker) <- t.worker_jobs.(worker) + 1;
       Atomic.incr t.profiler_calls;
       Telemetry.Metrics.observe h_job_seconds (seconds_of_ns busy);
-      Option.get !result
+      result
     in
     (* One attempt of unique job [u]: draw a crash, which kills the
        domain by escaping as Worker_crashed, else profile once. *)
@@ -579,12 +568,11 @@ let run_batch t (submission : job list) : batch =
       let fp, slot = worklist.(u) in
       if Faultsim.crashes t.faults ~fingerprint:fp ~attempt then begin
         Atomic.incr t.crashes;
-        if traced then
-          Telemetry.Trace.instant "engine.crash" ~attrs:(fun () ->
-              [
-                ("fingerprint", Telemetry.Trace.Str fp);
-                ("attempt", Telemetry.Trace.Int attempt);
-              ]);
+        Telemetry.Trace.instant "engine.crash" ~attrs:(fun () ->
+            [
+              ("fingerprint", Telemetry.Trace.Str fp);
+              ("attempt", Telemetry.Trace.Int attempt);
+            ]);
         raise (Worker_crashed { unique = u; attempt; worker })
       end;
       let r =
@@ -673,23 +661,19 @@ let run_batch t (submission : job list) : batch =
         List.iter (fun i -> results.(i) <- Some r) !(Hashtbl.find claims fp))
       worklist
   in
-  (if Telemetry.Trace.enabled () then
-     let before = stats t in
-     Telemetry.Trace.span "engine.run_batch"
-       ~attrs:(fun () ->
-         let after = stats t in
-         let executed = after.executed - before.executed in
-         [
-           ("submitted", Telemetry.Trace.Int n);
-           ("executed", Telemetry.Trace.Int executed);
-           ( "cache_hits",
-             Telemetry.Trace.Int (after.cache_hits - before.cache_hits) );
-           ("workers", Telemetry.Trace.Int (min t.n_jobs executed));
-           ("retries", Telemetry.Trace.Int (after.retries - before.retries));
-           ("quarantined", Telemetry.Trace.Int (List.length !fresh_quarantines));
-         ])
-       body
-   else body ());
+  Telemetry.Trace.span "engine.run_batch"
+    ~attrs:(fun () ->
+      let after = stats t in
+      let executed = after.executed - before.executed in
+      [
+        ("submitted", Telemetry.Trace.Int n);
+        ("executed", Telemetry.Trace.Int executed);
+        ("cache_hits", Telemetry.Trace.Int (after.cache_hits - before.cache_hits));
+        ("workers", Telemetry.Trace.Int (min t.n_jobs executed));
+        ("retries", Telemetry.Trace.Int (after.retries - before.retries));
+        ("quarantined", Telemetry.Trace.Int (List.length !fresh_quarantines));
+      ])
+    body;
   let outcomes = Array.map Option.get results in
   let quarantined = List.rev !fresh_quarantines in
   (* Slot-level accounting: every submitted slot is either completed or
@@ -701,8 +685,8 @@ let run_batch t (submission : job list) : batch =
     outcomes;
   t.quarantine_log <- List.rev_append quarantined t.quarantine_log;
   let memo_after = Harness.Mapping_memo.stats t.memo in
-  Telemetry.Metrics.add m_mapping_hits (memo_after.hits - memo_before.hits);
-  Telemetry.Metrics.add m_mapping_misses (memo_after.misses - memo_before.misses);
+  Telemetry.Metrics.add m_mapping_hits (memo_after.hits - before.mapping_hits);
+  Telemetry.Metrics.add m_mapping_misses (memo_after.misses - before.mapping_misses);
   let batch_seconds = Unix.gettimeofday () -. t0 in
   Telemetry.Metrics.observe h_batch_seconds batch_seconds;
   t.wall_seconds <- t.wall_seconds +. batch_seconds;

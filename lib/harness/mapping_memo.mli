@@ -8,8 +8,8 @@
     distinct frames that {!Mapping.run} would have given, and the L1
     residency verdict on that log ({!Pipeline.Machine.fits_l1}), which
     is the same on every uarch; the profiler then builds the trace,
-    warms the caches or not as the verdict says, simulates and draws
-    noise exactly as without the memo.
+    runs the warm-up simulation or not as the verdict says, simulates
+    and draws noise exactly as without the memo.
 
     An entry holds the mapping's fault count, its distinct frames, the
     verdict and its final-run log, packed by {!Xsem.Step_log.pack} into
@@ -25,7 +25,7 @@
     hit or miss: a miss records into it and a hit unpacks into it. The
     next [map] or [run] on that domain overwrites it. A
     {!Pipeline.Trace} reads its log in place, so a trace built on it is
-    valid only until then; the profiler builds, walks and simulates each
+    valid only until then; the profiler builds and simulates each
     point's trace before it maps the next point.
 
     [map] may run on several domains at once; [rotate] must not run

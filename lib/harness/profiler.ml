@@ -1,10 +1,10 @@
 (** The BHive basic-block profiler.
 
     For each unroll factor the profiler: (1) runs the monitor/measure
-    mapping algorithm, (2) warms L1D, L1I and L2 with the final
-    execution's cache accesses (the paper's first, discarded execution;
-    only its cache state outlives it, so it is a walk over the caches,
-    not a cycle simulation), then (3) takes [env.timings] timed runs,
+    mapping algorithm, (2) simulates the final execution once from
+    flushed caches and discards the result (the paper's first,
+    discarded execution; only the L1D, L1I and L2 state it leaves
+    outlives it), then (3) takes [env.timings] timed runs,
     each exposed to simulated OS noise. A block is accepted only if at least
     [env.min_clean] timings are clean (no cache misses of any kind, no
     context switches) and identical, and — when the filter is enabled —
@@ -13,7 +13,7 @@
     the mapping's log, faults, frames and L1 residency verdict, so a
     hit changes nothing downstream. When the verdict holds, the warm-up
     would leave every line the timed run touches in L1, so step (2) is
-    counted but not walked and the timed run skips the caches
+    counted but not simulated and the timed run skips the caches
     ({!Pipeline.Machine.measure}); the result is the same. *)
 
 open X86
@@ -105,50 +105,57 @@ let apply_noise (env : Environment.t) rng ~cycles ~clean =
    in a "profiler.mapping" span. The monitor's mapping attempts are its
    restarts: one per intercepted fault plus the final complete run. *)
 let run_mapping ?memo (env : Environment.t) block ~unroll =
-  let run () =
-    match memo with
-    | Some (memo, key) -> Mapping_memo.map memo ~key env block ~unroll
-    | None -> Mapping_memo.run env block ~unroll
-  in
-  if not (Telemetry.Trace.enabled ()) then run ()
-  else begin
-    let result = ref None in
-    Telemetry.Trace.span "profiler.mapping"
-      ~attrs:(fun () ->
-        let open Telemetry.Trace in
-        let base = [ ("unroll", Int unroll) ] in
-        match !result with
-        | Some (Ok (m : Mapping_memo.mapped)) ->
-          base
-          @ [
-              ("ok", Bool true);
-              ("attempts", Int (m.faults + 1));
-              ("faults", Int m.faults);
-              ("distinct_frames", Int m.distinct_frames);
-            ]
-        | Some (Error f) ->
-          base
-          @ [ ("ok", Bool false); ("error", Str (Mapping.failure_to_string f)) ]
-        | None -> base)
-      (fun () -> result := Some (run ()));
-    Option.get !result
-  end
+  Telemetry.Trace.span "profiler.mapping"
+    ~attrs:(fun result ->
+      let open Telemetry.Trace in
+      ("unroll", Int unroll)
+      ::
+      (match result with
+      | Ok (m : Mapping_memo.mapped) ->
+        [
+          ("ok", Bool true);
+          ("attempts", Int (m.faults + 1));
+          ("faults", Int m.faults);
+          ("distinct_frames", Int m.distinct_frames);
+        ]
+      | Error f -> [ ("ok", Bool false); ("error", Str (Mapping.failure_to_string f)) ]))
+    (fun () ->
+      match memo with
+      | Some (memo, key) -> Mapping_memo.map memo ~key env block ~unroll
+      | None -> Mapping_memo.run env block ~unroll)
 
-(* Measure one unroll factor of [block] on [descriptor]. *)
-let measure_point_untraced ?memo (env : Environment.t)
-    (descriptor : Uarch.Descriptor.t) rng (block : Inst.t list) ~unroll :
-    (point, Mapping.failure) result =
+(* Measure one unroll factor of [block] on [descriptor]: one
+   "profiler.measure" span, carrying the unroll factor tried and the
+   mapping/filter-relevant outcome. *)
+let measure_point ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t) rng
+    (block : Inst.t list) ~unroll : (point, Mapping.failure) result =
+  Telemetry.Trace.span "profiler.measure"
+    ~attrs:(fun result ->
+      let open Telemetry.Trace in
+      ("unroll", Int unroll)
+      ::
+      (match result with
+      | Ok (p : point) ->
+        [
+          ( "accepted_cycles",
+            match p.accepted_cycles with Some c -> Int c | None -> Str "none" );
+          ("best_cycles", Int p.best_cycles);
+          ("faults", Int p.faults);
+          ("distinct_frames", Int p.distinct_frames);
+        ]
+      | Error f -> [ ("mapping_error", Str (Mapping.failure_to_string f)) ]))
+  @@ fun () ->
   match run_mapping ?memo env block ~unroll with
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points.
        The warm-up and the timed run execute the same steps, so they
-       share one trace. [measure] runs the discarded warm-up from
-       flushed caches (a cache walk, or nothing when the log fits L1),
-       then one steady-state timed run: the simulated machine is
-       deterministic once warm, so one simulation gives the noise-free
-       cycle count; each of the [env.timings] measurements then sees its
-       own independently sampled OS noise, exactly what the repeat-and-
+       share one trace. [measure] runs the discarded warm-up simulation
+       from flushed caches (or nothing when the log fits L1), then one
+       steady-state timed run: the simulated machine is deterministic
+       once warm, so one simulation gives the noise-free cycle count;
+       each of the [env.timings] measurements then sees its own
+       independently sampled OS noise, exactly what the repeat-and-
        filter protocol exists to reject. *)
     let machine = Pipeline.Machine.for_descriptor descriptor in
     let trace = Pipeline.Machine.trace machine mapped.steps in
@@ -192,37 +199,6 @@ let measure_point_untraced ?memo (env : Environment.t)
         counters = base.counters;
       }
 
-(* One measurement = one "profiler.measure" span, carrying the unroll
-   factor tried and the mapping/filter-relevant outcome. *)
-let measure_point ?memo env descriptor rng block ~unroll =
-  if not (Telemetry.Trace.enabled ()) then
-    measure_point_untraced ?memo env descriptor rng block ~unroll
-  else begin
-    let result = ref None in
-    Telemetry.Trace.span "profiler.measure"
-      ~attrs:(fun () ->
-        let open Telemetry.Trace in
-        let base = [ ("unroll", Int unroll) ] in
-        match !result with
-        | Some (Ok (p : point)) ->
-          base
-          @ [
-              ( "accepted_cycles",
-                match p.accepted_cycles with
-                | Some c -> Int c
-                | None -> Str "none" );
-              ("best_cycles", Int p.best_cycles);
-              ("faults", Int p.faults);
-              ("distinct_frames", Int p.distinct_frames);
-            ]
-        | Some (Error f) ->
-          base @ [ ("mapping_error", Str (Mapping.failure_to_string f)) ]
-        | None -> base)
-      (fun () ->
-        result := Some (measure_point_untraced ?memo env descriptor rng block ~unroll));
-    Option.get !result
-  end
-
 (* The block's share of its noise seed: a hash of its printed text.
    With a memo, the block's profiles on every uarch print it once: a
    memo key identifies the block's encoding, which decodes back to the
@@ -234,56 +210,6 @@ let block_seed ?memo block =
   match memo with
   | Some (memo, key) -> Mapping_memo.seed memo ~key compute
   | None -> compute ()
-
-let profile_untraced ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
-    (block : Inst.t list) : (profile, failure) result =
-  let seed = Int64.add env.noise_seed (block_seed ?memo block) in
-  let rng = Bstats.Rng.create seed in
-  let factors = Unroll.choose env.unroll block in
-  match measure_point ?memo env descriptor rng block ~unroll:factors.large with
-  | Error f -> Error (Mapping_failed f)
-  | Ok large -> (
-    let small =
-      if factors.small = 0 then Ok None
-      else
-        Result.map Option.some
-          (measure_point ?memo env descriptor rng block ~unroll:factors.small)
-    in
-    match small with
-    | Error f -> Error (Mapping_failed f)
-    | Ok small ->
-      let misaligned =
-        env.drop_misaligned && large.counters.misaligned_mem_refs > 0
-      in
-      let accepted_large = large.accepted_cycles in
-      let accepted_small = Option.map (fun (p : point) -> p.accepted_cycles) small in
-      let all_clean_present =
-        accepted_large <> None
-        && (match accepted_small with Some None -> false | _ -> true)
-      in
-      let reject =
-        if misaligned then Some Misaligned_access
-        else if not all_clean_present then
-          if large.clean_timings > 0 then Some Unstable
-          else Some Never_clean
-        else None
-      in
-      let cl = Option.value accepted_large ~default:large.best_cycles in
-      let cs =
-        match small with
-        | None -> 0
-        | Some p -> Option.value p.accepted_cycles ~default:p.best_cycles
-      in
-      let throughput = Unroll.throughput factors ~cycles_large:cl ~cycles_small:cs in
-      Ok
-        {
-          throughput;
-          accepted = reject = None;
-          reject;
-          large;
-          small;
-          factors;
-        })
 
 let reject_to_string = function
   | Misaligned_access -> "misaligned"
@@ -316,37 +242,75 @@ let record_outcome (result : (profile, failure) result) =
         [ ("reason", Telemetry.Trace.Str (failure_to_string f)) ]));
   result
 
+(* One profile = one "profiler.profile" span; its filter decision is an
+   instant after it ([record_outcome]). *)
 let profile ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
     (block : Inst.t list) : (profile, failure) result =
   let t0 = Telemetry.Trace.now_ns () in
   let result =
-    if not (Telemetry.Trace.enabled ()) then
-      profile_untraced ?memo env descriptor block
-    else begin
-      let result = ref None in
-      Telemetry.Trace.span "profiler.profile"
-        ~attrs:(fun () ->
-          let open Telemetry.Trace in
-          let base =
-            [
-              ("uarch", Str descriptor.short);
-              ("block_insts", Int (List.length block));
-            ]
+    Telemetry.Trace.span "profiler.profile"
+      ~attrs:(fun result ->
+        let open Telemetry.Trace in
+        ("uarch", Str descriptor.short)
+        :: ("block_insts", Int (List.length block))
+        ::
+        (match result with
+        | Ok (p : profile) ->
+          [
+            ("accepted", Bool p.accepted);
+            ("throughput", Float p.throughput);
+            ("unroll_large", Int p.factors.large);
+            ("unroll_small", Int p.factors.small);
+          ]
+        | Error f -> [ ("failure", Str (failure_to_string f)) ]))
+    @@ fun () ->
+      let seed = Int64.add env.noise_seed (block_seed ?memo block) in
+      let rng = Bstats.Rng.create seed in
+      let factors = Unroll.choose env.unroll block in
+      match measure_point ?memo env descriptor rng block ~unroll:factors.large with
+      | Error f -> Error (Mapping_failed f)
+      | Ok large -> (
+        let small =
+          if factors.small = 0 then Ok None
+          else
+            Result.map Option.some
+              (measure_point ?memo env descriptor rng block ~unroll:factors.small)
+        in
+        match small with
+        | Error f -> Error (Mapping_failed f)
+        | Ok small ->
+          let misaligned =
+            env.drop_misaligned && large.counters.misaligned_mem_refs > 0
           in
-          match !result with
-          | Some (Ok (p : profile)) ->
-            base
-            @ [
-                ("accepted", Bool p.accepted);
-                ("throughput", Float p.throughput);
-                ("unroll_large", Int p.factors.large);
-                ("unroll_small", Int p.factors.small);
-              ]
-          | Some (Error f) -> base @ [ ("failure", Str (failure_to_string f)) ]
-          | None -> base)
-        (fun () -> result := Some (profile_untraced ?memo env descriptor block));
-      Option.get !result
-    end
+          let accepted_large = large.accepted_cycles in
+          let accepted_small = Option.map (fun (p : point) -> p.accepted_cycles) small in
+          let all_clean_present =
+            accepted_large <> None
+            && (match accepted_small with Some None -> false | _ -> true)
+          in
+          let reject =
+            if misaligned then Some Misaligned_access
+            else if not all_clean_present then
+              if large.clean_timings > 0 then Some Unstable
+              else Some Never_clean
+            else None
+          in
+          let cl = Option.value accepted_large ~default:large.best_cycles in
+          let cs =
+            match small with
+            | None -> 0
+            | Some p -> Option.value p.accepted_cycles ~default:p.best_cycles
+          in
+          let throughput = Unroll.throughput factors ~cycles_large:cl ~cycles_small:cs in
+          Ok
+            {
+              throughput;
+              accepted = reject = None;
+              reject;
+              large;
+              small;
+              factors;
+            })
   in
   Telemetry.Metrics.observe h_profile_seconds
     (Int64.to_float (Int64.sub (Telemetry.Trace.now_ns ()) t0) /. 1e9);

@@ -25,20 +25,20 @@
     closures), whatever the trace length; test/test_batch.ml pins
     this.
 
-    The loop and the walk run at native-int speed: every comparison is
-    at type int ([Int.max], never the polymorphic [Stdlib.max]), and a
-    step read is a load from the log's arrays, not a call into another
-    module, which the dev profile's [-opaque] would turn into a generic
-    application. bench/poly_census.sh checks the first in the built
-    objects.
+    The loop and the verdict's walk run at native-int speed: every
+    comparison is at type int ([Int.max], never the polymorphic
+    [Stdlib.max]), and a step read is a load from the log's arrays, not
+    a call into another module, which the dev profile's [-opaque] would
+    turn into a generic application. bench/poly_census.sh checks the
+    first in the built objects.
 
     The caches are the only state that outlives a call, and they are
-    touched in trace order whatever the timing. {!warm} makes the same
-    accesses through the same helpers without the timing, which is all
-    a discarded warm-up execution needs. {!fits_l1} decides, once per
-    step log, whether that warm-up would leave every line the timed run
-    touches in L1; when it would, [simulate ~resident:true] skips the
-    caches, since every lookup would hit. *)
+    touched in trace order whatever the timing, so a measure point's
+    warm-up is a simulation whose result is discarded: only the caches
+    it leaves matter. {!fits_l1} decides, once per step log, whether
+    that warm-up would leave every line the timed run touches in L1;
+    when it would, [simulate ~resident:true] skips the caches, since
+    every lookup would hit. *)
 
 open Uarch
 
@@ -179,10 +179,8 @@ module Scratch = struct
     && t.retire_width = d.retire_width
 end
 
-(* Cache accesses. [simulate] and [warm] reach the caches only through
-   these helpers, so the two cannot drift. [fetch] and [data_access]
-   return the L1 and L2 miss counts packed into one int, so none of the
-   helpers allocates. *)
+(* Cache accesses. [fetch] and [data_access] return the L1 and L2 miss
+   counts packed into one int, so none of the helpers allocates. *)
 
 let l2_shift = 16
 let l1_misses packed = packed land ((1 lsl l2_shift) - 1)
@@ -212,7 +210,7 @@ let data_access ~l1d ~l2 ~addr ~size =
 
 (* --- reading a step ------------------------------------------------------
 
-   What the loop and the walk read of step [i], straight from the step
+   What the loop and the verdict read of step [i], straight from the step
    log's arrays. Its [k]-th load uop takes the step's [k]-th load access
    and its [k]-th store-data uop the [k]-th store access; a uop past the
    last one reads 8 bytes at address 0 (access -1). Access indices range
@@ -253,9 +251,9 @@ let div_latency (trace : Trace.t) i =
   else trace.pos_div_lat.(pos)
 
 (* With [resident], every fetch and data access is taken to hit L1, as
-   it does after a warm-up walk of a log for which {!fits_l1} holds: the
-   caches are not consulted, and [l1d] gives only the line size that
-   [crosses_line] reads. *)
+   it does after a warm-up simulation of a log for which {!fits_l1}
+   holds: the caches are not consulted, and [l1d] gives only the line
+   size that [crosses_line] reads. *)
 let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.t) : result =
@@ -559,49 +557,10 @@ let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descri
   c.core_cycles <- !finish_time;
   { cycles = !finish_time; counters = c; schedule = List.rev !schedule }
 
-(* The cache accesses [simulate] makes on [trace], in the same order and
-   through the same helpers, with no timing: the L1I lines of each
-   instruction, then each load or store-data uop's L1D access (and L2 on
-   an L1D miss) in code order. Eliminated instructions only fetch. The
-   caches end exactly as a simulation would leave them: tags, LRU
-   stamps, clocks and hit and miss counts. Allocates a per-call
-   constant. *)
-let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
-    (trace : Trace.t) =
-  let n = Array.length trace.statics and log = trace.log in
-  let pos = ref 0 and copy_addr = ref 0 in
-  for idx = 0 to trace.steps - 1 do
-    let st = trace.statics.(!pos) in
-    ignore (fetch ~l1i ~l2 ~code_addr:(!copy_addr + trace.offsets.(!pos)) ~len:st.s_code_len);
-    if not st.s_eliminated then begin
-      let load_at = ref (first_access log idx) in
-      let store_at = ref !load_at and limit = first_access log (idx + 1) in
-      let codes = st.s_codes in
-      for u = 0 to Array.length codes - 1 do
-        match Flat.code_kind codes.(u) with
-        | 1 (* Load *) ->
-          let j = next_access log ~store:false !load_at limit in
-          if j >= 0 then load_at := j + 1;
-          ignore
-            (data_access ~l1d ~l2 ~addr:(paddr log j) ~size:(size log j))
-        | 3 (* Store_data *) ->
-          let j = next_access log ~store:true !store_at limit in
-          if j >= 0 then store_at := j + 1;
-          ignore
-            (data_access ~l1d ~l2 ~addr:(paddr log j) ~size:(size log j))
-        | _ -> ()
-      done
-    end;
-    if !pos + 1 = n then begin
-      pos := 0;
-      copy_addr := !copy_addr + trace.block_bytes
-    end
-    else incr pos
-  done
-
-(* The L1 residency verdict on [log]: do the lines that [warm] could
-   touch on [log]'s trace under any descriptor fit [l1i] and [l1d] with
-   no eviction? Walks a superset of those lines, from flushed caches:
+(* The L1 residency verdict on [log]: do the lines that a simulation of
+   [log]'s trace could touch under any descriptor fit [l1i] and [l1d]
+   with no eviction? Walks a superset of those lines, from flushed
+   caches:
    - every code line of the steps' copies, laid out as [Trace.of_steps]
      lays them out, by encoded length, which no descriptor changes;
    - every recorded access, whichever uop takes it;
@@ -609,11 +568,11 @@ let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
      reads.
    True LRU from a flush evicts only once one set has received more
    distinct lines than it has ways, whatever the order. So if this walk
-   evicts nothing, neither does a warm-up walk of a subset of its lines
-   from flushed caches, every line that walk touches stays in L1, and
-   the timed run that follows hits L1 on every fetch and access and
-   never reaches L2. L2 is not walked: its evictions cannot reach the
-   timed run. *)
+   evicts nothing, neither does a warm-up simulation, which touches a
+   subset of its lines from flushed caches, every line it touches stays
+   in L1, and the timed run that follows hits L1 on every fetch and
+   access and never reaches L2. L2 is not walked: its evictions cannot
+   reach the timed run. *)
 let fits_l1 ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) (log : L.t) =
   Memsim.Cache.flush l1d;
   Memsim.Cache.flush l1i;

@@ -54,56 +54,35 @@ let trace t (steps : Xsem.Step_log.t) : Trace.t =
   timed (fun () -> Trace.of_steps t.descriptor steps)
 
 (* Simulate the timing of one completed architectural execution, given
-   as its trace. The telemetry span wraps the core cycle loop; the
-   branch on [Telemetry.Trace.enabled] keeps the traced path (closure,
-   attribute thunk) off the hot path when no sink is installed. *)
+   as its trace. The telemetry span wraps the core cycle loop. *)
 let simulate_on ?record_schedule ~resident t (trace : Trace.t) : Core.result =
-  let simulate () =
-    let r =
-      timed (fun () ->
-          Core.simulate ?record_schedule ~resident ~scratch:t.scratch t.descriptor
-            ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace)
-    in
-    Telemetry.Metrics.incr m_blocks;
-    r
-  in
-  if not (Telemetry.Trace.enabled ()) then simulate ()
-  else begin
-    let result = ref None in
-    Telemetry.Trace.span "pipeline.simulate"
-      ~attrs:(fun () ->
-        match !result with
-        | None -> [ ("uarch", Telemetry.Trace.Str t.descriptor.short) ]
-        | Some (r : Core.result) ->
-          let c = r.counters in
-          let ports =
-            String.concat ","
-              (Array.to_list (Array.map string_of_int c.port_cycles))
-          in
-          [
-            ("uarch", Telemetry.Trace.Str t.descriptor.short);
-            ("cycles", Telemetry.Trace.Int r.cycles);
-            ("instructions", Telemetry.Trace.Int c.instructions);
-            ("uops", Telemetry.Trace.Int c.uops);
-            ("port_cycles", Telemetry.Trace.Str ports);
-            ("frontend_stall_cycles", Telemetry.Trace.Int c.frontend_stall_cycles);
-            ("rob_stall_cycles", Telemetry.Trace.Int c.rob_stall_cycles);
-            ( "port_contention_cycles",
-              Telemetry.Trace.Int c.port_contention_cycles );
-          ])
-      (fun () -> result := Some (simulate ()));
-    match !result with Some r -> r | None -> assert false
-  end
+  Telemetry.Trace.span "pipeline.simulate"
+    ~attrs:(fun (r : Core.result) ->
+      let c = r.counters in
+      let ports =
+        String.concat "," (Array.to_list (Array.map string_of_int c.port_cycles))
+      in
+      Telemetry.Trace.
+        [
+          ("uarch", Str t.descriptor.short);
+          ("cycles", Int r.cycles);
+          ("instructions", Int c.instructions);
+          ("uops", Int c.uops);
+          ("port_cycles", Str ports);
+          ("frontend_stall_cycles", Int c.frontend_stall_cycles);
+          ("rob_stall_cycles", Int c.rob_stall_cycles);
+          ("port_contention_cycles", Int c.port_contention_cycles);
+        ])
+    (fun () ->
+      let r =
+        timed (fun () ->
+            Core.simulate ?record_schedule ~resident ~scratch:t.scratch t.descriptor
+              ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace)
+      in
+      Telemetry.Metrics.incr m_blocks;
+      r)
 
 let simulate ?record_schedule t trace = simulate_on ?record_schedule ~resident:false t trace
-
-(* The discarded warm-up execution: [trace]'s cache accesses without
-   the timing (Core.warm), which leaves the caches as a simulation
-   would. It counts as one simulated block, so a measure point counts
-   two: warm-up and timed run. *)
-let warm t (trace : Trace.t) =
-  timed (fun () -> Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace);
-  Telemetry.Metrics.incr m_blocks
 
 (* Per domain, the L1D and L1I the verdict walks, made on first use. *)
 let verdict_l1s = Domain.DLS.new_key (fun () -> (l1 (), l1 ()))
@@ -113,10 +92,10 @@ let fits_l1 (steps : Xsem.Step_log.t) =
       let l1d, l1i = Domain.DLS.get verdict_l1s in
       Core.fits_l1 ~l1d ~l1i steps)
 
-(* A measure point: the warm-up from flushed caches, then the timed run.
-   When the point's log fits L1, the warm-up would leave every line the
-   timed run touches resident, so it is counted but not walked, and the
-   timed run skips the caches. *)
+(* A measure point: the discarded warm-up simulation from flushed
+   caches, then the timed run. When the point's log fits L1, the warm-up
+   would leave every line the timed run touches resident, so it is
+   counted but not simulated, and the timed run skips the caches. *)
 let measure ?record_schedule t ~fits_l1 (trace : Trace.t) =
   if fits_l1 then begin
     Telemetry.Metrics.incr m_blocks;
@@ -124,7 +103,7 @@ let measure ?record_schedule t ~fits_l1 (trace : Trace.t) =
   end
   else begin
     reset t;
-    warm t trace;
+    ignore (simulate t trace);
     simulate ?record_schedule t trace
   end
 

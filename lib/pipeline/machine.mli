@@ -1,9 +1,10 @@
 (** A simulated machine: one microarchitecture core plus its L1D, L1I
     and unified L2 caches. Cache contents persist across simulations
-    until [reset], mirroring warm-up behaviour on real hardware. The
-    machine also owns the simulator's reusable scratch state, so
-    repeated [simulate] calls perform no per-simulation machine-state
-    allocation.
+    until [reset], mirroring warm-up behaviour on real hardware: a
+    measure point's warm-up is one such simulation, its result
+    discarded ([measure]). The machine also owns the simulator's
+    reusable scratch state, so repeated [simulate] calls perform no
+    per-simulation machine-state allocation.
 
     Every descriptor's machine gets the same caches: two 32 KiB 8-way
     L1s and a 256 KiB 8-way L2, all with 64-byte lines. So whether a
@@ -37,28 +38,23 @@ val trace : t -> Xsem.Step_log.t -> Trace.t
     not modified, so it can be simulated again. *)
 val simulate : ?record_schedule:bool -> t -> Trace.t -> Core.result
 
-(** Warm the caches with [trace]: make exactly the cache accesses
-    [simulate] would, with no timing ({!Core.warm}), leaving L1D, L1I
-    and L2 as a discarded simulation would. Counts as one simulated
-    block in [pipeline.blocks] and adds its time to [pipeline.sim_ns],
-    so a measure point (warm-up, then timed run) counts two blocks. *)
-val warm : t -> Trace.t -> unit
-
-(** The L1 residency verdict on [steps]: would the warm-up walk of
-    [steps]'s trace, under any descriptor, from flushed caches, leave
+(** The L1 residency verdict on [steps]: would the warm-up simulation
+    of [steps]'s trace, under any descriptor, from flushed caches, leave
     every L1I and L1D line it touches resident ({!Core.fits_l1})? It
     walks scratch L1s of the machines' geometry, kept per domain, and
     adds its time to [pipeline.sim_ns]. *)
 val fits_l1 : Xsem.Step_log.t -> bool
 
 (** A measure point's warm-up and timed run on [trace], given the
-    verdict [fits_l1] on its log. When it is false: [reset], [warm],
-    then [simulate]. When it is true, the warm-up is not walked and the
-    timed run skips the caches ({!Core.simulate}[ ~resident:true]): it
-    would hit L1 on every fetch and access, so the result is the same.
-    The caches are then left as they were, and a later [measure] with a
-    false verdict flushes them first. Either way the point counts two
-    blocks in [pipeline.blocks], the warm-up and the timed run. *)
+    verdict [fits_l1] on its log. When it is false: [reset], then
+    [simulate] twice, the first result discarded: the warm-up's only
+    effect is the cache state it leaves. When it is true, the warm-up is
+    not simulated and the timed run skips the caches
+    ({!Core.simulate}[ ~resident:true]): it would hit L1 on every fetch
+    and access, so the result is the same. The caches are then left as
+    they were, and a later [measure] with a false verdict flushes them
+    first. Either way the point counts two blocks in [pipeline.blocks],
+    the warm-up and the timed run. *)
 val measure : ?record_schedule:bool -> t -> fits_l1:bool -> Trace.t -> Core.result
 
 (** The calling domain's machine for [d], created on first use and

@@ -12,7 +12,7 @@
 
     The per-step readers (a step's accesses, the access fields with
     their 8-bytes-at-0 default, the subnormal and slow-divide bits) are
-    in [Core], next to the cycle loop and the warm walk that call them:
+    in [Core], next to the cycle loop and the verdict that call them:
     they read the log's arrays directly, so a step read is a field load,
     not a call across modules.
 
@@ -24,8 +24,8 @@
     log that [Harness.Mapping.run] returns without [?log] is owned by
     its result; the log that [Harness.Mapping_memo.map] or [run] returns,
     hit or miss, is the memo's per-domain log, which stays unchanged
-    until the next [map] or [run] on that domain, so build, warm and
-    simulate the trace before mapping again. *)
+    until the next [map] or [run] on that domain, so build and simulate
+    the trace before mapping again. *)
 
 (** Preprocessed static instruction: everything derivable from the
     instruction and the microarchitecture alone. *)

@@ -257,13 +257,9 @@ let run ?jobs ?store ?progress ?(record_step = fun _ -> ())
     { reference with short = reference.short ^ "~cand"; profile }
   in
   let measure name desc =
-    let rows = ref ([||], {
-      ev_executed = 0; ev_store_hits = 0; ev_store_misses = 0;
-      ev_store_invalidated = 0; ev_store_writes = 0 }) in
     Telemetry.Trace.span "refine.eval"
-      ~attrs:(fun () -> [ ("what", Telemetry.Trace.Str name) ])
-      (fun () -> rows := run_corpus ?jobs ?store ?progress ~env ~desc corpus);
-    !rows
+      ~attrs:(fun _ -> [ ("what", Telemetry.Trace.Str name) ])
+      (fun () -> run_corpus ?jobs ?store ?progress ~env ~desc corpus)
   in
   let ref_rows, _ = measure "reference" ref_desc in
   let n_measured =

@@ -6,7 +6,16 @@
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
-type sink = { write : string -> unit; close : unit -> unit }
+(* [live] is read and written under [lock], which also serialises
+   [write] and [close]: once a write or close has failed, or the sink
+   has been closed, no record reaches it. *)
+type sink = {
+  name : string;
+  write : string -> unit;
+  close : unit -> unit;
+  lock : Mutex.t;
+  mutable live : bool;
+}
 
 let current : sink option Atomic.t = Atomic.make None
 let t0_ns : int64 Atomic.t = Atomic.make 0L
@@ -15,36 +24,64 @@ let stack_key = Domain.DLS.new_key (fun () -> ref ([] : int list))
 
 let now_ns () = Monotonic_clock.now ()
 
-let enabled () =
-  match Atomic.get current with Some _ -> true | None -> false
+(* [s]'s first failed write or close [e], with [s.lock] held: [s] takes
+   no more records and leaves [current] if it is still there, and one
+   stderr line names it and the error. The traced program runs on as if
+   untraced. *)
+let fail s e =
+  s.live <- false;
+  (match Atomic.get current with
+  | Some s' as cur when s' == s -> ignore (Atomic.compare_and_set current cur None)
+  | _ -> ());
+  let msg = match e with Sys_error m -> m | e -> Printexc.to_string e in
+  Printf.eprintf "bhive: trace %s: %s; tracing stopped\n%!" s.name msg
+
+let write_record s line =
+  Mutex.protect s.lock (fun () ->
+      if s.live then
+        try s.write line
+        with e ->
+          fail s e;
+          try s.close () with _ -> ())
 
 let uninstall () =
-  match Atomic.exchange current None with None -> () | Some s -> s.close ()
+  match Atomic.exchange current None with
+  | None -> ()
+  | Some s ->
+    Mutex.protect s.lock (fun () ->
+        if s.live then begin
+          s.live <- false;
+          try s.close () with e -> fail s e
+        end)
 
-let install_custom ~write ~close =
+let install ~name ~write ~close =
   uninstall ();
   Atomic.set t0_ns (now_ns ());
-  Atomic.set current (Some { write; close })
+  Atomic.set current (Some { name; write; close; lock = Mutex.create (); live = true })
 
-let install_file path =
-  let oc = open_out path in
-  let lock = Mutex.create () in
-  install_custom
-    ~write:(fun line ->
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
+let install_custom ~write ~close = install ~name:"custom sink" ~write ~close
+
+let init ?path () =
+  let path =
+    match path with
+    | Some _ -> path
+    | None -> ( match Sys.getenv_opt "BHIVE_TRACE" with Some "" -> None | p -> p)
+  in
+  match path with
+  | None -> Ok ()
+  | Some path -> (
+    match open_out path with
+    | exception Sys_error m -> Error ("cannot open trace file " ^ m)
+    | oc ->
+      install ~name:path
+        ~write:(fun line ->
           output_string oc line;
-          output_char oc '\n'))
-    ~close:(fun () -> close_out oc)
-
-let init_from_env () =
-  match Sys.getenv_opt "BHIVE_TRACE" with
-  | None | Some "" -> ()
-  | Some path ->
-    install_file path;
-    at_exit uninstall
+          output_char oc '\n')
+        ~close:(fun () ->
+          (* close_out leaves the descriptor open when its flush fails *)
+          Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> flush oc));
+      at_exit uninstall;
+      Ok ())
 
 let value_to_json = function
   | Bool b -> Json.Bool b
@@ -79,7 +116,7 @@ let emit s ~kind ~name ~id ~parent ~ts_ns ~dur_ns ~attrs =
             Json.Object (List.map (fun (k, v) -> (k, value_to_json v)) attrs) );
         ]
   in
-  s.write (Json.to_string ~compact:true (Json.Object fields))
+  write_record s (Json.to_string ~compact:true (Json.Object fields))
 
 let current_span () =
   match !(Domain.DLS.get stack_key) with [] -> 0 | id :: _ -> id
@@ -87,7 +124,7 @@ let current_span () =
 let span ?parent ?attrs name f =
   match Atomic.get current with
   | None -> f ()
-  | Some s ->
+  | Some s -> (
     let stack = Domain.DLS.get stack_key in
     let id = Atomic.fetch_and_add next_id 1 in
     let parent =
@@ -97,14 +134,20 @@ let span ?parent ?attrs name f =
     in
     stack := id :: !stack;
     let start_ns = now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dur = Int64.sub (now_ns ()) start_ns in
-        (match !stack with _ :: tl -> stack := tl | [] -> ());
-        let attrs = match attrs with None -> [] | Some mk -> mk () in
-        emit s ~kind:"span" ~name ~id ~parent ~ts_ns:start_ns
-          ~dur_ns:(Some dur) ~attrs)
-      f
+    let finish attrs =
+      let dur = Int64.sub (now_ns ()) start_ns in
+      (match !stack with _ :: tl -> stack := tl | [] -> ());
+      emit s ~kind:"span" ~name ~id ~parent ~ts_ns:start_ns ~dur_ns:(Some dur)
+        ~attrs:(attrs ())
+    in
+    match f () with
+    | r ->
+      finish (fun () -> match attrs with None -> [] | Some mk -> mk r);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish (fun () -> []);
+      Printexc.raise_with_backtrace e bt)
 
 let instant ?attrs name =
   match Atomic.get current with

@@ -1,6 +1,6 @@
 (* Whole-execution simulation entry points, which only tests call: the
-   profiler builds one trace per measure point and warms and simulates
-   it itself. *)
+   profiler builds one trace per measure point and simulates it itself
+   ([Machine.measure]). *)
 
 (* [Machine.trace] followed by [Machine.simulate]. *)
 let run ?record_schedule m steps =

@@ -202,62 +202,12 @@ let trace_reuse_matches_run =
                  shared runs)
              uarches))
 
-(* The profiler's warm-up is a cache walk ([Machine.warm]), not a
-   simulation. Walking a trace must leave the caches exactly as
-   simulating it does, so the timed run after either is the same in
-   cycles and every counter. The caches are compared with polymorphic
-   equality over [Memsim.Cache.t]: tags, LRU stamps, clock, hit and
-   miss counts. Fresh_pages mapping gives each page its own frame, so
-   data accesses spread over more lines and reach L2. *)
-let walk_matches_warmup_simulation =
-  let gen =
-    QCheck.Gen.(
-      let* block = block_gen in
-      let* unroll = int_range 1 16 in
-      let* mapping =
-        oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ]
-      in
-      return (block, unroll, mapping))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"cache walk == warm-up simulation" ~count:60
-       (QCheck.make
-          ~print:(fun (b, unroll, mapping) ->
-            Printf.sprintf "unroll %d, %s: %s" unroll
-              (match mapping with
-              | Harness.Environment.Fresh_pages -> "fresh pages"
-              | _ -> "single physical page")
-              (print_block b))
-          gen)
-       (fun (block, unroll, mapping) ->
-         let env = { Harness.Environment.default with mapping } in
-         match Harness.Mapping.run env block ~unroll with
-         | Error _ -> true
-         | Ok mapped ->
-           List.for_all
-             (fun d ->
-               let walked = Pipeline.Machine.create d
-               and simulated = Pipeline.Machine.create d in
-               let trace = Pipeline.Machine.trace walked mapped.steps in
-               let caches_equal () =
-                 walked.l1d = simulated.l1d && walked.l1i = simulated.l1i
-                 && walked.l2 = simulated.l2
-               in
-               Pipeline.Machine.warm walked trace;
-               ignore (Pipeline.Machine.simulate simulated trace);
-               let warm_caches = caches_equal () in
-               let a = Pipeline.Machine.simulate walked trace
-               and b = Pipeline.Machine.simulate simulated trace in
-               warm_caches && a.cycles = b.cycles
-               && counters_equal a.counters b.counters
-               && caches_equal ())
-             uarches))
-
 (* The L1 residency verdict ([Machine.fits_l1]) is exact. When it
-   holds, the full path (reset, cache walk, cached simulation) misses
-   nothing in L1I, L1D or L2, and the resident path
-   ([Machine.measure ~fits_l1:true], which neither walks nor looks up)
-   equals it in cycles and every counter. On either verdict,
+   holds, the full path ([Machine.measure ~fits_l1:false]: reset, then a
+   discarded warm-up simulation and a cached one) misses nothing in L1I,
+   L1D or L2, and the resident path ([Machine.measure ~fits_l1:true],
+   which neither warms up nor looks up) equals it in cycles and every
+   counter. On either verdict,
    [Profiler.profile] equals the full path in every counter, cycles
    included. Generated blocks run on ivb, hsw and skl, under both
    mapping modes, at unroll 1-16; some have a page-strided access
@@ -295,9 +245,7 @@ let test_verdict_exact () =
       let fits = Pipeline.Machine.fits_l1 mapped.steps in
       let m = Pipeline.Machine.create d in
       let trace = Pipeline.Machine.trace m mapped.steps in
-      Pipeline.Machine.reset m;
-      Pipeline.Machine.warm m trace;
-      let full = Pipeline.Machine.simulate m trace in
+      let full = Pipeline.Machine.measure m ~fits_l1:false trace in
       let resident = Pipeline.Machine.measure m ~fits_l1:true trace in
       let c = full.counters in
       let misses = (c.l1i_misses, c.l1d_read_misses + c.l1d_write_misses, c.l2_misses) in
@@ -428,7 +376,7 @@ let trace_matches_reference =
   in
   (* Step [i]'s loads or stores as the core takes them, one per uop,
      and what a uop past the last one reads: through the readers that
-     [Core.simulate] and [Core.warm] call. *)
+     [Core.simulate] calls. *)
   let accesses (t : Pipeline.Trace.t) ~store i =
     let open Pipeline.Core in
     let limit = first_access t.log (i + 1) in
@@ -497,9 +445,8 @@ let allocated_words f =
   (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
 
 (* The cycle loop's allocation contract: a cache access and a port
-   claim allocate nothing, and [Core.simulate] on a warm reused machine,
-   like the [Core.warm] cache walk, allocates a per-call constant that
-   does not grow with the trace. Building a trace allocates per block
+   claim allocate nothing, and [Core.simulate] on a warm reused machine
+   allocates a per-call constant that does not grow with the trace. Building a trace allocates per block
    position only, so the same at unroll 8 and 64: it reads the step log
    in place. A compiled run computes on unboxed state, so per dynamic
    step it allocates only the fresh step log's six flat arrays: 6.0
@@ -609,12 +556,7 @@ let test_allocation_contract () =
       Alcotest.(check int)
         (d.short ^ " Core.simulate words, unroll 8 vs 64")
         (minor_words (simulate t8))
-        (minor_words (simulate t64));
-      let warm trace () = Pipeline.Core.warm ~l1d:m.l1d ~l1i:m.l1i ~l2:m.l2 trace in
-      Alcotest.(check int)
-        (d.short ^ " Core.warm words, unroll 8 vs 64")
-        (minor_words (warm t8))
-        (minor_words (warm t64)))
+        (minor_words (simulate t64)))
     uarches
 
 (* Every statistic the simulator feeds into a profile, over the corpus
@@ -672,7 +614,6 @@ let suite =
       test_flat_digest_golden;
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
     trace_reuse_matches_run;
-    walk_matches_warmup_simulation;
     Alcotest.test_case "L1 residency verdict is exact" `Quick test_verdict_exact;
     trace_matches_reference;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;

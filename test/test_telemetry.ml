@@ -89,14 +89,20 @@ let test_span_result_and_exceptions () =
   let got = ref 0 in
   let records =
     with_capture (fun () ->
-        got := Trace.span "value" (fun () -> 7);
-        match Trace.span "boom" (fun () -> failwith "boom") with
+        got := Trace.span "value" ~attrs:(fun v -> [ ("v", Trace.Int v) ]) (fun () -> 7);
+        match
+          Trace.span "boom" ~attrs:(fun () -> [ ("v", Trace.Int 0) ]) (fun () -> failwith "boom")
+        with
         | () -> Alcotest.fail "exception swallowed"
         | exception Failure _ -> ())
   in
   Alcotest.(check int) "span returns body value" 7 !got;
-  (* The span for the raising body must still be emitted. *)
-  ignore (find_record "boom" records)
+  Alcotest.(check (float 0.)) "attrs get the body's value" 7.
+    (num "v" (field "attrs" (find_record "value" records)));
+  (* The span for the raising body must still be emitted, with no
+     attributes: there is no result to build them from. *)
+  Alcotest.(check bool) "raising span has no attrs" true
+    (Json.member "attrs" (find_record "boom" records) = None)
 
 let test_explicit_parent () =
   let records =
@@ -133,6 +139,205 @@ let test_disabled_returns_value () =
   Trace.uninstall ();
   Alcotest.(check int) "disabled span is transparent" 5
     (Trace.span "x" (fun () -> 5))
+
+(* A sink whose write raises stops tracing at its first failure: the
+   spans open around the failing record still return their bodies'
+   values, no exception escapes, and the sink sees no later write. A
+   close that raises does not escape [uninstall] either. *)
+let test_failing_sink_stops () =
+  let writes = ref 0 and closes = ref 0 in
+  Trace.install_custom
+    ~write:(fun _ ->
+      incr writes;
+      raise (Sys_error "No space left on device"))
+    ~close:(fun () ->
+      incr closes;
+      raise (Sys_error "close failed"));
+  let v =
+    Trace.span "outer" (fun () ->
+        let inner = Trace.span "inner" ~attrs:(fun n -> [ ("n", Trace.Int n) ]) (fun () -> 6) in
+        Trace.instant "mark";
+        inner + 1)
+  in
+  ignore (Trace.span "later" (fun () -> ()));
+  Trace.uninstall ();
+  Alcotest.(check int) "span returns its body's value" 7 v;
+  Alcotest.(check int) "one write, the failed one" 1 !writes;
+  Alcotest.(check int) "closed once, after the failed write" 1 !closes;
+  (* the next sink works *)
+  let records = with_capture (fun () -> Trace.span "again" (fun () -> ())) in
+  ignore (find_record "again" records)
+
+(* [Trace.init]: an explicit path wins over $BHIVE_TRACE, and a path
+   that cannot be opened is an [Error] naming it, with nothing
+   installed. *)
+let test_init_paths () =
+  let bad = "/nonexistent-dir/t.jsonl" in
+  let check_refused what r =
+    Alcotest.(check (result unit string))
+      what
+      (Error ("cannot open trace file " ^ bad ^ ": No such file or directory"))
+      r
+  in
+  let saved = Sys.getenv_opt "BHIVE_TRACE" in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.uninstall ();
+      Unix.putenv "BHIVE_TRACE" (Option.value saved ~default:""))
+    (fun () ->
+      Unix.putenv "BHIVE_TRACE" "";
+      Alcotest.(check bool) "no path, no variable" true (Trace.init () = Ok ());
+      check_refused "--trace" (Trace.init ~path:bad ());
+      Unix.putenv "BHIVE_TRACE" bad;
+      check_refused "BHIVE_TRACE" (Trace.init ());
+      (* nothing was installed: a capture sink sees only its own span *)
+      let records = with_capture (fun () -> Trace.span "alone" (fun () -> ())) in
+      Alcotest.(check int) "nothing installed" 1 (List.length records);
+      let file = Filename.temp_file "bhive-trace" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Alcotest.(check bool) "--trace overrides BHIVE_TRACE" true
+            (Trace.init ~path:file () = Ok ());
+          Trace.span "to file" (fun () -> ());
+          Trace.uninstall ();
+          let lines = In_channel.with_open_text file In_channel.input_all in
+          Alcotest.(check string) "the span reached the file" "to file"
+            (str "name" (Json.parse_exn (String.trim lines)))))
+
+(* The measure path's spans under a live sink: one 2-worker batch on
+   hsw of an accepted block, one the misalignment filter rejects, one
+   whose mapping fails, and a misfit point (nine strided loads under
+   Fresh_pages fill one L1D set past its ways), whose warm-up is a
+   second simulation. *)
+let test_measure_path_spans () =
+  let default = Harness.Environment.default in
+  let job ?(env = default) text =
+    { Engine.env; uarch = Uarch.All.haswell; block = X86.Parser.block_exn text }
+  in
+  let misfit_env =
+    { default with mapping = Fresh_pages; unroll = Harness.Environment.Naive 9 }
+  in
+  let jobs =
+    [
+      ("accepted", job "add $1, %rax");
+      ("misaligned", job "movups 60(%rbx), %xmm0");
+      ("unmappable", job "mov (%rbx), %rax\nmov (%rax), %rcx");
+      ("misfit", job ~env:misfit_env "movq (%rbx), %rax\naddq $4096, %rbx");
+    ]
+  in
+  let run () =
+    (Engine.run_batch (Engine.create ~jobs:2 ~faults:Faultsim.none ()) (List.map snd jobs))
+      .outcomes
+  in
+  let untraced = run () in
+  let traced = ref [||] in
+  let records = with_capture (fun () -> traced := run ()) in
+  Alcotest.(check bool) "outcomes equal the untraced batch's" true (untraced = !traced);
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace by_id (num "id" r) r) records;
+  let parent r = Hashtbl.find_opt by_id (num "parent" r) in
+  let named name = List.filter (fun r -> str "name" r = name) records in
+  let children r name =
+    List.filter (fun c -> str "name" c = name && num "parent" c = num "id" r) records
+  in
+  let keys r =
+    match Json.member "attrs" r with
+    | Some (Json.Object kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  let check_keys what r expected =
+    Alcotest.(check (list string)) (what ^ " attribute keys") expected (keys r)
+  in
+  let one what = function
+    | [ r ] -> r
+    | rs -> Alcotest.failf "%s: %d records, expected 1" what (List.length rs)
+  in
+  let batch = one "engine.run_batch" (named "engine.run_batch") in
+  check_keys "engine.run_batch" batch
+    [ "submitted"; "executed"; "cache_hits"; "workers"; "retries"; "quarantined" ];
+  let executes = named "engine.execute" in
+  Alcotest.(check int) "one engine.execute per job" (List.length jobs) (List.length executes);
+  (* every span and instant sits where the measure path puts it *)
+  List.iter
+    (fun (name, expected_parent) ->
+      List.iter
+        (fun r ->
+          Alcotest.(check string)
+            (name ^ "'s parent")
+            expected_parent
+            (match parent r with Some p -> str "name" p | None -> "none"))
+        (named name))
+    [
+      ("engine.execute", "engine.run_batch");
+      ("profiler.profile", "engine.execute");
+      ("profiler.filter", "engine.execute");
+      ("profiler.measure", "profiler.profile");
+      ("profiler.mapping", "profiler.measure");
+      ("pipeline.simulate", "profiler.measure");
+    ];
+  List.iter
+    (fun (label, (j : Engine.job)) ->
+      let fp = Engine.fingerprint j in
+      let execute =
+        one (label ^ ": engine.execute")
+          (List.filter (fun r -> str "fingerprint" (field "attrs" r) = fp) executes)
+      in
+      check_keys (label ^ ": engine.execute") execute
+        [ "worker"; "attempt"; "queue_wait_us"; "fingerprint" ];
+      let profile = one (label ^ ": profiler.profile") (children execute "profiler.profile") in
+      (* an accepted profile passes the filter without an instant *)
+      let reason =
+        match children execute "profiler.filter" with
+        | [] -> "accepted"
+        | filters -> str "reason" (field "attrs" (one (label ^ ": filter") filters))
+      in
+      let measures = children profile "profiler.measure" in
+      let mapping m = one (label ^ ": profiler.mapping") (children m "profiler.mapping") in
+      let simulates m = List.length (children m "pipeline.simulate") in
+      let ok_measure m =
+        check_keys (label ^ ": profiler.measure") m
+          [ "unroll"; "accepted_cycles"; "best_cycles"; "faults"; "distinct_frames" ];
+        check_keys (label ^ ": profiler.mapping") (mapping m)
+          [ "unroll"; "ok"; "attempts"; "faults"; "distinct_frames" ];
+        List.iter
+          (fun s ->
+            check_keys (label ^ ": pipeline.simulate") s
+              [
+                "uarch"; "cycles"; "instructions"; "uops"; "port_cycles";
+                "frontend_stall_cycles"; "rob_stall_cycles"; "port_contention_cycles";
+              ])
+          (children m "pipeline.simulate")
+      in
+      let ok_profile () =
+        check_keys (label ^ ": profiler.profile") profile
+          [ "uarch"; "block_insts"; "accepted"; "throughput"; "unroll_large"; "unroll_small" ];
+        List.iter ok_measure measures
+      in
+      match label with
+      | "unmappable" ->
+        check_keys (label ^ ": profiler.profile") profile [ "uarch"; "block_insts"; "failure" ];
+        let m = one (label ^ ": profiler.measure") measures in
+        check_keys (label ^ ": profiler.measure") m [ "unroll"; "mapping_error" ];
+        check_keys (label ^ ": profiler.mapping") (mapping m) [ "unroll"; "ok"; "error" ];
+        Alcotest.(check int) (label ^ ": no simulation") 0 (simulates m);
+        Alcotest.(check bool)
+          (label ^ ": filter reason " ^ reason)
+          true
+          (String.starts_with ~prefix:"mapping: " reason)
+      | "misfit" ->
+        ok_profile ();
+        let m = one (label ^ ": profiler.measure") measures in
+        Alcotest.(check int) (label ^ ": warm-up and timed simulations") 2 (simulates m);
+        Alcotest.(check string) (label ^ ": filter reason") "never_clean" reason
+      | _ ->
+        ok_profile ();
+        Alcotest.(check int) (label ^ ": two measure points") 2 (List.length measures);
+        List.iter
+          (fun m -> Alcotest.(check int) (label ^ ": one simulation") 1 (simulates m))
+          measures;
+        Alcotest.(check string) (label ^ ": filter reason") label reason)
+    jobs
 
 (* --- Metrics --- *)
 
@@ -976,6 +1181,10 @@ let suite =
       test_disabled_fast_path_no_alloc;
     Alcotest.test_case "disabled span transparent" `Quick
       test_disabled_returns_value;
+    Alcotest.test_case "failing sink stops tracing" `Quick test_failing_sink_stops;
+    Alcotest.test_case "init: --trace, BHIVE_TRACE and bad paths" `Quick test_init_paths;
+    Alcotest.test_case "measure path spans under a live sink" `Quick
+      test_measure_path_spans;
     Alcotest.test_case "counter totals" `Quick test_counter_totals;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_buckets;
     Alcotest.test_case "metrics snapshot json" `Quick test_snapshot_json;

@@ -77,8 +77,9 @@ let man =
             Bench_diff.default_gates));
     `S Manpage.s_exit_status;
     `P
-      "1 on a regression, 2 on a malformed gate or an unreadable or pre-v5 \
-       summary, 3 when the manifest experiment ids differ.";
+      "1 on a regression, 2 on a command-line error, a malformed gate or an \
+       unreadable or pre-v5 summary, 3 when the manifest experiment ids \
+       differ.";
   ]
 
 let cmd =
@@ -106,4 +107,4 @@ let cmd =
       $ summary 0 "BASELINE" "Baseline bench_summary.json."
       $ summary 1 "CURRENT" "Freshly generated bench_summary.json.")
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

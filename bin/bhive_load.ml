@@ -576,4 +576,4 @@ let cmd =
           and shed counts.")
     term
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -168,4 +168,4 @@ let cmd =
           predictions over a Unix socket.")
     term
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

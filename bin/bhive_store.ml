@@ -212,4 +212,4 @@ let cmd =
        ~doc:"Inspect and maintain persistent measurement stores.")
     [ stats; verify; gc; export; import ]
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

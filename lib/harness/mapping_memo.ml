@@ -81,15 +81,8 @@ let reserve t n =
     (c, 0)
 
 (* Per domain, the buffer a log is packed into before the lock is
-   taken to copy it into the arena, and the log that a miss records
-   into and a hit unpacks into. A fresh log per map would allocate its
-   arrays, each too large for the minor heap, straight into the major
-   heap: measured over measure-cold, fresh logs for hits raised peak
-   RSS by about as much as the memo saved elsewhere and cost a tenth of
-   the throughput gain, and fresh logs for misses were 4.75M words a
-   pass, nine tenths of what it allocated on the major heap. *)
+   taken to copy it into the arena. *)
 let packed = Domain.DLS.new_key (fun () -> Buffer.create 4096)
-let domain_log = Domain.DLS.new_key (fun () -> Xsem.Step_log.create ~steps:1024)
 
 (* Record a mapping result, its log packed into [b], in the current
    generation; the caller holds the lock. *)
@@ -135,7 +128,7 @@ let find t k =
       | Some _ as e -> e
       | None -> Option.map (copy_forward t k) (Hashtbl.find_opt t.previous.entries k))
 
-let run env block ~unroll =
+let run ~log env block ~unroll =
   Result.map
     (fun (s : Mapping.success) ->
       {
@@ -144,9 +137,9 @@ let run env block ~unroll =
         distinct_frames = s.distinct_frames;
         fits_l1 = Pipeline.Machine.fits_l1 s.steps;
       })
-    (Mapping.run ~log:(Domain.DLS.get domain_log) env block ~unroll)
+    (Mapping.run ~log env block ~unroll)
 
-let map t ~key env block ~unroll =
+let map t ~key ~log env block ~unroll =
   let k = (key, unroll) in
   (* An entry's bytes are read outside the lock: nothing overwrites
      them before [rotate] hands their chunk over for reuse. *)
@@ -156,18 +149,17 @@ let map t ~key env block ~unroll =
     Error f
   | Some (Mapped m) ->
     Atomic.incr t.hits;
-    let steps = Domain.DLS.get domain_log in
-    Xsem.Step_log.unpack m.chunk ~pos:m.pos (Array.of_list block) ~into:steps;
+    Xsem.Step_log.unpack m.chunk ~pos:m.pos (Array.of_list block) ~into:log;
     Ok
       {
-        steps;
+        steps = log;
         faults = m.faults;
         distinct_frames = m.distinct_frames;
         fits_l1 = m.fits_l1;
       }
   | None ->
     Atomic.incr t.misses;
-    let r = run env block ~unroll in
+    let r = run ~log env block ~unroll in
     let b = Domain.DLS.get packed in
     Buffer.clear b;
     Result.iter (fun (m : mapped) -> Xsem.Step_log.pack m.steps b) r;

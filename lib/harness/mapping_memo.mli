@@ -21,12 +21,13 @@
     once per batch of profiles therefore keeps every mapping a batch
     used for the following batch, and holds at most two batches.
 
-    The log that [map] and [run] return is the memo's per-domain log,
-    hit or miss: a miss records into it and a hit unpacks into it. The
-    next [map] or [run] on that domain overwrites it. A
-    {!Pipeline.Trace} reads its log in place, so a trace built on it is
-    valid only until then; the profiler builds and simulates each
-    point's trace before it maps the next point.
+    The log that [map] and [run] return is the caller's [log], hit or
+    miss: a miss records into it and a hit unpacks into it, so the memo
+    keeps no log of its own. The next [map] or [run] into the same log
+    overwrites it. A {!Pipeline.Trace} reads its log in place, so a
+    trace built on it is valid only until then. The profiler keeps one
+    log per unroll factor, so that the large point's log is still there
+    when it compares the small point's with it.
 
     [map] may run on several domains at once; [rotate] must not run
     while any [map] does. *)
@@ -37,31 +38,37 @@ val create : unit -> t
 
 (** What the profiler reads of a mapping. *)
 type mapped = {
-  steps : Xsem.Step_log.t;
-      (** the final, complete execution, in the per-domain log *)
+  steps : Xsem.Step_log.t;  (** the final, complete execution, in the caller's log *)
   faults : int;  (** mappings the monitor had to create *)
   distinct_frames : int;
   fits_l1 : bool;  (** {!Pipeline.Machine.fits_l1}[ steps] *)
 }
 
-(** {!Mapping.run} without its MMU and without a memo, recorded into
-    the per-domain log, with the verdict on it. *)
+(** {!Mapping.run}[ ~log] without its MMU and without a memo, with the
+    verdict on the log. *)
 val run :
-  Environment.t -> X86.Inst.t list -> unroll:int -> (mapped, Mapping.failure) result
+  log:Xsem.Step_log.t ->
+  Environment.t ->
+  X86.Inst.t list ->
+  unroll:int ->
+  (mapped, Mapping.failure) result
 
-(** [map t ~key env block ~unroll] is {!Mapping.run}[ env block
-    ~unroll] without its MMU, from the memo when an entry for [key] and
-    [unroll] exists, else mapped now and recorded. [key] must identify
-    [env] and [block] exactly: two calls whose keys are equal must have
-    equal environments and blocks that encode to the same bytes.
+(** [map t ~key ~log env block ~unroll] is {!Mapping.run}[ ~log env
+    block ~unroll] without its MMU, from the memo when an entry for
+    [key] and [unroll] exists, else mapped now and recorded. [key] must
+    identify [env] and [block] exactly: two calls whose keys are equal
+    must have equal environments and blocks that encode to the same
+    bytes.
 
-    A miss records into the log the memo keeps per domain, and a hit
-    unpacks the stored log into it; either way it stays valid until the
-    next [map] or [run] on the same domain: a caller that keeps a log
-    longer must copy it. A hit carries the verdict its miss computed. *)
+    A miss records into [log], and a hit unpacks the stored log into
+    it. A caller that reuses one log across calls allocates no step log
+    once it has grown: a fresh log per call would put its arrays, each
+    too large for the minor heap, straight on the major heap. A hit
+    carries the verdict its miss computed. *)
 val map :
   t ->
   key:string ->
+  log:Xsem.Step_log.t ->
   Environment.t ->
   X86.Inst.t list ->
   unroll:int ->

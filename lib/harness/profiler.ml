@@ -14,7 +14,19 @@
     hit changes nothing downstream. When the verdict holds, the warm-up
     would leave every line the timed run touches in L1, so step (2) is
     counted but not simulated and the timed run skips the caches
-    ({!Pipeline.Machine.measure}); the result is the same. *)
+    ({!Pipeline.Machine.measure}); the result is the same.
+
+    The simulator is deterministic, so of two points the small one's
+    timed run is often the large one's stopped early. The large point's
+    timed run also takes the result of its first [small × n] steps
+    ([n] the block's length). When both verdicts hold and the small
+    point's log equals the large log's first [small × n] steps
+    ({!Xsem.Step_log.equal_prefix}), that result is the small point's,
+    and the small point builds no trace and runs no simulation.
+    Otherwise (a larger unroll can fault on more pages, and stores that
+    earlier attempts left then change what the final run loads) it is
+    traced and measured on its own. Each factor maps into a log of its
+    own, so the large log outlives the small point's mapping. *)
 
 open X86
 
@@ -101,10 +113,11 @@ let apply_noise (env : Environment.t) rng ~cycles ~clean =
   in
   (cycles, clean)
 
-(* The measure point's mapping, from the memo when one is given, wrapped
-   in a "profiler.mapping" span. The monitor's mapping attempts are its
-   restarts: one per intercepted fault plus the final complete run. *)
-let run_mapping ?memo (env : Environment.t) block ~unroll =
+(* The measure point's mapping into [log], from the memo when one is
+   given, wrapped in a "profiler.mapping" span. The monitor's mapping
+   attempts are its restarts: one per intercepted fault plus the final
+   complete run. *)
+let run_mapping ?memo (env : Environment.t) block ~log ~unroll =
   Telemetry.Trace.span "profiler.mapping"
     ~attrs:(fun result ->
       let open Telemetry.Trace in
@@ -121,21 +134,25 @@ let run_mapping ?memo (env : Environment.t) block ~unroll =
       | Error f -> [ ("ok", Bool false); ("error", Str (Mapping.failure_to_string f)) ]))
     (fun () ->
       match memo with
-      | Some (memo, key) -> Mapping_memo.map memo ~key env block ~unroll
-      | None -> Mapping_memo.run env block ~unroll)
+      | Some (memo, key) -> Mapping_memo.map memo ~key ~log env block ~unroll
+      | None -> Mapping_memo.run ~log env block ~unroll)
 
-(* Measure one unroll factor of [block] on [descriptor]: one
-   "profiler.measure" span, carrying the unroll factor tried and the
-   mapping/filter-relevant outcome. *)
-let measure_point ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t) rng
-    (block : Inst.t list) ~unroll : (point, Mapping.failure) result =
+(* Measure one unroll factor of [block] on [descriptor], mapped into
+   [log]: one "profiler.measure" span, carrying the unroll factor tried
+   and the mapping/filter-relevant outcome. The point's noise-free
+   result is [read_off mapped] when that is [Some], and otherwise its
+   trace's [Machine.measure ?prefix]; the point comes back with that
+   result. *)
+let measure_point ?memo ?prefix ?(read_off = fun _ -> None) (env : Environment.t)
+    (descriptor : Uarch.Descriptor.t) rng (block : Inst.t list) ~log ~unroll :
+    (point * Pipeline.Core.result, Mapping.failure) result =
   Telemetry.Trace.span "profiler.measure"
     ~attrs:(fun result ->
       let open Telemetry.Trace in
       ("unroll", Int unroll)
       ::
       (match result with
-      | Ok (p : point) ->
+      | Ok ((p : point), _) ->
         [
           ( "accepted_cycles",
             match p.accepted_cycles with Some c -> Int c | None -> Str "none" );
@@ -145,7 +162,7 @@ let measure_point ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t) 
         ]
       | Error f -> [ ("mapping_error", Str (Mapping.failure_to_string f)) ]))
   @@ fun () ->
-  match run_mapping ?memo env block ~unroll with
+  match run_mapping ?memo env block ~log ~unroll with
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points.
@@ -157,9 +174,14 @@ let measure_point ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t) 
        each of the [env.timings] measurements then sees its own
        independently sampled OS noise, exactly what the repeat-and-
        filter protocol exists to reject. *)
-    let machine = Pipeline.Machine.for_descriptor descriptor in
-    let trace = Pipeline.Machine.trace machine mapped.steps in
-    let base = Pipeline.Machine.measure machine ~fits_l1:mapped.fits_l1 trace in
+    let base =
+      match read_off mapped with
+      | Some r -> r
+      | None ->
+        let machine = Pipeline.Machine.for_descriptor descriptor in
+        let trace = Pipeline.Machine.trace machine mapped.steps in
+        Pipeline.Machine.measure ?prefix machine ~fits_l1:mapped.fits_l1 trace
+    in
     let base_clean = Pipeline.Counters.is_clean base.counters in
     let timings =
       List.init env.timings (fun _ ->
@@ -189,15 +211,42 @@ let measure_point ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t) 
       List.fold_left (fun acc (c, _) -> Int.min acc c) max_int timings
     in
     Ok
-      {
-        unroll;
-        accepted_cycles;
-        best_cycles;
-        clean_timings = List.length clean;
-        faults = mapped.faults;
-        distinct_frames = mapped.distinct_frames;
-        counters = base.counters;
-      }
+      ( {
+          unroll;
+          accepted_cycles;
+          best_cycles;
+          clean_timings = List.length clean;
+          faults = mapped.faults;
+          distinct_frames = mapped.distinct_frames;
+          counters = base.counters;
+        },
+        base )
+
+(* The logs the large and the small point map into: a pair per profile
+   in flight, taken from a pool and given back. Reused rather than made
+   per map: a fresh log's arrays, each too large for the minor heap, go
+   straight on the major heap. Measured over measure-cold, fresh logs
+   for memo hits raised peak RSS by about as much as the memo saved
+   elsewhere and cost a tenth of its throughput gain, and fresh logs
+   for misses were 4.75M words a pass, nine tenths of what it allocated
+   on the major heap. Pooled rather than kept per domain, because the
+   engine spawns its workers per batch: per-domain logs were made and
+   grown again for every batch, 1.59M major words a two-worker
+   measure-cold pass against 0.98M pooled. *)
+let spare_logs = ref [] and spare_lock = Mutex.create ()
+
+let with_logs f =
+  let log () = Xsem.Step_log.create ~steps:1024 in
+  let logs =
+    Mutex.protect spare_lock (fun () ->
+        match !spare_logs with
+        | pair :: rest ->
+          spare_logs := rest;
+          pair
+        | [] -> (log (), log ()))
+  in
+  let give_back () = Mutex.protect spare_lock (fun () -> spare_logs := logs :: !spare_logs) in
+  Fun.protect ~finally:give_back (fun () -> f logs)
 
 (* The block's share of its noise seed: a hash of its printed text.
    With a memo, the block's profiles on every uarch print it once: a
@@ -217,25 +266,20 @@ let reject_to_string = function
   | Unstable -> "unstable"
 
 (* Count the outcome and, when tracing, emit the filter decision with
-   its reason as an instant event. *)
+   its reason as an instant event. A profile is accepted exactly when it
+   has no reject reason. *)
 let record_outcome (result : (profile, failure) result) =
   Telemetry.Metrics.incr m_profiles;
   (match result with
-  | Ok p when p.accepted -> Telemetry.Metrics.incr m_accepted
-  | Ok p ->
-    (match p.reject with
-    | Some Misaligned_access -> Telemetry.Metrics.incr m_rejected_misaligned
-    | Some Never_clean -> Telemetry.Metrics.incr m_rejected_never_clean
-    | Some Unstable -> Telemetry.Metrics.incr m_rejected_unstable
-    | None -> ());
+  | Ok { reject = None; _ } -> Telemetry.Metrics.incr m_accepted
+  | Ok { reject = Some r; _ } ->
+    Telemetry.Metrics.incr
+      (match r with
+      | Misaligned_access -> m_rejected_misaligned
+      | Never_clean -> m_rejected_never_clean
+      | Unstable -> m_rejected_unstable);
     Telemetry.Trace.instant "profiler.filter" ~attrs:(fun () ->
-        [
-          ( "reason",
-            Telemetry.Trace.Str
-              (match p.reject with
-              | Some r -> reject_to_string r
-              | None -> "none") );
-        ])
+        [ ("reason", Telemetry.Trace.Str (reject_to_string r)) ])
   | Error f ->
     Telemetry.Metrics.incr m_mapping_failed;
     Telemetry.Trace.instant "profiler.filter" ~attrs:(fun () ->
@@ -267,14 +311,31 @@ let profile ?memo (env : Environment.t) (descriptor : Uarch.Descriptor.t)
       let seed = Int64.add env.noise_seed (block_seed ?memo block) in
       let rng = Bstats.Rng.create seed in
       let factors = Unroll.choose env.unroll block in
-      match measure_point ?memo env descriptor rng block ~unroll:factors.large with
+      with_logs @@ fun (large_log, small_log) ->
+      (* The small point's timed run is the large one's first [k] steps. *)
+      let k = factors.small * List.length block in
+      let prefix = if factors.small = 0 then None else Some k in
+      match
+        measure_point ?memo ?prefix env descriptor rng block ~log:large_log
+          ~unroll:factors.large
+      with
       | Error f -> Error (Mapping_failed f)
-      | Ok large -> (
+      | Ok (large, large_run) -> (
+        (* [large_run.prefix] is there only when the large log fits L1 *)
+        let read_off (m : Mapping_memo.mapped) =
+          if
+            m.fits_l1 && m.steps.steps = k
+            && Xsem.Step_log.equal_prefix m.steps large_log ~steps:k
+          then Pipeline.Machine.prefix_point large_run
+          else None
+        in
         let small =
           if factors.small = 0 then Ok None
           else
-            Result.map Option.some
-              (measure_point ?memo env descriptor rng block ~unroll:factors.small)
+            Result.map
+              (fun (p, _) -> Some p)
+              (measure_point ?memo ~read_off env descriptor rng block ~log:small_log
+                 ~unroll:factors.small)
         in
         match small with
         | Error f -> Error (Mapping_failed f)

@@ -415,7 +415,8 @@ let sec_speed ctx fmt =
 
 let print_ground_truth_schedule fmt uarch block =
   (* map, execute a few copies, and dump the simulated core's schedule *)
-  match Harness.Mapping_memo.run Harness.Environment.default block ~unroll:4 with
+  let log = Xsem.Step_log.create ~steps:(4 * List.length block) in
+  match Harness.Mapping_memo.run ~log Harness.Environment.default block ~unroll:4 with
   | Error f ->
     Format.fprintf fmt "cannot map block: %s@."
       (Harness.Mapping.failure_to_string f)

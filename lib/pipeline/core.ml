@@ -22,8 +22,8 @@
     simulation, the port schedule is a bitmap of occupied cycles per
     port, and cache lookups (shift and mask) and port claims allocate
     nothing. A call allocates a constant (counters, result, loop
-    closures), whatever the trace length; test/test_batch.ml pins
-    this.
+    closures, and a prefix result's copy of the counters), whatever the
+    trace length; test/test_batch.ml pins this.
 
     The loop and the verdict's walk run at native-int speed: every
     comparison is at type int ([Int.max], never the polymorphic
@@ -38,7 +38,16 @@
     it leaves matter. {!fits_l1} decides, once per step log, whether
     that warm-up would leave every line the timed run touches in L1;
     when it would, [simulate ~resident:true] skips the caches, since
-    every lookup would hit. *)
+    every lookup would hit.
+
+    A resident run also gives, on request, the result of its first [k]
+    steps ([simulate ~prefix:k]). The loop carries nothing from a step
+    to the next but machine state, so that result is what a resident
+    run of a log holding just those steps returns: the profiler reads a
+    small unroll point off its large point's run this way, when the
+    small log is the large log's prefix. A run through the caches takes
+    no prefix: its warm-up was the whole log's, and a shorter log's
+    warm-up leaves other lines behind. *)
 
 open Uarch
 
@@ -55,6 +64,9 @@ type result = {
   cycles : int;
   counters : Counters.t;
   schedule : schedule_entry list;  (** only populated when requested *)
+  prefix : result option;
+      (** with [~prefix:k], the result of the first [k] steps; [None]
+          otherwise *)
 }
 
 (* Dependence-root index used for RFLAGS. *)
@@ -250,13 +262,39 @@ let div_latency (trace : Trace.t) i =
   else if trace.log.events.(i) land slow_path_bit <> 0 then trace.slow_div_lat
   else trace.pos_div_lat.(pos)
 
+(* The result of the steps simulated so far, given the live counters
+   [c], the latest retire time and the schedule so far (newest first). A
+   top-level function, so that the loop's refs stay local. *)
+let snapshot (c : Counters.t) ~finish_time schedule =
+  let counters =
+    { c with core_cycles = finish_time; port_cycles = Array.copy c.port_cycles }
+  in
+  { cycles = finish_time; counters; schedule = List.rev schedule; prefix = None }
+
 (* With [resident], every fetch and data access is taken to hit L1, as
    it does after a warm-up simulation of a log for which {!fits_l1}
    holds: the caches are not consulted, and [l1d] gives only the line
-   size that [crosses_line] reads. *)
-let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descriptor.t)
-    ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
-    (trace : Trace.t) : result =
+   size that [crosses_line] reads.
+
+   With [~prefix:k] (resident runs only, [0 <= k <= steps]), the result
+   also holds the result of the first [k] steps, taken before step [k]
+   runs: the time the last of them retired and a copy of the counters,
+   its [port_cycles] a fresh array. Step [idx] reads only its own trace
+   data and the state that steps [0] to [idx - 1] left, so that result
+   equals a fresh resident simulation of a log of those [k] steps. *)
+let simulate ?(record_schedule = false) ?(resident = false) ?prefix ?scratch
+    (d : Descriptor.t) ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t)
+    ~(l2 : Memsim.Cache.t) (trace : Trace.t) : result =
+  let prefix_at =
+    match prefix with
+    | None -> -1
+    | Some k when resident && k >= 0 && k <= trace.steps -> k
+    | Some k ->
+      invalid_arg
+        (Printf.sprintf "Core.simulate: ~prefix:%d on a %s run of %d steps" k
+           (if resident then "resident" else "cached")
+           trace.steps)
+  in
   let s =
     match scratch with
     | Some s when Scratch.fits s d ->
@@ -328,11 +366,13 @@ let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descri
     done;
     !t
   in
-  let finish_time = ref 0 in
+  let finish_time = ref 0 and taken = ref None in
   (* Step [idx] runs block position [pos] of the copy at [copy_addr]. *)
   let n = Array.length trace.statics and log = trace.log in
   let pos = ref 0 and copy_addr = ref 0 in
   for idx = 0 to trace.steps - 1 do
+    if idx = prefix_at then
+      taken := Some (snapshot c ~finish_time:!finish_time !schedule);
     let st = trace.statics.(!pos) in
     (* --- front end: instruction fetch through the L1I cache --- *)
     let fetched =
@@ -554,8 +594,10 @@ let simulate ?(record_schedule = false) ?(resident = false) ?scratch (d : Descri
     end
     else incr pos
   done;
+  if prefix_at = trace.steps then
+    taken := Some (snapshot c ~finish_time:!finish_time !schedule);
   c.core_cycles <- !finish_time;
-  { cycles = !finish_time; counters = c; schedule = List.rev !schedule }
+  { cycles = !finish_time; counters = c; schedule = List.rev !schedule; prefix = !taken }
 
 (* The L1 residency verdict on [log]: do the lines that a simulation of
    [log]'s trace could touch under any descriptor fit [l1i] and [l1d]

@@ -55,7 +55,7 @@ let trace t (steps : Xsem.Step_log.t) : Trace.t =
 
 (* Simulate the timing of one completed architectural execution, given
    as its trace. The telemetry span wraps the core cycle loop. *)
-let simulate_on ?record_schedule ~resident t (trace : Trace.t) : Core.result =
+let simulate_on ?record_schedule ?prefix ~resident t (trace : Trace.t) : Core.result =
   Telemetry.Trace.span "pipeline.simulate"
     ~attrs:(fun (r : Core.result) ->
       let c = r.counters in
@@ -76,7 +76,7 @@ let simulate_on ?record_schedule ~resident t (trace : Trace.t) : Core.result =
     (fun () ->
       let r =
         timed (fun () ->
-            Core.simulate ?record_schedule ~resident ~scratch:t.scratch t.descriptor
+            Core.simulate ?record_schedule ~resident ?prefix ~scratch:t.scratch t.descriptor
               ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace)
       in
       Telemetry.Metrics.incr m_blocks;
@@ -95,17 +95,24 @@ let fits_l1 (steps : Xsem.Step_log.t) =
 (* A measure point: the discarded warm-up simulation from flushed
    caches, then the timed run. When the point's log fits L1, the warm-up
    would leave every line the timed run touches resident, so it is
-   counted but not simulated, and the timed run skips the caches. *)
-let measure ?record_schedule t ~fits_l1 (trace : Trace.t) =
+   counted but not simulated, and the timed run skips the caches; only
+   that run takes [prefix]. *)
+let measure ?record_schedule ?prefix t ~fits_l1 (trace : Trace.t) =
   if fits_l1 then begin
     Telemetry.Metrics.incr m_blocks;
-    simulate_on ?record_schedule ~resident:true t trace
+    simulate_on ?record_schedule ?prefix ~resident:true t trace
   end
   else begin
     reset t;
     ignore (simulate t trace);
     simulate ?record_schedule t trace
   end
+
+(* A measure point read off an earlier run's prefix counts the two
+   blocks that [measure] counts. *)
+let prefix_point (r : Core.result) =
+  if Option.is_some r.prefix then Telemetry.Metrics.add m_blocks 2;
+  r.prefix
 
 (* Per-domain machine cache, keyed by descriptor physical identity. The
    shipped descriptors are module-level constants, so this holds at most

@@ -6,6 +6,12 @@
     reusable scratch state, so repeated [simulate] calls perform no
     per-simulation machine-state allocation.
 
+    A resident timed run can also return the result of its first steps
+    ([measure ~prefix]), which is exactly what a measure point of a log
+    holding just those steps returns: the profiler takes a small unroll
+    point from its large point's run this way ([prefix_point]), counted
+    as a measure point of its own.
+
     Every descriptor's machine gets the same caches: two 32 KiB 8-way
     L1s and a 256 KiB 8-way L2, all with 64-byte lines. So whether a
     step log fits L1 ([fits_l1]) depends on the log alone, and one
@@ -54,8 +60,21 @@ val fits_l1 : Xsem.Step_log.t -> bool
     and access, so the result is the same. The caches are then left as
     they were, and a later [measure] with a false verdict flushes them
     first. Either way the point counts two blocks in [pipeline.blocks],
-    the warm-up and the timed run. *)
-val measure : ?record_schedule:bool -> t -> fits_l1:bool -> Trace.t -> Core.result
+    the warm-up and the timed run.
+
+    [~prefix:k] is passed to the timed run when the verdict holds, so
+    the result's [prefix] is the result of its first [k] steps, which
+    is what [measure] of a log of exactly those steps would return. On
+    a false verdict it is ignored and [prefix] is [None]: after a larger
+    log's warm-up the caches are not those a smaller log's leaves. *)
+val measure :
+  ?record_schedule:bool -> ?prefix:int -> t -> fits_l1:bool -> Trace.t -> Core.result
+
+(** [prefix_point r] is [r.prefix], the result of a [measure ~prefix]
+    run's first steps, taken as a measure point of its own: when it is
+    there, it counts the two blocks in [pipeline.blocks] that a
+    [measure] counts. *)
+val prefix_point : Core.result -> Core.result option
 
 (** The calling domain's machine for [d], created on first use and
     reused afterwards (keyed by descriptor physical identity). Domains

@@ -23,9 +23,9 @@
     from the log at every read instead of keeping them. A
     log that [Harness.Mapping.run] returns without [?log] is owned by
     its result; the log that [Harness.Mapping_memo.map] or [run] returns,
-    hit or miss, is the memo's per-domain log, which stays unchanged
-    until the next [map] or [run] on that domain, so build and simulate
-    the trace before mapping again. *)
+    hit or miss, is the log its caller passed, which stays unchanged
+    until the next [map] or [run] into it, so build and simulate the
+    trace before mapping into that log again. *)
 
 (** Preprocessed static instruction: everything derivable from the
     instruction and the microarchitecture alone. *)

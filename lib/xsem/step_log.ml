@@ -103,6 +103,28 @@ let any_event t e =
   let rec go i = i < t.steps && (t.events.(i) land b <> 0 || go (i + 1)) in
   go 0
 
+(* Every comparison is at type int, or [Bool.equal]. *)
+let equal_prefix a b ~steps:k =
+  k <= a.steps && k <= b.steps
+  &&
+  let rec same_steps i =
+    i >= k
+    || Int.equal a.events.(i) b.events.(i)
+       && Int.equal a.first.(i + 1) b.first.(i + 1)
+       && same_steps (i + 1)
+  in
+  same_steps 0
+  &&
+  let rec same_accesses j =
+    j >= a.first.(k)
+    || Int.equal a.vaddr.(j) b.vaddr.(j)
+       && Int.equal a.paddr.(j) b.paddr.(j)
+       && Int.equal a.size.(j) b.size.(j)
+       && Bool.equal a.store.(j) b.store.(j)
+       && same_accesses (j + 1)
+  in
+  same_accesses 0
+
 (* --- packing ------------------------------------------------------------ *)
 
 type buf = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t

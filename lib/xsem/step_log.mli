@@ -83,6 +83,13 @@ val has_event : t -> int -> event -> bool
 (** Did any step raise the event? *)
 val any_event : t -> event -> bool
 
+(** [equal_prefix a b ~steps:k]: do [a] and [b] both hold at least [k]
+    committed steps, and are their first [k] the same? That is, the same
+    event masks, the same first-access indices, and for every access of
+    those steps the same vaddr, paddr, size and direction. Steps past
+    [k] are not read. *)
+val equal_prefix : t -> t -> steps:int -> bool
+
 (** {2 Packing} *)
 
 (** A byte buffer outside the OCaml heap. *)

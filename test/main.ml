@@ -37,4 +37,5 @@ let () =
       ("manifest", Test_manifest.suite);
       ("serve", Test_serve.suite);
       ("refine", Test_refine.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -332,6 +332,127 @@ let test_verdict_exact () =
         fun d -> if d == Uarch.All.ivy_bridge then (0, 8, 0) else (0, 0, 0) );
     ]
 
+(* The prefix result is exact: the result of a resident run's first
+   [small × n] steps ([Machine.measure ~prefix]) equals a fresh resident
+   run of the small factor's own log, in cycles, every counter and the
+   schedule, wherever that log equals the large log's first [small × n]
+   steps and both fit L1, as the profiler requires before it reads a
+   point off the prefix. Generated blocks, some with a page-strided
+   access spliced in, on ivb, hsw and skl, under both mapping modes, at
+   three (large, small) pairs. The prefix at the run's last step is the
+   run's own result, and a run whose verdict is false takes none. The
+   test fails unless it saw an agreeing pair. *)
+let test_prefix_exact () =
+  let stride = Parser.block_exn "movq (%rbx), %rax\naddq $4096, %rbx" in
+  let agreeing = ref 0 in
+  let same (a : Pipeline.Core.result) (b : Pipeline.Core.result) =
+    a.cycles = b.cycles && counters_equal a.counters b.counters && a.schedule = b.schedule
+  in
+  let prop (block, (large, small), mapping) =
+    let env = { Harness.Environment.default with mapping } in
+    let map unroll = Harness.Mapping.run env block ~unroll in
+    match (map large, map small) with
+    | Ok l, Ok s ->
+      let k = small * List.length block in
+      let fits = Pipeline.Machine.fits_l1 l.steps in
+      let agree =
+        fits && Pipeline.Machine.fits_l1 s.steps
+        && Xsem.Step_log.equal_prefix s.steps l.steps ~steps:k
+      in
+      if agree then incr agreeing;
+      List.for_all
+        (fun d ->
+          let m = Pipeline.Machine.create d in
+          let measure ?prefix (log : Xsem.Step_log.t) =
+            Pipeline.Machine.measure ~record_schedule:true ?prefix m
+              ~fits_l1:(Pipeline.Machine.fits_l1 log) (Pipeline.Machine.trace m log)
+          in
+          let run = measure ~prefix:k l.steps in
+          let whole = measure ~prefix:l.steps.steps l.steps in
+          match (run.prefix, whole.prefix) with
+          | Some p, Some w ->
+            fits
+            && ((not agree) || same p (measure s.steps))
+            && same w { whole with prefix = None }
+          | None, None -> not fits
+          | _ -> false)
+        uarches
+    | _ -> true
+  in
+  let gen =
+    QCheck.Gen.(
+      let* block = block_gen in
+      let* splice = oneofl [ []; []; stride ] in
+      let* at = int_range 0 (List.length block) in
+      let* factors = oneofl [ (4, 1); (8, 3); (16, 8) ] in
+      let+ mapping = oneofl Harness.Environment.[ Single_physical_page; Fresh_pages ] in
+      ( List.filteri (fun i _ -> i < at) block @ splice @ List.filteri (fun i _ -> i >= at) block,
+        factors,
+        mapping ))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"prefix result is exact" ~count:100
+       (QCheck.make
+          ~print:(fun (b, (large, small), mapping) ->
+            Printf.sprintf "unroll %d/%d, %s: %s" large small
+              (match mapping with
+              | Harness.Environment.Fresh_pages -> "fresh pages"
+              | _ -> "single physical page")
+              (print_block b))
+          gen)
+       prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "generated cases saw an agreeing pair (%d)" !agreeing)
+    true (!agreeing > 0)
+
+(* [Step_log.equal_prefix] reads every field of the first [k] steps and
+   nothing past them. The logs are recorded through the step protocol:
+   per step, its events and its accesses (vaddr, paddr, size, store). *)
+let test_equal_prefix_cases () =
+  let log steps =
+    let t = Xsem.Step_log.create ~steps:1 in
+    Xsem.Step_log.start t [| Inst.make Opcode.Nop [] |];
+    List.iter
+      (fun (events, accesses) ->
+        List.iter (Xsem.Step_log.event t) events;
+        List.iter
+          (fun (vaddr, paddr, size, store) -> Xsem.Step_log.access t ~vaddr ~paddr ~size ~store)
+          accesses;
+        Xsem.Step_log.commit t)
+      steps;
+    t
+  in
+  let base =
+    [
+      ([], [ (0x1000, 0x9000, 8, false) ]);
+      ([ Xsem.Step_log.Div_fast_path ], []);
+      ([], [ (0x1008, 0x9008, 4, true); (0x2000, 0xa000, 16, false) ]);
+      ([ Xsem.Step_log.Subnormal ], [ (0x1010, 0x9010, 8, false) ]);
+    ]
+  in
+  (* [base] with step [i] replaced by [f] of it *)
+  let change i f = List.mapi (fun j s -> if j = i then f s else s) base in
+  let on_access f (events, accesses) = (events, List.mapi (fun j a -> if j = 0 then f a else a) accesses) in
+  let k = 3 in
+  List.iter
+    (fun (what, other, expected) ->
+      Alcotest.(check bool) what expected
+        (Xsem.Step_log.equal_prefix (log base) (log other) ~steps:k))
+    [
+      ("equal logs", base, true);
+      ("an event inside", change 1 (fun (_, a) -> ([ Xsem.Step_log.Div_slow_path ], a)), false);
+      ("an access count inside", change 1 (fun (e, _) -> (e, [ (0x1000, 0x9000, 8, false) ])), false);
+      ("a vaddr inside", change 2 (on_access (fun (_, p, s, st) -> (0x1009, p, s, st))), false);
+      ("a paddr inside", change 2 (on_access (fun (v, _, s, st) -> (v, 0x9009, s, st))), false);
+      ("a size inside", change 2 (on_access (fun (v, p, _, st) -> (v, p, 8, st))), false);
+      ("a direction inside", change 2 (on_access (fun (v, p, s, _) -> (v, p, s, false))), false);
+      ("an event past step k", change 3 (fun (_, a) -> ([], a)), true);
+      ("an access past step k", change 3 (on_access (fun (_, p, s, st) -> (0x3000, p, s, st))), true);
+      ("an extra access past step k", change 3 (fun (e, a) -> (e, a @ a)), true);
+      ("extra steps past step k", base @ base, true);
+      ("too few steps", List.filteri (fun i _ -> i < k - 1) base, false);
+    ]
+
 (* The trace == the list-based trace builder kept as a reference
    ({!Reference.of_steps}, fed the log's steps as records): the same
    number of steps and, for every step, the same static info and code
@@ -446,13 +567,14 @@ let allocated_words f =
 
 (* The cycle loop's allocation contract: a cache access and a port
    claim allocate nothing, and [Core.simulate] on a warm reused machine
-   allocates a per-call constant that does not grow with the trace. Building a trace allocates per block
+   allocates a per-call constant that does not grow with the trace; a
+   prefix result adds a constant too. Building a trace allocates per block
    position only, so the same at unroll 8 and 64: it reads the step log
    in place. A compiled run computes on unboxed state, so per dynamic
    step it allocates only the fresh step log's six flat arrays: 6.0
    words per step on the scalar blocks and on the vector block (loads,
    FMA, subnormal traffic), bounded at 8 (the interpreter took 26). A
-   mapping memo miss records into the domain's log instead, so once
+   mapping memo miss records into the caller's log instead, so once
    that log has grown to a mapping's size a miss allocates no step log:
    0.0 words per step, bounded at 1 (a fresh log per miss took 6.0). *)
 let test_allocation_contract () =
@@ -528,11 +650,12 @@ let test_allocation_contract () =
   List.iter
     (fun (name, block) ->
       let memo = Harness.Mapping_memo.create () and keys = ref 0 in
+      let log = Xsem.Step_log.create ~steps:1 in
       let miss unroll () =
         incr keys;
-        ignore (Harness.Mapping_memo.map memo ~key:(string_of_int !keys) env block ~unroll)
+        ignore (Harness.Mapping_memo.map memo ~key:(string_of_int !keys) ~log env block ~unroll)
       in
-      (* grow the domain's log, the pack buffer and the arena first *)
+      (* grow the log, the pack buffer and the arena first *)
       miss 64 ();
       let words =
         (allocated_words (miss 64) -. allocated_words (miss 8))
@@ -556,7 +679,19 @@ let test_allocation_contract () =
       Alcotest.(check int)
         (d.short ^ " Core.simulate words, unroll 8 vs 64")
         (minor_words (simulate t8))
-        (minor_words (simulate t64)))
+        (minor_words (simulate t64));
+      (* a prefix result, taken halfway, adds a constant *)
+      let resident ?prefix (trace : Pipeline.Trace.t) () =
+        ignore
+          (Pipeline.Core.simulate ~resident:true ?prefix ~scratch:m.scratch d ~l1d:m.l1d
+             ~l1i:m.l1i ~l2:m.l2 trace)
+      in
+      let added (t : Pipeline.Trace.t) =
+        minor_words (resident ~prefix:(t.steps / 2) t) - minor_words (resident t)
+      in
+      Alcotest.(check int)
+        (d.short ^ " Core.simulate ~prefix added words, unroll 8 vs 64")
+        (added t8) (added t64))
     uarches
 
 (* Every statistic the simulator feeds into a profile, over the corpus
@@ -615,6 +750,8 @@ let suite =
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
     trace_reuse_matches_run;
     Alcotest.test_case "L1 residency verdict is exact" `Quick test_verdict_exact;
+    Alcotest.test_case "prefix result is exact" `Quick test_prefix_exact;
+    Alcotest.test_case "Step_log.equal_prefix cases" `Quick test_equal_prefix_cases;
     trace_matches_reference;
     Alcotest.test_case "allocation contract" `Quick test_allocation_contract;
     Alcotest.test_case "simulated statistics golden" `Quick

@@ -177,12 +177,12 @@ let test_hit_carries_verdict () =
   (* the miss's verdict, and the hit's verdict and log's verdict *)
   let through_memo env block ~unroll =
     let memo = Harness.Mapping_memo.create () in
-    let key = Engine.mapping_key env block in
-    match Harness.Mapping_memo.map memo ~key env block ~unroll with
+    let key = Engine.mapping_key env block and log = Xsem.Step_log.create ~steps:1 in
+    match Harness.Mapping_memo.map memo ~key ~log env block ~unroll with
     | Error _ -> None
     | Ok miss -> (
       let filled = miss.fits_l1 in
-      match Harness.Mapping_memo.map memo ~key env block ~unroll with
+      match Harness.Mapping_memo.map memo ~key ~log env block ~unroll with
       | Error _ -> Alcotest.fail "a hit failed where its miss mapped"
       | Ok hit ->
         Alcotest.(check int) "the second map hits" 1 (Harness.Mapping_memo.stats memo).hits;

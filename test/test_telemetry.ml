@@ -209,7 +209,9 @@ let test_init_paths () =
    hsw of an accepted block, one the misalignment filter rejects, one
    whose mapping fails, and a misfit point (nine strided loads under
    Fresh_pages fill one L1D set past its ways), whose warm-up is a
-   second simulation. *)
+   second simulation. The first two have two points that fit L1, and
+   the small one is read off the large one's timed run: one simulation
+   under the large point, none under the small one. *)
 let test_measure_path_spans () =
   let default = Harness.Environment.default in
   let job ?(env = default) text =
@@ -333,11 +335,93 @@ let test_measure_path_spans () =
       | _ ->
         ok_profile ();
         Alcotest.(check int) (label ^ ": two measure points") 2 (List.length measures);
+        let large = num "unroll_large" (field "attrs" profile) in
         List.iter
-          (fun m -> Alcotest.(check int) (label ^ ": one simulation") 1 (simulates m))
+          (fun m ->
+            if num "unroll" (field "attrs" m) = large then
+              Alcotest.(check int) (label ^ ": one simulation, large point") 1 (simulates m)
+            else Alcotest.(check int) (label ^ ": no simulation, small point") 0 (simulates m))
           measures;
         Alcotest.(check string) (label ^ ": filter reason") label reason)
     jobs
+
+(* A point is read off the large point's run only when that is exact.
+   The fallback block, reduced from a table-lookup block of the corpus
+   at scale 300, seed 3, maps with 6 faults at unroll 100 and 3 at
+   unroll 50: its byte loads read what the stores of earlier mapping
+   attempts left in the shared frame, so the final runs look up other
+   table entries and the small log is not the large log's prefix. Its
+   small point takes the fallback, one simulation under its
+   "profiler.measure"; the gzip block's is read off the prefix, none.
+   Either way each point equals that point traced and measured on its
+   own, in faults, frames, cycles and every counter; its noise is drawn
+   from the same seed, cycles and cleanliness, so the profile is the
+   same too. *)
+let test_prefix_fallback () =
+  let env = Harness.Environment.default and d = Uarch.All.haswell in
+  let fallback =
+    X86.Parser.block_exn
+      "movzbl 0x2(%rsi), %r11d\n\
+       xorq 0x40828(, %r11, 8), %r10\n\
+       addq $64, %rsi\n\
+       pmaddwd %xmm8, %xmm11\n\
+       movaps %xmm11, -0xc0(%rcx)\n\
+       addq $128, %rcx"
+  in
+  List.iter
+    (fun (name, block, small_sims) ->
+      let f = Harness.Unroll.choose env.unroll block in
+      let profile = ref None in
+      let records = with_capture (fun () -> profile := Some (Harness.Profiler.profile env d block)) in
+      let p =
+        match !profile with
+        | Some (Ok p) -> p
+        | _ -> Alcotest.failf "%s: the profile failed" name
+      in
+      let on_its_own (pt : Harness.Profiler.point) =
+        match
+          Harness.Mapping_memo.run ~log:(Xsem.Step_log.create ~steps:1) env block
+            ~unroll:pt.unroll
+        with
+        | Error _ -> Alcotest.failf "%s: unroll %d does not map" name pt.unroll
+        | Ok m ->
+          let machine = Pipeline.Machine.create d in
+          let r =
+            Pipeline.Machine.measure machine ~fits_l1:m.fits_l1
+              (Pipeline.Machine.trace machine m.steps)
+          in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s, unroll %d: faults and frames" name pt.unroll)
+            (m.faults, m.distinct_frames) (pt.faults, pt.distinct_frames);
+          Alcotest.(check string)
+            (Printf.sprintf "%s, unroll %d: counters" name pt.unroll)
+            (Format.asprintf "%a" Pipeline.Counters.pp r.counters)
+            (Format.asprintf "%a" Pipeline.Counters.pp pt.counters)
+      in
+      on_its_own p.large;
+      (match p.small with
+      | Some small -> on_its_own small
+      | None -> Alcotest.failf "%s: no small point" name);
+      let measure unroll =
+        match
+          List.filter
+            (fun r -> str "name" r = "profiler.measure" && num "unroll" (field "attrs" r) = float_of_int unroll)
+            records
+        with
+        | [ m ] -> m
+        | ms -> Alcotest.failf "%s: %d measure spans at unroll %d" name (List.length ms) unroll
+      in
+      let simulates m =
+        List.length
+          (List.filter
+             (fun r -> str "name" r = "pipeline.simulate" && num "parent" r = num "id" m)
+             records)
+      in
+      Alcotest.(check (pair int int))
+        (name ^ ": simulations under the large and the small point")
+        (1, small_sims)
+        (simulates (measure f.large), simulates (measure f.small)))
+    [ ("fallback block", fallback, 1); ("gzip crc", Corpus.Paper_blocks.gzip_crc, 0) ]
 
 (* --- Metrics --- *)
 
@@ -1185,6 +1269,7 @@ let suite =
     Alcotest.test_case "init: --trace, BHIVE_TRACE and bad paths" `Quick test_init_paths;
     Alcotest.test_case "measure path spans under a live sink" `Quick
       test_measure_path_spans;
+    Alcotest.test_case "small point: prefix or fallback" `Quick test_prefix_fallback;
     Alcotest.test_case "counter totals" `Quick test_counter_totals;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_buckets;
     Alcotest.test_case "metrics snapshot json" `Quick test_snapshot_json;
